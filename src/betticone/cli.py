@@ -38,12 +38,10 @@ from pathlib import Path
 
 from .cone import (
     BettiSequence,
-    NotInConeError,
     DecompositionLoopError,
     check_finite_length,
     check_graded,
     check_local,
-    decompose_local,
 )
 from .linalg import QQ, FP_DEFAULT, PrimeField
 from .resolve import (
@@ -182,15 +180,15 @@ def _parse_field(spec: str):
     raise ValueError(f"bad field {spec!r} (use qq, fp, or fp:P)")
 
 
-def _print_verdict(verdict, show_member=True) -> int:
+def _print_verdict(verdict, show_member: bool) -> int:
+    """Print a membership verdict: the violated functional of a non-member,
+    the decomposition terms of a member.  Returns the exit code."""
+    if show_member:
+        print(f"member: {'yes' if verdict.member else 'no'}")
     if not verdict.member:
-        if show_member:
-            print("member: no")
         v = verdict.violation
         print(f"violated: {v.label} value: {v.value}")
         return 1
-    if show_member:
-        print("member: yes")
     deco = verdict.decomposition
     print(f"terms: {len(deco.terms)}")
     for d, coeff in deco.terms:
@@ -216,13 +214,7 @@ def cmd_rays(args) -> int:
 def cmd_check(args) -> int:
     table = parse_table_text(_read_text(args.file))
     checker = check_finite_length if args.finite_length else check_graded
-    return _print_verdict(checker(table))
-
-
-def cmd_decompose(args) -> int:
-    table = parse_table_text(_read_text(args.file))
-    checker = check_finite_length if args.finite_length else check_graded
-    return _print_verdict(checker(table), show_member=False)
+    return _print_verdict(checker(table), args.show_member)
 
 
 def cmd_resolve(args) -> int:
@@ -274,21 +266,15 @@ def cmd_verify_window(args) -> int:
 
 def cmd_local(args) -> int:
     s = BettiSequence.of(Fraction(args.b0), Fraction(args.b1), Fraction(args.b2))
+    verdict = check_local(s, finite_length=args.finite_length)
+    if not verdict.member:
+        if args.mode == "decompose":
+            print("not in local cone")
+        return _print_verdict(verdict, show_member=args.mode == "check")
     if args.mode == "check":
-        verdict = check_local(s, finite_length=args.finite_length)
-        if verdict.member:
-            print("member: yes")
-            return 0
-        print("member: no")
-        v = verdict.violation
-        print(f"violated: {v.label} value: {v.value}")
-        return 1
-    try:
-        deco = decompose_local(s, finite_length=args.finite_length)
-    except NotInConeError as exc:
-        print("not in local cone")
-        print(f"violated: {exc.violation.label} value: {exc.violation.value}")
-        return 1
+        print("member: yes")
+        return 0
+    deco = verdict.decomposition
     print(f"a: {deco.a}")
     print(f"b: {deco.b}")
     print(f"c: {deco.c}")
@@ -311,12 +297,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="cone membership of a table, with certificate")
     p.add_argument("file", nargs="?", default="-", help="table file or - for stdin")
     p.add_argument("--finite-length", action="store_true")
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_check, show_member=True)
 
     p = sub.add_parser("decompose", help="like check, but prints only the decomposition")
     p.add_argument("file", nargs="?", default="-")
     p.add_argument("--finite-length", action="store_true")
-    p.set_defaults(func=cmd_decompose)
+    p.set_defaults(func=cmd_check, show_member=False)
 
     p = sub.add_parser("resolve", help="Betti table of a module by minimal free resolution")
     p.add_argument("file", nargs="?", default="-", help="module file or - for stdin")

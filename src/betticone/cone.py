@@ -11,6 +11,11 @@ violated functional as a certificate; on success the certificate is an exact
 greedy decomposition into pure diagrams.  The finite length variant adds the
 single condition gamma_inf = 0, which kills the free summands.
 
+alpha_k and gamma_k change only at the shifted degrees j - i of stored
+entries, so the membership scan and the decomposition's ratio test visit just
+those breakpoints (tables._cone_functionals): their cost follows the number of
+stored entries, not the span of degrees between them.
+
 The local (single column) cone over Betti sequences (b0, b1, b2) is handled at
 the end of the module, with rays (1,0,0), (1,1,0), (1,3,6).
 """
@@ -26,6 +31,7 @@ from .tables import (
     DegreeSequence,
     Functional,
     RationalLike,
+    _cone_functionals,
     collapse_tail,
     eval_functional,
     make_pure_diagram,
@@ -102,9 +108,10 @@ def _doubling_scan(v: BettiTable) -> Violation | None:
     return None
 
 
-def _first_violation(v: BettiTable) -> Violation | None:
+def _first_violation(v: BettiTable, finite_length: bool = False) -> Violation | None:
     """First violated halfspace in the fixed scan order: doubling equalities,
-    then epsilon, then alpha, then gamma, each by increasing index."""
+    then epsilon, then alpha, then gamma, each by increasing index, and last
+    gamma_inf = 0 when finite_length is set."""
     viol = _doubling_scan(v)
     if viol is not None:
         return viol
@@ -112,40 +119,32 @@ def _first_violation(v: BettiTable) -> Violation | None:
         if val < 0:
             f = Functional.epsilon(i, j)
             return Violation(f.label(), val, f)
-    if v.is_zero:
-        return None
-    lo, hi = v.min_degree, v.max_degree
-    for k in range(lo - 1, hi + 2):
-        f = Functional.alpha(k)
-        val = eval_functional(f, v)
+    for f, (val,) in _cone_functionals(v):
         if val < 0:
             return Violation(f.label(), val, f)
-    for k in range(lo - 2, hi + 1):
-        f = Functional.gamma(k)
-        val = eval_functional(f, v)
-        if val < 0:
-            return Violation(f.label(), val, f)
+    if finite_length:
+        f = Functional.gamma_inf()
+        total = eval_functional(f, v)
+        if total != 0:
+            return Violation(f.label(), total, f)
     return None
+
+
+def _check(v: BettiTable, finite_length: bool) -> MembershipVerdict:
+    viol = _first_violation(v, finite_length)
+    if viol is not None:
+        return MembershipVerdict(False, violation=viol)
+    return MembershipVerdict(True, decomposition=_greedy(v))
 
 
 def check_graded(v: BettiTable) -> MembershipVerdict:
     """Membership in the graded cone, with a certificate either way."""
-    viol = _first_violation(v)
-    if viol is not None:
-        return MembershipVerdict(False, violation=viol)
-    return MembershipVerdict(True, decomposition=decompose(v))
+    return _check(v, finite_length=False)
 
 
 def check_finite_length(v: BettiTable) -> MembershipVerdict:
     """Membership in the finite length cone: graded membership plus gamma_inf = 0."""
-    viol = _first_violation(v)
-    if viol is not None:
-        return MembershipVerdict(False, violation=viol)
-    f = Functional.gamma_inf()
-    total = eval_functional(f, v)
-    if total != 0:
-        return MembershipVerdict(False, violation=Violation(f.label(), total, f))
-    return MembershipVerdict(True, decomposition=decompose(v))
+    return _check(v, finite_length=True)
 
 
 def _pivot(v: BettiTable) -> DegreeSequence:
@@ -167,27 +166,10 @@ def _pivot(v: BettiTable) -> DegreeSequence:
 def _max_step(v: BettiTable, pi: BettiTable) -> Fraction:
     """Largest c with v - c*pi still in the cone, by an exact ratio test over
     every functional that is positive on pi."""
-    best = None
-    for (i, j), pval in pi.items():
-        ratio = v.entry(i, j) / pval
-        if best is None or ratio < best:
-            best = ratio
-    lo, hi = v.min_degree, v.max_degree
-    for k in range(lo - 1, hi + 2):
-        f = Functional.alpha(k)
-        pval = eval_functional(f, pi)
-        if pval > 0:
-            ratio = eval_functional(f, v) / pval
-            if ratio < best:
-                best = ratio
-    for k in range(lo - 2, hi + 1):
-        f = Functional.gamma(k)
-        pval = eval_functional(f, pi)
-        if pval > 0:
-            ratio = eval_functional(f, v) / pval
-            if ratio < best:
-                best = ratio
-    assert best is not None
+    best = min(v.entry(i, j) / pval for (i, j), pval in pi.items())
+    for _, (val, pval) in _cone_functionals(v, pi):
+        if pval > 0 and val / pval < best:
+            best = val / pval
     return best
 
 
@@ -204,6 +186,11 @@ def decompose(v: BettiTable) -> Decomposition:
     viol = _first_violation(v)
     if viol is not None:
         raise NotInConeError(viol)
+    return _greedy(v)
+
+
+def _greedy(v: BettiTable) -> Decomposition:
+    """The rounds of decompose, for a table already known to be a member."""
     v = collapse_tail(v)
     cap = 3 * len(v.support()) + 3
     terms: list[tuple[DegreeSequence, Fraction]] = []
@@ -223,11 +210,11 @@ def decompose(v: BettiTable) -> Decomposition:
 
 
 def degseq_leq(d: DegreeSequence, e: DegreeSequence) -> bool:
-    """Componentwise partial order used to compare decomposition terms.
+    """The order in which decomposition terms form a chain.
 
-    d <= e holds when d0 <= e0 and d1 <= e1 with at least one strict, or when
-    d0 = e0 and d1 = e1 and every later position of d is <= the one of e.
-    Missing positions read as infinity, so shapes compare sensibly.
+    d <= e when (d0, d1) <= (e0, e1) componentwise with one strict, whatever
+    follows; when d0 = e0 and d1 = e1, d2 <= e2 decides (missing positions read
+    as infinity).  So (2, 4, inf) <= (2, 7, 8), though not componentwise.
     """
     d0, e0 = d.degree(0), e.degree(0)
     d1, e1 = d.degree(1), e.degree(1)
@@ -306,7 +293,6 @@ def decompose_local(s: BettiSequence, finite_length: bool = False) -> LocalDecom
     c = s.b2 / 6
     b = s.b1 - 3 * c
     a = s.b0 - b - c
-    assert a >= 0 and b >= 0 and c >= 0
-    if finite_length:
-        assert a == 0
+    if a < 0 or b < 0 or c < 0 or (finite_length and a != 0):
+        raise AssertionError(f"local coefficients ({a}, {b}, {c}) contradict the membership scan")
     return LocalDecomposition(a, b, c)

@@ -411,9 +411,20 @@ def _poly_vec_coords(field, degrees, vec, d, index):
             continue
         for (var, exp), q in poly.items():
             key = (k, "1") if exp == 0 else (k, var)
-            assert degrees[k] + exp == d, "entry degree does not match the row degree"
+            if degrees[k] + exp != d:
+                raise AssertionError(f"entry of degree {degrees[k] + exp} in a row of degree {d}")
             coords[index[key]] = field.add(coords[index[key]], field.convert(q))
     return coords
+
+
+def _relation_coords(M: GradedModuleB):
+    """(degree, basis labels, coordinates) of each relation row of M."""
+    out = []
+    for rdeg, row in zip(M.relation_degrees(), M.relations):
+        labels = _basis(M.gen_degrees, rdeg)
+        index = {lab: n for n, lab in enumerate(labels)}
+        out.append((rdeg, labels, _poly_vec_coords(M.field, M.gen_degrees, row, rdeg, index)))
+    return out
 
 
 def _shift(labels_from, coords_from, var, index_to, field, size):
@@ -456,18 +467,13 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
     cur_degrees = M.gen_degrees  # F_{i-1} generator degrees
     cur_images = None  # step >= 2: per generator of F_{i-1}, (degree, coords into F_{i-2})
 
-    rel_elements = []
-    for row in M.relations:
-        rdeg = next(p.degree() + a for a, p in zip(M.gen_degrees, row) if not p.is_zero)
-        labels = _basis(M.gen_degrees, rdeg)
-        index = {lab: n for n, lab in enumerate(labels)}
-        rel_elements.append((rdeg, _poly_vec_coords(field, M.gen_degrees, row, rdeg, index)))
+    rel_elements = _relation_coords(M)
 
     for step in range(1, hom_bound + 1):
         if step == 1:
             if not rel_elements:
                 break
-            dstart = min(r for r, _ in rel_elements)
+            dstart = min(r for r, _, _ in rel_elements)
         else:
             if not cur_degrees:
                 break
@@ -491,7 +497,7 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
                 for var in _VARS:
                     tracker.add(_shift(prev_labels, vec, var, index, field, len(labels)))
             if step == 1:
-                candidates = [coords for r, coords in rel_elements if r == d]
+                candidates = [coords for r, _, coords in rel_elements if r == d]
             else:
                 cols = []
                 _, tgt_index = upper_at(d)
@@ -551,12 +557,7 @@ def hilbert_data(M: GradedModuleB, deg_bound: int) -> HilbertData:
     dmin = min(M.gen_degrees)
     if deg_bound < dmin + 2:
         raise ValueError(f"deg_bound must be at least {dmin + 2}")
-    rel_elements = []
-    for row in M.relations:
-        rdeg = next(p.degree() + a for a, p in zip(M.gen_degrees, row) if not p.is_zero)
-        labels = _basis(M.gen_degrees, rdeg)
-        index = {lab: n for n, lab in enumerate(labels)}
-        rel_elements.append((rdeg, labels, _poly_vec_coords(field, M.gen_degrees, row, rdeg, index)))
+    rel_elements = _relation_coords(M)
     dims = []
     for d in range(dmin, deg_bound + 1):
         labels = _basis(M.gen_degrees, d)

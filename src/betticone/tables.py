@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 CANONICAL = "canonical"
 EXPLICIT = "explicit"
@@ -341,6 +341,32 @@ def eval_functional(f: Functional, v: BettiTable) -> Fraction:
     if f.kind == DOUBLING_EQ:
         return 2 * v.entry(f.i, f.j) - v.entry(f.i + 1, f.j + 1)
     raise ValueError(f"unknown functional kind: {f.kind!r}")
+
+
+def _cone_functionals(*tables: BettiTable) -> Iterator[tuple[Functional, tuple[Fraction, ...]]]:
+    """alpha_k by increasing k, then gamma_k by increasing k, at every k where
+    the value on one of the tables can change, with the values on each table.
+
+    alpha_k vanishes unless (1, k) or (2, k + 1) is stored, and gamma_k is a
+    step function jumping only at k = j - i for stored (i, j), i <= 2.  Every
+    skipped k thus has alpha_k = 0 and the gamma of the last key below it.
+    """
+    zeros = (Fraction(0),) * len(tables)
+    alpha: dict[int, list[Fraction]] = {}
+    gamma_jumps: dict[int, list[Fraction]] = {}
+    for t, v in enumerate(tables):
+        for (i, j), val in v.items():
+            if i > 2:
+                continue
+            gamma_jumps.setdefault(j - i, list(zeros))[t] += (3, -3, 1)[i] * val
+            if i > 0:
+                alpha.setdefault(j - i + 1, list(zeros))[t] += (2, -1)[i - 1] * val
+    for k in sorted(alpha):
+        yield Functional.alpha(k), tuple(alpha[k])
+    gamma = zeros
+    for k in sorted(gamma_jumps):
+        gamma = tuple(g + dg for g, dg in zip(gamma, gamma_jumps[k]))
+        yield Functional.gamma(k), gamma
 
 
 # The four ray classes of the Herzog-Kuhl locus, keyed by the slope invariant c.

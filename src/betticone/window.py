@@ -22,7 +22,16 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .cone import Decomposition
-from .tables import BettiTable, DegreeSequence, Functional, PureDiagram, make_pure_diagram
+from .tables import (
+    ALPHA,
+    BettiTable,
+    DegreeSequence,
+    Functional,
+    PureDiagram,
+    _cone_functionals,
+    eval_functional,
+    make_pure_diagram,
+)
 
 _ROWS = (0, 1, 2)
 
@@ -88,40 +97,19 @@ def table_vector(table: BettiTable, w: Window) -> list[Fraction]:
 
 def window_facets(w: Window, finite_length: bool = False,
                   include_alpha: bool = True, include_gamma: bool = True):
-    """(inequalities, equalities) as (Functional, coefficient vector) pairs."""
-    ineqs: list[tuple[Functional, tuple[int, ...]]] = []
-    for i in _ROWS:
-        for j in w.columns():
-            vec = [0] * w.dim
-            vec[w.index(i, j)] = 1
-            ineqs.append((Functional.epsilon(i, j), tuple(vec)))
-    if include_alpha:
-        for k in range(w.jmin - 1, w.jmax + 1):
-            vec = [0] * w.dim
-            if k >= w.jmin:
-                vec[w.index(1, k)] = 2
-            if k + 1 <= w.jmax:
-                vec[w.index(2, k + 1)] = -1
-            ineqs.append((Functional.alpha(k), tuple(vec)))
-    if include_gamma:
-        for k in range(w.jmin - 2, w.jmax + 1):
-            vec = [0] * w.dim
-            for j in w.columns():
-                if j <= k:
-                    vec[w.index(0, j)] += 3
-                if j <= k + 1:
-                    vec[w.index(1, j)] -= 3
-                if j <= k + 2:
-                    vec[w.index(2, j)] += 1
-            ineqs.append((Functional.gamma(k), tuple(vec)))
-    eqs: list[tuple[Functional, tuple[int, ...]]] = []
-    if finite_length:
-        vec = [0] * w.dim
-        for j in w.columns():
-            vec[w.index(0, j)] = 3
-            vec[w.index(1, j)] = -3
-            vec[w.index(2, j)] = 1
-        eqs.append((Functional.gamma_inf(), tuple(vec)))
+    """(inequalities, equalities) as (Functional, coefficient vector) pairs.
+    A vector holds the functional's values on the window's unit tables, and
+    alpha and gamma run over the breakpoints of those unit tables."""
+    units = [BettiTable({(i, j): 1}) for i in _ROWS for j in w.columns()]
+
+    def vector(f):
+        return tuple(int(eval_functional(f, u)) for u in units)
+
+    ineqs = [(f, vector(f)) for f in (Functional.epsilon(i, j) for i in _ROWS for j in w.columns())]
+    for f, values in _cone_functionals(*units):
+        if include_alpha if f.kind == ALPHA else include_gamma:
+            ineqs.append((f, tuple(int(c) for c in values)))
+    eqs = [(Functional.gamma_inf(), vector(Functional.gamma_inf()))] if finite_length else []
     return ineqs, eqs
 
 
@@ -204,8 +192,8 @@ def cross_check(w: Window, finite_length: bool = False, include_alpha: bool = Tr
                 include_gamma: bool = True, dim_cap: int = 18) -> WindowReport:
     """Compare the generator and facet descriptions on a window.
 
-    The generators are checked against every facet (a failure there is a bug,
-    so it is an assertion), then the facet cone's extreme rays are matched
+    The generators are checked against every facet (a failure there is a bug
+    and raises AssertionError), then the facet cone's extreme rays are matched
     one to one against the generators up to positive scaling.  Dropping alpha
     or gamma facets widens the cone and shows up as witness rays.
     """
@@ -217,9 +205,11 @@ def cross_check(w: Window, finite_length: bool = False, include_alpha: bool = Tr
     for pd in gens:
         vec = table_vector(pd.table, w)
         for fun, a in ineqs:
-            assert _dot(a, vec) >= 0, f"{pd.degree_sequence} violates {fun.label()}"
+            if _dot(a, vec) < 0:
+                raise AssertionError(f"{pd.degree_sequence} violates {fun.label()}")
         for fun, b in eqs:
-            assert _dot(b, vec) == 0, f"{pd.degree_sequence} violates {fun.label()} = 0"
+            if _dot(b, vec) != 0:
+                raise AssertionError(f"{pd.degree_sequence} violates {fun.label()} = 0")
         gen_norm.append(normalize_ray(vec))
     rays = extreme_rays(w.dim, [a for _, a in ineqs], [b for _, b in eqs])
     gen_set = set(gen_norm)

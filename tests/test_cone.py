@@ -1,28 +1,35 @@
 """Membership scans, greedy decomposition, and the local cone."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import betticone
 from betticone import (
     EXPLICIT,
     BettiSequence,
     BettiTable,
     DegreeSequence,
+    Functional,
     LocalDecomposition,
     NotInConeError,
     check_finite_length,
     check_graded,
     check_local,
+    collapse_tail,
     decompose,
     decompose_local,
     degseq_leq,
+    eval_functional,
     expand_tail,
     make_pure_diagram,
     table_arith,
 )
+from betticone import cone
 
 OMEGA_TABLE = BettiTable({(0, 0): 2, (1, 1): 3, (2, 2): 6})
 
@@ -34,8 +41,7 @@ def combo(*terms) -> BettiTable:
     return total
 
 
-degree_sequences = st.one_of(
-    st.integers(-5, 8).map(DegreeSequence.free),
+bounded_sequences = st.one_of(
     st.tuples(st.integers(-5, 6), st.integers(1, 4)).map(
         lambda t: DegreeSequence.two_step(t[0], t[0] + t[1])
     ),
@@ -44,11 +50,17 @@ degree_sequences = st.one_of(
     ),
 )
 
-cone_points = st.lists(
-    st.tuples(degree_sequences, st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4)),
-    min_size=0,
-    max_size=4,
-).map(lambda terms: combo(*terms))
+degree_sequences = st.one_of(st.integers(-5, 8).map(DegreeSequence.free), bounded_sequences)
+
+
+def combinations_of(sequences):
+    coefficients = st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4)
+    return st.lists(st.tuples(sequences, coefficients), min_size=0, max_size=4).map(
+        lambda terms: combo(*terms)
+    )
+
+
+cone_points = combinations_of(degree_sequences)
 
 
 # -- membership --------------------------------------------------------------
@@ -123,6 +135,121 @@ def test_members_pass_and_round_trip(v):
     verdict = check_graded(v)
     assert verdict.member
     assert verdict.decomposition.recombine() == v
+
+
+def test_check_scans_a_member_once(monkeypatch):
+    calls = []
+    scan = cone._first_violation
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(cone, "_first_violation", counted)
+    assert check_graded(OMEGA_TABLE).member
+    assert len(calls) == 1
+    assert check_finite_length(make_pure_diagram(DegreeSequence.tail(0, 2)).table).member
+    assert len(calls) == 2
+
+
+def test_members_spread_over_a_million_degrees_decompose_exactly():
+    far = 10**6
+    verdict = check_graded(BettiTable({(0, 0): 2, (1, far): 1, (0, 2 * far): 5}))
+    assert verdict.member
+    assert verdict.decomposition.terms == (
+        (DegreeSequence.two_step(0, far), Fraction(1)),
+        (DegreeSequence.free(0), Fraction(1)),
+        (DegreeSequence.free(2 * far), Fraction(5)),
+    )
+
+
+# -- the breakpoint scan against a walk over every degree of the span ----------
+
+
+def full_span_functionals(v):
+    """alpha_k and gamma_k at every k of the span of v, in scan order."""
+    lo, hi = v.min_degree, v.max_degree
+    alphas = [Functional.alpha(k) for k in range(lo - 1, hi + 2)]
+    return alphas + [Functional.gamma(k) for k in range(lo - 2, hi + 1)]
+
+
+def full_span_violation(v, finite_length):
+    """(label, value) of the first violated functional, or None."""
+    viol = cone._doubling_scan(v)
+    if viol is not None:
+        return viol.label, viol.value
+    for (i, j), val in v.items():
+        if val < 0:
+            return f"epsilon({i},{j})", val
+    if not v.is_zero:
+        for f in full_span_functionals(v):
+            val = eval_functional(f, v)
+            if val < 0:
+                return f.label(), val
+    if finite_length:
+        total = eval_functional(Functional.gamma_inf(), v)
+        if total != 0:
+            return "gamma_inf", total
+    return None
+
+
+def full_span_decomposition(v):
+    """Greedy terms, with the ratio test taken over every degree of the span."""
+    v = collapse_tail(v)
+    terms = []
+    for _ in range(3 * len(v.support()) + 3):
+        if v.is_zero:
+            break
+        d = cone._pivot(v)
+        pi = make_pure_diagram(d).table
+        entries = [Functional.epsilon(i, j) for (i, j) in pi.support()]
+        c = min(
+            eval_functional(f, v) / eval_functional(f, pi)
+            for f in entries + full_span_functionals(v)
+            if eval_functional(f, pi) > 0
+        )
+        terms.append((d, c))
+        v = table_arith(1, v, -c, pi)
+    assert v.is_zero
+    return tuple(terms)
+
+
+small_values = st.fractions(min_value=-2, max_value=6, max_denominator=3)
+canonical_tables = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(-4, 6)), small_values, max_size=6
+).map(BettiTable)
+explicit_tables = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(-4, 6)), small_values, max_size=6
+).map(lambda entries: BettiTable(entries, tail_mode=EXPLICIT))
+perturbed_members = st.tuples(
+    cone_points,
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(-6, 10)),
+                    st.fractions(min_value=-1, max_value=1, max_denominator=4), max_size=1),
+).map(lambda t: table_arith(1, t[0], 1, BettiTable(t[1])))
+explicit_windows = st.tuples(cone_points, st.integers(2, 5)).map(
+    lambda t: expand_tail(t[0], max_row=t[1])
+)
+scan_inputs = st.one_of(
+    cone_points,
+    combinations_of(bounded_sequences),
+    perturbed_members,
+    canonical_tables,
+    explicit_tables,
+    explicit_windows,
+)
+
+
+@given(scan_inputs, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_breakpoint_scan_matches_full_span_scan(v, finite_length):
+    verdict = (check_finite_length if finite_length else check_graded)(v)
+    expected = full_span_violation(v, finite_length)
+    if expected is None:
+        assert verdict.member
+        assert verdict.decomposition.terms == full_span_decomposition(v)
+    else:
+        assert not verdict.member
+        assert (verdict.violation.label, verdict.violation.value) == expected
 
 
 # -- greedy decomposition ----------------------------------------------------
@@ -261,3 +388,17 @@ def test_local_check_matches_oracle(b0, b1, b2, finite_length):
     else:
         with pytest.raises(NotInConeError):
             decompose_local(s, finite_length=finite_length)
+
+
+# -- guards that survive python -O ------------------------------------------------
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so no correctness guard may be one
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(betticone.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betticone import window as window_module
 from betticone import (
     BettiTable,
     DegreeSequence,
@@ -99,6 +100,17 @@ def test_facet_counts():
     assert len(ineqs) == 12 + 5
 
 
+def test_facet_labels_and_coefficient_types():
+    ineqs, eqs = window_facets(Window(-1, 2), finite_length=True)
+    assert [f.label() for f, _ in ineqs + eqs] == (
+        [f"epsilon({i},{j})" for i in range(3) for j in range(-1, 3)]
+        + [f"alpha({k})" for k in range(-2, 3)]
+        + [f"gamma({k})" for k in range(-3, 3)]
+        + ["gamma_inf"]
+    )
+    assert all(type(c) is int for _, a in ineqs + eqs for c in a)
+
+
 @given(window_tables(Window(0, 3)))
 @settings(max_examples=80, deadline=None)
 def test_facet_vectors_agree_with_functionals(v):
@@ -184,6 +196,19 @@ def test_dropping_facets_breaks_the_equality():
         report = cross_check(Window(0, 3), **kwargs)
         assert not report.equal
         assert report.witnesses
+
+
+def test_cross_check_raises_when_a_generator_breaks_a_facet(monkeypatch):
+    facets = window_module.window_facets
+
+    def with_a_bad_facet(w, *args, **kwargs):
+        ineqs, eqs = facets(w, *args, **kwargs)
+        fun, a = ineqs[0]  # epsilon(0, jmin), on which the free diagram at jmin is 1
+        return ineqs + [(fun, tuple(-c for c in a))], eqs
+
+    monkeypatch.setattr(window_module, "window_facets", with_a_bad_facet)
+    with pytest.raises(AssertionError, match=r"\(0, inf\) violates epsilon\(0,0\)"):
+        cross_check(Window(0, 2))
 
 
 def test_width_one_windows():
