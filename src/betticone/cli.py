@@ -20,7 +20,7 @@ harmless and its output pipes straight into `check -`.
 Modules for `resolve` and `hilbert` are described either by a builtin name or
 by generator degrees plus relation rows:
 
-    field Fp 32003        (optional; also: field QQ)
+    field Fp 32003        (optional; a prime below 2^31, or: field QQ)
     gens 0 0
     rel -z, 0
     rel y, -y

@@ -1,49 +1,26 @@
-"""Exact dense linear algebra over Q and over prime fields.
+"""Exact dense linear algebra over Q and over prime fields, on int rows.
 
 Graded pieces of modules over the three point ring are tiny (a free module of
 rank r contributes at most 3r coordinates per degree), so plain Gaussian
-elimination on lists is all the resolution engine needs.  Scalars are
-fractions.Fraction for Q and plain ints for F_p; a field object supplies the
-arithmetic so the elimination code is written once.
+elimination on lists is all the resolution engine needs.  Every scalar inside
+the elimination is a Python int.  A field is its characteristic p (0 for Q);
+it converts a row of rationals to an int row once, at the boundary, and after
+that p only enters where a finished row is normalised: over F_p the row is
+reduced mod p with pivot 1, over Q it is fraction free, divided by its
+content with a positive pivot.  Row operations are integer combinations
+lead * v - c * row, so no Fraction appears in the elimination.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-
-@dataclass(frozen=True)
-class RationalField:
-    name: str = "QQ"
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
-    def convert(self, q) -> Fraction:
-        return Fraction(q)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+# F_p is meant as a small modular fast path; this bound keeps the primality
+# check by trial division bounded too
+MAX_PRIME = 2 ** 31
 
 
 def _is_prime(p: int) -> bool:
@@ -58,94 +35,104 @@ def _is_prime(p: int) -> bool:
 
 
 @dataclass(frozen=True)
-class PrimeField:
-    p: int
+class Field:
+    """Q for p = 0, the prime field F_p otherwise."""
+
+    p: int = 0
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if self.p >= MAX_PRIME:
+            raise ValueError(f"prime {self.p} is too large, F_p needs p < 2^31")
+        if self.p != 0 and not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
     @property
-    def name(self):
-        return f"Fp {self.p}"
+    def name(self) -> str:
+        return f"Fp {self.p}" if self.p else "QQ"
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def convert(self, q) -> int:
-        q = Fraction(q)
-        den = q.denominator % self.p
-        if den == 0:
-            raise ZeroDivisionError(f"denominator divisible by {self.p}")
-        return q.numerator % self.p * pow(den, self.p - 2, self.p) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+    def int_row(self, row) -> list[int]:
+        """A row of rationals as an int row spanning the same line: over Q the
+        row times the lcm of its denominators, over F_p its residues mod p."""
+        row = [Fraction(q) for q in row]
+        if not self.p:
+            scale = lcm(*(q.denominator for q in row))
+            return [int(q * scale) for q in row]
+        if any(q.denominator % self.p == 0 for q in row):
+            raise ValueError(f"coefficient with a denominator divisible by {self.p}")
+        return [q.numerator * pow(q.denominator, -1, self.p) % self.p for q in row]
 
 
-QQ = RationalField()
+def PrimeField(p: int) -> Field:
+    """F_p for a prime p below 2^31."""
+    if p == 0:
+        raise ValueError("0 is not prime")
+    return Field(p)
+
+
+QQ = Field(0)
 FP_DEFAULT = PrimeField(32003)
+
+
+def _normalize(row: list[int], p: int):
+    """(pivot, row) for a finished row: over F_p reduced mod p and scaled to
+    pivot 1, over Q divided by its content with a positive pivot.  The pivot
+    is None for a zero row."""
+    if p:
+        row = [a % p for a in row]
+    first = next(filter(None, row), 0)  # the first nonzero entry sits at the pivot
+    if not first:
+        return None, row
+    piv = row.index(first)
+    if p:
+        if first != 1:
+            inv = pow(first, -1, p)
+            row = [a * inv % p for a in row]
+    else:
+        g = gcd(*row) if first > 0 else -gcd(*row)
+        if g != 1:
+            row = [a // g for a in row]
+    return piv, row
 
 
 class SpanTracker:
     """Row space in reduced echelon form, grown one vector at a time.
 
     Supports exact membership reduction, which is what both the rank counts
-    and the minimal generator extraction need.
+    and the minimal generator extraction need.  Rows are normalised int lists
+    and each stored row is zero on every other row's pivot.
     """
 
     def __init__(self, field, ncols: int):
-        self.field = field
+        self.p = field.p
         self.ncols = ncols
-        self.rows: list[list] = []
+        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
-    def reduce(self, vec) -> list:
-        """Residual of vec after elimination against the current rows."""
-        f = self.field
+    def reduce(self, vec):
+        """(pivot, residual) of vec after elimination against the current
+        rows, the residual normalised; the pivot is None when vec is in the span."""
+        p = self.p
         out = list(vec)
         for row, piv in zip(self.rows, self.pivots):
-            coef = out[piv]
-            if coef != f.zero:
-                for c in range(piv, self.ncols):
-                    out[c] = f.sub(out[c], f.mul(coef, row[c]))
-        return out
+            # over F_p the lead is 1 and c < p, so entries grow only additively
+            c = out[piv] % p if p else out[piv]
+            if c:
+                lead = row[piv]
+                out = [lead * a - c * b for a, b in zip(out, row)]
+        return _normalize(out, p)
 
     def add(self, vec):
         """Insert vec; returns the normalized residual if the span grew, else None."""
-        f = self.field
-        res = self.reduce(vec)
-        piv = next((c for c, x in enumerate(res) if x != f.zero), None)
+        piv, res = self.reduce(vec)
         if piv is None:
             return None
-        scale = f.inv(res[piv])
-        res = [f.mul(scale, x) for x in res]
         # keep full reduction so later residuals are canonical
-        for row, rp in zip(self.rows, self.pivots):
-            coef = row[piv]
-            if coef != f.zero:
-                for c in range(piv, self.ncols):
-                    row[c] = f.sub(row[c], f.mul(coef, res[c]))
-        at = next((n for n, rp in enumerate(self.pivots) if rp > piv), len(self.pivots))
+        lead = res[piv]
+        for n, row in enumerate(self.rows):
+            c = row[piv]
+            if c:
+                self.rows[n] = _normalize([lead * a - c * b for a, b in zip(row, res)], self.p)[1]
+        at = bisect(self.pivots, piv)
         self.rows.insert(at, res)
         self.pivots.insert(at, piv)
         return list(res)
@@ -155,14 +142,12 @@ class SpanTracker:
         return len(self.rows)
 
     def contains(self, vec) -> bool:
-        f = self.field
-        return all(x == f.zero for x in self.reduce(vec))
+        return self.reduce(vec)[0] is None
 
 
 def kernel_basis(rows: list[list], ncols: int, field) -> list[list]:
-    """Basis of the right kernel of a matrix given as a list of rows."""
-    f = field
-    tracker = SpanTracker(f, ncols)
+    """Basis of the right kernel of a matrix given as a list of int rows."""
+    tracker = SpanTracker(field, ncols)
     for row in rows:
         tracker.add(row)
     pivot_set = set(tracker.pivots)
@@ -170,11 +155,13 @@ def kernel_basis(rows: list[list], ncols: int, field) -> list[list]:
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [f.zero] * ncols
-        vec[free] = f.one
+        # row . vec = 0 needs lead * vec[piv] = -row[free] * vec[free]
+        scale = lcm(*(row[piv] for row, piv in zip(tracker.rows, tracker.pivots) if row[free]))
+        vec = [0] * ncols
+        vec[free] = scale
         for row, piv in zip(tracker.rows, tracker.pivots):
-            vec[piv] = f.neg(row[free])
-        basis.append(vec)
+            vec[piv] = -row[free] * scale // row[piv]
+        basis.append(_normalize(vec, tracker.p)[1])
     return basis
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .linalg import FP_DEFAULT, QQ, PrimeField, RationalField, SpanTracker, kernel_basis
+from .linalg import FP_DEFAULT, SpanTracker, kernel_basis
 from .tables import EXPLICIT, BettiTable, Functional, eval_functional
 
 _VARS = ("x", "y", "z")
@@ -142,9 +142,13 @@ class BPolynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative int")
-        out = BPolynomial.constant(1)
-        for _ in range(n):
-            out = out * self
+        out, square = BPolynomial.constant(1), self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     def __eq__(self, other):
@@ -294,7 +298,9 @@ class BoundsError(RuntimeError):
 class GradedModuleB:
     """Finitely presented graded B-module: generator degrees plus homogeneous
     relation rows.  Every relation entry must have positive degree, so the
-    presentation is minimal and row 0 of the Betti table can be read off."""
+    presentation is minimal and row 0 of the Betti table can be read off.
+    The relations are converted to int rows over the field here, so a
+    coefficient the field cannot hold is rejected when the module is built."""
 
     gen_degrees: tuple[int, ...]
     relations: tuple[tuple[BPolynomial, ...], ...] = ()
@@ -321,6 +327,7 @@ class GradedModuleB:
                 raise ValueError("zero relation row")
             if len(degs) > 1:
                 raise ValueError(f"relation row is not homogeneous, degrees {sorted(degs)}")
+        object.__setattr__(self, "_int_relations", _relation_coords(self))
 
     def relation_degrees(self) -> tuple[int, ...]:
         out = []
@@ -404,38 +411,33 @@ def _basis(degrees, d):
     return out
 
 
-def _poly_vec_coords(field, degrees, vec, d, index):
-    coords = [field.zero] * len(index)
+def _poly_vec_coords(degrees, vec, d, index):
+    coords = [0] * len(index)
     for k, poly in enumerate(vec):
-        if poly.is_zero:
-            continue
         for (var, exp), q in poly.items():
             key = (k, "1") if exp == 0 else (k, var)
             if degrees[k] + exp != d:
                 raise AssertionError(f"entry of degree {degrees[k] + exp} in a row of degree {d}")
-            coords[index[key]] = field.add(coords[index[key]], field.convert(q))
+            coords[index[key]] += q
     return coords
 
 
 def _relation_coords(M: GradedModuleB):
-    """(degree, basis labels, coordinates) of each relation row of M."""
+    """(degree, basis labels, int coordinates over M.field) of each relation row."""
     out = []
     for rdeg, row in zip(M.relation_degrees(), M.relations):
         labels = _basis(M.gen_degrees, rdeg)
         index = {lab: n for n, lab in enumerate(labels)}
-        out.append((rdeg, labels, _poly_vec_coords(M.field, M.gen_degrees, row, rdeg, index)))
-    return out
+        out.append((rdeg, labels, M.field.int_row(_poly_vec_coords(M.gen_degrees, row, rdeg, index))))
+    return tuple(out)
 
 
-def _shift(labels_from, coords_from, var, index_to, field, size):
+def _shift(labels_from, coords_from, var, index_to, size):
     """Coordinates of var^e times an element, e >= 1 implied by the degrees."""
-    out = [field.zero] * size
+    out = [0] * size
     for (k, branch), c in zip(labels_from, coords_from):
-        if c == field.zero:
-            continue
-        if branch == "1" or branch == var:
-            slot = index_to[(k, var)]
-            out[slot] = field.add(out[slot], c)
+        if c and (branch == "1" or branch == var):
+            out[index_to[(k, var)]] += c
     return out
 
 
@@ -467,7 +469,7 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
     cur_degrees = M.gen_degrees  # F_{i-1} generator degrees
     cur_images = None  # step >= 2: per generator of F_{i-1}, (degree, coords into F_{i-2})
 
-    rel_elements = _relation_coords(M)
+    rel_elements = M._int_relations
 
     for step in range(1, hom_bound + 1):
         if step == 1:
@@ -495,7 +497,7 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
             tracker = SpanTracker(field, len(labels))
             for vec in prev_vectors:
                 for var in _VARS:
-                    tracker.add(_shift(prev_labels, vec, var, index, field, len(labels)))
+                    tracker.add(_shift(prev_labels, vec, var, index, len(labels)))
             if step == 1:
                 candidates = [coords for r, _, coords in rel_elements if r == d]
             else:
@@ -504,20 +506,18 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
                 for (g, branch) in labels:
                     gdeg, gcoords = cur_images[g]
                     if branch == "1":
-                        cols.append(list(gcoords))
+                        cols.append(gcoords)
                     else:
                         glabels, _ = upper_at(gdeg)
-                        cols.append(_shift(glabels, gcoords, branch, tgt_index, field, len(tgt_index)))
-                nrows = len(tgt_index)
-                matrix = [[cols[c][r] for c in range(len(cols))] for r in range(nrows)]
-                candidates = kernel_basis(matrix, len(labels), field)
+                        cols.append(_shift(glabels, gcoords, branch, tgt_index, len(tgt_index)))
+                candidates = kernel_basis(list(zip(*cols)), len(labels), field)
             for cand in candidates:
                 residual = tracker.add(cand)
                 if residual is not None:
                     betti[(step, d)] = betti.get((step, d), 0) + 1
                     new_gens.append((d, residual))
             prev_labels = labels
-            prev_vectors = [list(row) for row in tracker.rows]
+            prev_vectors = tracker.rows
         upper_degrees = cur_degrees
         cur_degrees = tuple(d for d, _ in new_gens)
         cur_images = new_gens
@@ -557,18 +557,17 @@ def hilbert_data(M: GradedModuleB, deg_bound: int) -> HilbertData:
     dmin = min(M.gen_degrees)
     if deg_bound < dmin + 2:
         raise ValueError(f"deg_bound must be at least {dmin + 2}")
-    rel_elements = _relation_coords(M)
     dims = []
     for d in range(dmin, deg_bound + 1):
         labels = _basis(M.gen_degrees, d)
         index = {lab: n for n, lab in enumerate(labels)}
         tracker = SpanTracker(field, len(labels))
-        for rdeg, rlabels, coords in rel_elements:
+        for rdeg, rlabels, coords in M._int_relations:
             if rdeg == d:
                 tracker.add(coords)
             elif rdeg < d:
                 for var in _VARS:
-                    tracker.add(_shift(rlabels, coords, var, index, field, len(labels)))
+                    tracker.add(_shift(rlabels, coords, var, index, len(labels)))
         dims.append(len(labels) - tracker.rank)
     if not dims[-1] == dims[-2] == dims[-3]:
         raise StabilizationError(

@@ -119,7 +119,7 @@ def _dot(a, r):
 
 def normalize_ray(vec) -> tuple[int, ...]:
     """Primitive integer vector on the same ray."""
-    scale = lcm(*(Fraction(x).denominator for x in vec)) if vec else 1
+    scale = lcm(*(x.denominator for x in vec))
     ints = [int(x * scale) for x in vec]
     g = gcd(*ints) if ints else 1
     if g == 0:
@@ -134,16 +134,10 @@ def _zero_mask(processed, r):
 def extreme_rays(dim: int, ineqs, eqs=()):
     """Extreme rays of {v : a.v >= 0 for ineqs, b.v = 0 for eqs} by double
     description, assuming the inequalities contain the coordinate orthant
-    (ours always do).  Returns sorted primitive integer tuples."""
-    rays: list[list[Fraction]] = []
-    processed: list[tuple[int, ...]] = []
-    for n in range(dim):
-        unit = [Fraction(0)] * dim
-        unit[n] = Fraction(1)
-        rays.append(unit)
-        coords = [0] * dim
-        coords[n] = 1
-        processed.append(tuple(coords))
+    (ours always do).  Rays are kept as primitive integer tuples throughout,
+    and are returned sorted."""
+    rays = [tuple(int(m == n) for m in range(dim)) for n in range(dim)]
+    processed = list(rays)
     todo = list(ineqs)
     for b in eqs:
         todo.append(b)
@@ -157,7 +151,7 @@ def extreme_rays(dim: int, ineqs, eqs=()):
         masks = [_zero_mask(processed, r) for r in rays]
         plus = [n for n, v in enumerate(vals) if v > 0]
         minus = [n for n, v in enumerate(vals) if v < 0]
-        seen = {normalize_ray(r) for r in keep}
+        seen = set(keep)
         fresh = []
         for np_ in plus:
             for nm in minus:
@@ -170,10 +164,10 @@ def extreme_rays(dim: int, ineqs, eqs=()):
                 key = normalize_ray(combo)
                 if key not in seen:
                     seen.add(key)
-                    fresh.append([Fraction(c) for c in key])
+                    fresh.append(key)
         rays = keep + fresh
         processed.append(a)
-    return sorted(normalize_ray(r) for r in rays)
+    return sorted(rays)
 
 
 @dataclass(frozen=True)

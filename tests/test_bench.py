@@ -1,0 +1,21 @@
+"""The benchmark harness still runs against the package on its smallest setting."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_bench_harness_runs_module_pipeline():
+    # zero seconds still runs one round of every part and checks it against the oracle
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "module_pipeline", "--seed", "1",
+         "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

@@ -1,6 +1,7 @@
 """End to end exercises of the command line interface via run(argv)."""
 
 import io
+import time
 
 import pytest
 
@@ -189,6 +190,26 @@ def test_resolve_field_override(capsys, tmp_path):
     code, out, _ = invoke(capsys, "resolve", path, "--deg-bound", "6", "--hom-bound", "2",
                           "--field", "qq")
     assert code == 0 and "entry 0 0 1" in out
+
+
+def test_resolve_rejects_a_denominator_the_field_cannot_invert(capsys, tmp_path):
+    path = write(tmp_path, "m.mod", "field Fp 7\ngens 0\nrel 1/7*x\n")
+    code, out, err = invoke(capsys, "resolve", path, "--deg-bound", "6", "--hom-bound", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "divisible by 7" in err
+
+
+def test_huge_prime_is_refused_promptly(capsys, tmp_path):
+    huge = "1000000000000000003"
+    start = time.perf_counter()
+    path = write(tmp_path, "m.mod", f"field Fp {huge}\nbuiltin B\n")
+    code, out, err = invoke(capsys, "resolve", path, "--deg-bound", "6", "--hom-bound", "2")
+    assert code == 2 and out == "" and err.startswith("error:") and "2^31" in err
+    path = write(tmp_path, "b.mod", "builtin B\n")
+    code, out, _ = invoke(capsys, "resolve", path, "--deg-bound", "6", "--hom-bound", "2",
+                          "--field", f"fp:{huge}")
+    assert code == 2 and out == ""
+    assert time.perf_counter() - start < 2.0
 
 
 def test_resolve_bad_bounds(capsys, tmp_path):

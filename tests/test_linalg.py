@@ -1,5 +1,6 @@
 """Exact elimination over Q and F_p."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,65 +20,99 @@ matrices = st.integers(1, 5).flatmap(
 def test_prime_field_rejects_composites():
     with pytest.raises(ValueError, match="not prime"):
         PrimeField(4)
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(0)
     PrimeField(2)
     PrimeField(32003)
+    PrimeField(2 ** 31 - 1)
+    # trial division is only bounded below 2^31, so larger p is refused at once
+    start = time.perf_counter()
+    for p in (2 ** 31, 1000000000000000003):
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(p)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_prime_field_arithmetic():
     f = PrimeField(7)
-    assert f.convert(Fraction(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7
-    assert f.mul(f.convert(Fraction(1, 2)), 2) == 1
-    assert f.inv(3) == 5
-    with pytest.raises(ZeroDivisionError):
-        f.convert(Fraction(1, 7))
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
+    assert f.int_row([Fraction(1, 2)]) == [4]  # 2 * 4 = 8 = 1 mod 7
+    assert f.int_row([Fraction(-3, 4), 9, 0]) == [1, 2, 0]  # 4 * 1 = 4 = -3 mod 7
+    assert f.name == "Fp 7" and f.p == 7
+    with pytest.raises(ValueError, match="divisible by 7"):
+        f.int_row([1, Fraction(1, 7)])
 
 
 def test_rational_field_basics():
-    assert QQ.convert(3) == Fraction(3)
-    assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
-    with pytest.raises(ZeroDivisionError):
-        QQ.inv(0)
+    assert QQ.name == "QQ" and QQ.p == 0
+    assert QQ.int_row([3]) == [3]
+    # clearing denominators keeps the line: a unit multiple of the row
+    row = QQ.int_row([Fraction(1, 2), Fraction(-2, 3), 0])
+    assert row == [3, -4, 0] and all(type(x) is int for x in row)
+    assert QQ.int_row([]) == []
 
 
 def test_span_tracker_membership():
+    for field in (QQ, PrimeField(7)):
+        t = SpanTracker(field, 3)
+        assert t.add([1, 1, 0]) is not None
+        assert t.add([2, 2, 0]) is None  # dependent
+        assert t.rank == 1
+        assert t.contains([-3, -3, 0])
+        assert not t.contains([1, 0, 0])
+
+
+def test_span_tracker_rows_are_normalised():
+    # over Q primitive with a positive pivot, over F_p reduced with pivot 1
     t = SpanTracker(QQ, 3)
-    assert t.add([Fraction(1), Fraction(1), Fraction(0)]) is not None
-    assert t.add([Fraction(2), Fraction(2), Fraction(0)]) is None  # dependent
-    assert t.rank == 1
-    assert t.contains([Fraction(-3), Fraction(-3), Fraction(0)])
-    assert not t.contains([Fraction(1), Fraction(0), Fraction(0)])
+    assert t.add([-2, 4, 6]) == [1, -2, -3]
+    assert t.add([0, 3, 6]) == [0, 1, 2]
+    assert t.rows == [[1, 0, 1], [0, 1, 2]]
+    t = SpanTracker(PrimeField(7), 3)
+    assert t.add([3, 1, 0]) == [1, 5, 0]  # 3 * 5 = 15 = 1 mod 7
+    assert t.add([-1, 2, 0]) is None  # (-1, 2) = 2 * (3, 1) mod 7
 
 
 def test_span_tracker_residual_is_a_lift():
     # the returned residual must stay fixed as more rows come in
     t = SpanTracker(QQ, 3)
-    t.add([Fraction(1), Fraction(2), Fraction(3)])
-    res = t.add([Fraction(0), Fraction(1), Fraction(1)])
+    t.add([1, 2, 3])
+    res = t.add([0, 1, 1])
     snapshot = list(res)
-    t.add([Fraction(0), Fraction(0), Fraction(1)])
+    t.add([0, 0, 1])
     assert res == snapshot
 
 
-@given(matrices)
-@settings(max_examples=80, deadline=None)
-def test_kernel_vectors_annihilate_rows(mat):
+# denominators up to 4 stay invertible mod 5 and mod 32003
+fields = st.sampled_from([QQ, PrimeField(5), FP_DEFAULT])
+
+
+def _is_zero(total, field):
+    return (total % field.p if field.p else total) == 0
+
+
+@given(matrices, fields)
+@settings(max_examples=160, deadline=None)
+def test_kernel_vectors_annihilate_rows(mat, field):
     rows, ncols = mat
-    kern = kernel_basis(rows, ncols, QQ)
+    int_rows = [field.int_row(row) for row in rows]
+    kern = kernel_basis(int_rows, ncols, field)
     for vec in kern:
-        for row in rows:
-            assert sum(a * x for a, x in zip(row, vec)) == 0
+        assert all(type(x) is int for x in vec)
+        for row, int_row in zip(rows, int_rows):
+            assert _is_zero(sum(a * x for a, x in zip(int_row, vec)), field)
+            if not field.p:  # over Q the kernel of the scaled rows is the kernel of the rows
+                assert sum(a * x for a, x in zip(row, vec)) == 0
 
 
-@given(matrices)
-@settings(max_examples=80, deadline=None)
-def test_rank_nullity(mat):
+@given(matrices, fields)
+@settings(max_examples=160, deadline=None)
+def test_rank_nullity(mat, field):
     rows, ncols = mat
-    rank = matrix_rank(rows, ncols, QQ)
-    kern = kernel_basis(rows, ncols, QQ)
+    int_rows = [field.int_row(row) for row in rows]
+    rank = matrix_rank(int_rows, ncols, field)
+    kern = kernel_basis(int_rows, ncols, field)
     assert rank + len(kern) == ncols
-    assert matrix_rank(kern, ncols, QQ) == len(kern)  # kernel basis is independent
+    assert matrix_rank(kern, ncols, field) == len(kern)  # kernel basis is independent
 
 
 int_matrices = st.integers(1, 4).flatmap(
@@ -94,5 +129,5 @@ def test_rank_agrees_across_fields(mat):
     # absolute value, so ranks over Q and F_32003 provably coincide
     rows, ncols = mat
     fp = FP_DEFAULT
-    fp_rows = [[fp.convert(x) for x in row] for row in rows]
+    fp_rows = [fp.int_row(row) for row in rows]
     assert matrix_rank(rows, ncols, QQ) == matrix_rank(fp_rows, ncols, fp)

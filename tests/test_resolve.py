@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betticone import (
+    FP_DEFAULT,
     QQ,
     BPolynomial,
     BoundsError,
@@ -59,11 +60,19 @@ def test_mixed_products_vanish():
 def test_power_of_the_diagonal_collapses_to_pure_powers():
     # (x + y + z)^n = x^n + y^n + z^n in B once n >= 2
     ell = X + Y + Z
-    for n in (2, 3, 5):
+    for n in (2, 3, 5, 1000000):
         expected = (
             BPolynomial.monomial("x", n) + BPolynomial.monomial("y", n) + BPolynomial.monomial("z", n)
         )
         assert ell ** n == expected
+
+
+def test_power_by_squaring_matches_repeated_products():
+    for p in (parse_poly("x + 2"), parse_poly("x - y + 1/2"), 3 * Z, BPolynomial.zero()):
+        product = BPolynomial.constant(1)
+        for n in range(8):
+            assert p ** n == product
+            product = product * p
 
 
 def test_products_with_constants():
@@ -309,3 +318,16 @@ def test_resolution_agrees_between_fields():
         over_q = min_free_resolution(quotient_module(gens, field=QQ), 10, 4)
         over_p = min_free_resolution(quotient_module(gens), 10, 4)
         assert over_q.betti == over_p.betti
+
+
+def test_rational_coefficients_resolve_like_their_integer_scaling():
+    # a relation row and its multiple by a unit span the same module
+    for field in (QQ, FP_DEFAULT):
+        pairs = [
+            (quotient_module(["1/2*x + 1/3*y"], field), quotient_module(["3*x + 2*y"], field)),
+            (GradedModuleB((0, 0), [(parse_poly("1/2*x + 1/3*y"), parse_poly("2/5*z"))], field),
+             GradedModuleB((0, 0), [(parse_poly("15*x + 10*y"), parse_poly("12*z"))], field)),
+        ]
+        for rational, scaled in pairs:
+            assert min_free_resolution(rational, 10, 5).betti == min_free_resolution(scaled, 10, 5).betti
+            assert hilbert_data(rational, 10) == hilbert_data(scaled, 10)
