@@ -17,6 +17,12 @@ Presentations are kept minimal by construction (every relation entry has
 positive degree), so the Betti numbers are literal generator counts and every
 reported entry with degree <= deg_bound is exact.  A row that still has mass
 at deg_bound may continue past the window and is flagged as truncated.
+
+Each homological step stops at the last degree where a minimal generator can
+be born: the largest relation degree at step 1, and max(deg F_{i-1}) + 1 at
+step i >= 2.  Past that degree the map splits into three branch blocks that
+no longer change with the degree, so every kernel element is a shift of one
+a degree lower.  The cost therefore follows hom_bound, not deg_bound.
 """
 
 from __future__ import annotations
@@ -184,11 +190,19 @@ class PolyParseError(ValueError):
     pass
 
 
+# Largest degree parse_poly lets a power of an inhomogeneous base reach.  Such a
+# power is never homogeneous in B, and its term count and coefficient sizes
+# grow with its degree, so bounding the degree bounds the cost of every power.
+MAX_INHOMOGENEOUS_POWER_DEGREE = 64
+
+
 def parse_poly(text: str) -> BPolynomial:
     """Parse a polynomial in x, y, z with rational coefficients.
 
     Accepts +, -, *, ^, parentheses, and rationals like 1/2, so both
-    x^2 - 1/2*y^2 and (x+y+z)^3 parse (the latter is stored reduced).
+    x^2 - 1/2*y^2 and (x+y+z)^3 parse (the latter is stored reduced).  A power
+    of an inhomogeneous base is refused once its degree would pass
+    MAX_INHOMOGENEOUS_POWER_DEGREE.
     """
     tokens = _tokenize(text)
     pos = 0
@@ -232,6 +246,12 @@ def parse_poly(text: str) -> BPolynomial:
         if peek() == ("op", "^"):
             take()
             _, n = take("int")
+            top = max((exp for (_, exp), _ in base.items()), default=0)
+            if not base.is_homogeneous and n * top > MAX_INHOMOGENEOUS_POWER_DEGREE:
+                raise PolyParseError(
+                    f"power of an inhomogeneous base above degree {MAX_INHOMOGENEOUS_POWER_DEGREE}"
+                    f" in {text!r}"
+                )
             return base ** n
         return base
 
@@ -475,11 +495,21 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
         if step == 1:
             if not rel_elements:
                 break
+            # no candidate relation past the largest relation degree
             dstart = min(r for r, _, _ in rel_elements)
+            dstop = max(r for r, _, _ in rel_elements)
         else:
             if not cur_degrees:
                 break
+            # Nothing is born past max(cur_degrees) + 1.  For d > max(cur_degrees)
+            # the column (g, v) of the degree d map is v^e times the image of g,
+            # so its entries are the v-coefficients of that image and do not
+            # depend on d; every target row (k, v) exists, as a_k <= deg g < d.
+            # The three branch blocks are thus the same matrix in every such
+            # degree: the v-shift of the v-block of the degree d kernel is the
+            # whole v-block of the degree d + 1 kernel, already in the span.
             dstart = min(cur_degrees)
+            dstop = max(cur_degrees) + 1
         upper_basis_cache: dict[int, tuple[list, dict]] = {}
 
         def upper_at(d):
@@ -491,7 +521,7 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
         new_gens: list[tuple[int, list]] = []
         prev_labels: list = []
         prev_vectors: list[list] = []
-        for d in range(dstart, deg_bound + 1):
+        for d in range(dstart, min(dstop, deg_bound) + 1):
             labels = _basis(cur_degrees, d)
             index = {lab: n for n, lab in enumerate(labels)}
             tracker = SpanTracker(field, len(labels))

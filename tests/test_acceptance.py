@@ -271,16 +271,16 @@ def test_criterion_08_local_cone():
 
 def test_criterion_09_field_independence():
     # every computation from criteria 1-3, replayed over QQ and over F_32003
-    # to homological degree 6
+    # to homological degree 8
     modules = [builtin(name) for name in
                ("B", "omega", "M1", "M2", "M3", "M12", "M13", "M23", "k_residue")]
     for d1 in (1, 2, 3, 4):
         modules.append(quotient_module([f"(x+y+z)^{d1}"]))
         modules.append(quotient_module([f"x^{d1}", f"y^{d1}", f"z^{d1}"]))
     for M in modules:
-        deg_bound = max(M.gen_degrees) + 10
-        rational = min_free_resolution(M.with_field(QQ), deg_bound, hom_bound=6)
-        modular = min_free_resolution(M.with_field(FP_DEFAULT), deg_bound, hom_bound=6)
+        deg_bound = max(M.gen_degrees) + 12
+        rational = min_free_resolution(M.with_field(QQ), deg_bound, hom_bound=8)
+        modular = min_free_resolution(M.with_field(FP_DEFAULT), deg_bound, hom_bound=8)
         assert rational.betti == modular.betti
         hq = hilbert_data(M.with_field(QQ), deg_bound)
         hp = hilbert_data(M.with_field(FP_DEFAULT), deg_bound)

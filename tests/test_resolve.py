@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from betticone import (
     FP_DEFAULT,
     QQ,
+    PrimeField,
     BPolynomial,
     BoundsError,
     GradedModuleB,
@@ -26,7 +27,9 @@ from betticone import (
     syzygy_multiplicity,
     syzygy_of_indecomposable,
 )
-from betticone.resolve import BUILTIN_NAMES, PolyParseError
+import betticone.resolve as resolve_module
+from betticone.linalg import SpanTracker, kernel_basis
+from betticone.resolve import BUILTIN_NAMES, MAX_INHOMOGENEOUS_POWER_DEGREE, PolyParseError
 from betticone.tables import INDECOMPOSABLE_NAMES
 
 X = BPolynomial.variable("x")
@@ -65,6 +68,7 @@ def test_power_of_the_diagonal_collapses_to_pure_powers():
             BPolynomial.monomial("x", n) + BPolynomial.monomial("y", n) + BPolynomial.monomial("z", n)
         )
         assert ell ** n == expected
+        assert parse_poly(f"(x+y+z)^{n}") == expected
 
 
 def test_power_by_squaring_matches_repeated_products():
@@ -94,12 +98,17 @@ def test_degree_and_homogeneity():
 def test_parse_poly_grammar():
     assert parse_poly("x^2 - 1/2*y^2") == X * X - Fraction(1, 2) * (Y * Y)
     assert parse_poly("(x+y+z)^3") == (X + Y + Z) ** 3
+    one = BPolynomial.constant(1)
+    assert parse_poly("(x+1)^3") == (X + one) ** 3
+    assert parse_poly("(x+1)^64") == (X + one) ** MAX_INHOMOGENEOUS_POWER_DEGREE
     assert parse_poly("-x + 2*z") == -X + 2 * Z
     assert parse_poly("3") == BPolynomial.constant(3)
     assert parse_poly("0").is_zero
 
 
-@pytest.mark.parametrize("bad", ["x/2", "2x", "w", "x^-1", "", "x +", "(x", "1/0"])
+@pytest.mark.parametrize("bad", ["x/2", "2x", "w", "x^-1", "", "x +", "(x", "1/0",
+                                 # powers of inhomogeneous bases past degree 64
+                                 "(x+1)^65", "(x+1)^4000", "((x+1)^64)^2", "(x^2+x)^33"])
 def test_parse_poly_rejects(bad):
     with pytest.raises(PolyParseError):
         parse_poly(bad)
@@ -246,6 +255,116 @@ def test_resolved_tables_live_in_the_cone():
         res = min_free_resolution(quotient_module(gens), deg_bound=12, hom_bound=4)
         assert res.truncated_rows == ()
         assert check_graded(res.betti).member, gens
+
+
+def every_degree_resolution(M, deg_bound, hom_bound):
+    """Oracle: the resolution loop run over every degree up to deg_bound at
+    every step, with no cut-off.  Returns (betti dict, tail_consistent,
+    truncated_rows) computed from scratch."""
+    field = M.field
+    betti = {}
+    for a in M.gen_degrees:
+        betti[(0, a)] = betti.get((0, a), 0) + 1
+    upper_degrees, cur_degrees, cur_images = None, M.gen_degrees, None
+    for step in range(1, hom_bound + 1):
+        if not (M._int_relations if step == 1 else cur_degrees):
+            break
+        new_gens, prev_labels, prev_vectors = [], [], []
+        for d in range(min(cur_degrees), deg_bound + 1):
+            labels = resolve_module._basis(cur_degrees, d)
+            index = {lab: n for n, lab in enumerate(labels)}
+            tracker = SpanTracker(field, len(labels))
+            for vec in prev_vectors:
+                for var in "xyz":
+                    tracker.add(resolve_module._shift(prev_labels, vec, var, index, len(labels)))
+            if step == 1:
+                candidates = [coords for r, _, coords in M._int_relations if r == d]
+            else:
+                tgt_labels = resolve_module._basis(upper_degrees, d)
+                tgt_index = {lab: n for n, lab in enumerate(tgt_labels)}
+                cols = []
+                for g, branch in labels:
+                    gdeg, gcoords = cur_images[g]
+                    if branch == "1":
+                        cols.append(gcoords)
+                    else:
+                        glabels = resolve_module._basis(upper_degrees, gdeg)
+                        cols.append(resolve_module._shift(glabels, gcoords, branch, tgt_index,
+                                                          len(tgt_labels)))
+                candidates = kernel_basis(list(zip(*cols)), len(labels), field)
+            for cand in candidates:
+                residual = tracker.add(cand)
+                if residual is not None:
+                    betti[(step, d)] = betti.get((step, d), 0) + 1
+                    new_gens.append((d, residual))
+            prev_labels, prev_vectors = labels, tracker.rows
+        upper_degrees, cur_degrees, cur_images = cur_degrees, tuple(d for d, _ in new_gens), new_gens
+    tail_ok = all(
+        2 * betti.get((i, j), 0) == betti.get((i + 1, j + 1), 0)
+        for i in range(2, hom_bound)
+        for j in range(deg_bound)
+    )
+    truncated = tuple(sorted({i for (i, j) in betti if j == deg_bound}))
+    return betti, tail_ok, truncated
+
+
+@st.composite
+def small_modules(draw):
+    gens = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    field = draw(st.sampled_from((QQ, PrimeField(2), PrimeField(7), FP_DEFAULT)))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        pivot = draw(st.integers(0, len(gens) - 1))
+        rdeg = gens[pivot] + draw(st.integers(1, 3))
+        row = []
+        for k, a in enumerate(gens):
+            e = rdeg - a
+            coeffs = [draw(st.integers(-5, 5)) for _ in "xyz"] if e >= 1 else [0, 0, 0]
+            if k == pivot and not any(coeffs):
+                coeffs[0] = 1
+            row.append(BPolynomial({(v, e): c for v, c in zip("xyz", coeffs) if c}))
+        rows.append(tuple(row))
+        if draw(st.integers(0, 4)) == 0:
+            rows.append(tuple(row))  # a redundant copy
+    hom = draw(st.integers(2, 5))
+    deg_bound = max(gens) + hom + draw(st.integers(0, 5))
+    return GradedModuleB(tuple(gens), tuple(rows), field), deg_bound, hom
+
+
+@given(small_modules())
+@settings(max_examples=300, deadline=None)
+def test_degree_cut_off_matches_every_degree_oracle(case):
+    M, deg_bound, hom = case
+    res = min_free_resolution(M, deg_bound, hom)
+    betti, tail_ok, truncated = every_degree_resolution(M, deg_bound, hom)
+    assert betti_entry_dict(res) == betti
+    assert res.tail_consistent == tail_ok
+    assert res.truncated_rows == truncated
+
+
+def test_elimination_count_does_not_grow_with_deg_bound(monkeypatch):
+    calls = []
+
+    def counting_kernel_basis(rows, ncols, field):
+        calls.append(ncols)
+        return kernel_basis(rows, ncols, field)
+
+    monkeypatch.setattr(resolve_module, "kernel_basis", counting_kernel_basis)
+    near = min_free_resolution(builtin("omega"), deg_bound=17, hom_bound=7)
+    near_calls, calls[:] = list(calls), []
+    far = min_free_resolution(builtin("omega"), deg_bound=40, hom_bound=7)
+    assert calls == near_calls
+    assert len(calls) == 2 * (7 - 1)  # degrees i - 1 and i at each step i >= 2
+    assert {ij: v for ij, v in far.betti.items() if ij[1] <= 17} == dict(near.betti.items())
+    assert near.truncated_rows == far.truncated_rows == ()
+
+
+@pytest.mark.parametrize("field", [QQ, FP_DEFAULT], ids=["QQ", "F32003"])
+def test_builtins_keep_doubling_to_hom_9(field):
+    for name in BUILTIN_NAMES:
+        res = min_free_resolution(builtin(name, field), deg_bound=12, hom_bound=9)
+        assert res.tail_consistent, name
+        assert res.truncated_rows == (), name
 
 
 # -- Hilbert data ---------------------------------------------------------------
