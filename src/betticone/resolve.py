@@ -1,28 +1,35 @@
 """Minimal graded free resolutions over B = k[x,y,z]/(xy,yz,xz).
 
 B has a very small monomial basis: 1 in degree 0 and the three pure powers
-x^d, y^d, z^d in each degree d >= 1, with mixed products vanishing.  Every
-graded computation therefore splits into tiny exact linear algebra problems,
-one per degree, and that is how the engine works:
+x^d, y^d, z^d in each degree d >= 1, with mixed products vanishing.  So B is
+the fiber product of the three lines k[x], k[y], k[z] over k, and the engine
+works in branch coordinates:
 
-* a graded piece of a free module B(-a1) + ... + B(-ar) gets the basis
-  consisting of the generators sitting in that degree plus one pure power of
-  each variable on every lower generator;
-* the syzygy module at each homological step is computed degree by degree as
-  a kernel (or, for the relations themselves, a column span);
-* minimal generators in degree d are the part of the space not reachable as
-  x, y, z times the space one degree down.
+* an element of a free module B(-a1) + ... + B(-ar) with no entry of degree 0
+  is x^e, y^e and z^e times three scalar vectors over the generators (each e
+  set by the degrees), kept as one int row of 3r coordinates: the x block,
+  the y block, the z block.  Multiplying by v keeps the v block and kills the
+  other two.  Relations are such elements, as every relation entry has
+  positive degree, and so are minimal syzygies, as a syzygy with a degree 0
+  entry would contradict minimality;
+* step 1 is one walk up the degrees with a span tracker on the 3r
+  coordinates: in degree d it holds the blocks of the lower relations and the
+  relations of degree d, the relations that grow it are the minimal ones,
+  and its rank gives the Hilbert function too;
+* at step i >= 2 the degree d kernel of F_{i-1} -> F_{i-2} has no entry of
+  degree 0, as the generators of F_{i-1} map to minimal generators, so it
+  splits into three branch kernels.  The branch v matrix has the v blocks of
+  the images of the generators as columns, sorted by degree, and does not
+  depend on d: degree d sees the columns of degree < d.  In reduced echelon
+  form the kernel vector of a free column of degree b uses only that column
+  and earlier ones, so it is a minimal generator of degree b + 1 living in
+  branch v alone.  One elimination per branch and step finds them all, so
+  the cost follows hom_bound, not deg_bound.
 
-Presentations are kept minimal by construction (every relation entry has
-positive degree), so the Betti numbers are literal generator counts and every
-reported entry with degree <= deg_bound is exact.  A row that still has mass
-at deg_bound may continue past the window and is flagged as truncated.
-
-Each homological step stops at the last degree where a minimal generator can
-be born: the largest relation degree at step 1, and max(deg F_{i-1}) + 1 at
-step i >= 2.  Past that degree the map splits into three branch blocks that
-no longer change with the degree, so every kernel element is a shift of one
-a degree lower.  The cost therefore follows hom_bound, not deg_bound.
+Presentations are kept minimal by construction, so the Betti numbers are
+literal generator counts and every reported entry with degree <= deg_bound is
+exact.  A row that still has mass at deg_bound may continue past the window
+and is flagged as truncated.
 """
 
 from __future__ import annotations
@@ -190,10 +197,14 @@ class PolyParseError(ValueError):
     pass
 
 
-# Largest degree parse_poly lets a power of an inhomogeneous base reach.  Such a
-# power is never homogeneous in B, and its term count and coefficient sizes
-# grow with its degree, so bounding the degree bounds the cost of every power.
+# Largest degree parse_poly lets a power or a product reach while it is
+# inhomogeneous.  Term counts and coefficient sizes grow with that degree, so
+# bounding it bounds the cost of every power and of every chain of products.
 MAX_INHOMOGENEOUS_POWER_DEGREE = 64
+
+
+def _top_degree(p: BPolynomial) -> int:
+    return max((exp for (_, exp), _ in p.items()), default=0)
 
 
 def parse_poly(text: str) -> BPolynomial:
@@ -202,7 +213,8 @@ def parse_poly(text: str) -> BPolynomial:
     Accepts +, -, *, ^, parentheses, and rationals like 1/2, so both
     x^2 - 1/2*y^2 and (x+y+z)^3 parse (the latter is stored reduced).  A power
     of an inhomogeneous base is refused once its degree would pass
-    MAX_INHOMOGENEOUS_POWER_DEGREE.
+    MAX_INHOMOGENEOUS_POWER_DEGREE, and so is a product whose result is
+    inhomogeneous above that degree.
     """
     tokens = _tokenize(text)
     pos = 0
@@ -246,8 +258,7 @@ def parse_poly(text: str) -> BPolynomial:
         if peek() == ("op", "^"):
             take()
             _, n = take("int")
-            top = max((exp for (_, exp), _ in base.items()), default=0)
-            if not base.is_homogeneous and n * top > MAX_INHOMOGENEOUS_POWER_DEGREE:
+            if not base.is_homogeneous and n * _top_degree(base) > MAX_INHOMOGENEOUS_POWER_DEGREE:
                 raise PolyParseError(
                     f"power of an inhomogeneous base above degree {MAX_INHOMOGENEOUS_POWER_DEGREE}"
                     f" in {text!r}"
@@ -260,6 +271,10 @@ def parse_poly(text: str) -> BPolynomial:
         while peek() == ("op", "*"):
             take()
             out = out * factor()
+            if not out.is_homogeneous and _top_degree(out) > MAX_INHOMOGENEOUS_POWER_DEGREE:
+                raise PolyParseError(
+                    f"product inhomogeneous above degree {MAX_INHOMOGENEOUS_POWER_DEGREE} in {text!r}"
+                )
         return out
 
     def expr():
@@ -319,8 +334,9 @@ class GradedModuleB:
     """Finitely presented graded B-module: generator degrees plus homogeneous
     relation rows.  Every relation entry must have positive degree, so the
     presentation is minimal and row 0 of the Betti table can be read off.
-    The relations are converted to int rows over the field here, so a
-    coefficient the field cannot hold is rejected when the module is built."""
+    Each relation is also kept as (degree, int row over the field in branch
+    coordinates, see the module doc), so a coefficient the field cannot hold
+    is rejected when the module is built."""
 
     gen_degrees: tuple[int, ...]
     relations: tuple[tuple[BPolynomial, ...], ...] = ()
@@ -329,13 +345,14 @@ class GradedModuleB:
     def __post_init__(self):
         object.__setattr__(self, "gen_degrees", tuple(int(a) for a in self.gen_degrees))
         object.__setattr__(self, "relations", tuple(tuple(row) for row in self.relations))
+        r = len(self.gen_degrees)
+        branch_rows = []
         for row in self.relations:
-            if len(row) != len(self.gen_degrees):
-                raise ValueError(
-                    f"relation row of length {len(row)} against {len(self.gen_degrees)} generators"
-                )
+            if len(row) != r:
+                raise ValueError(f"relation row of length {len(row)} against {r} generators")
             degs = set()
-            for a, p in zip(self.gen_degrees, row):
+            coords = [0] * (3 * r)
+            for k, (a, p) in enumerate(zip(self.gen_degrees, row)):
                 if p.is_zero:
                     continue
                 if not p.is_homogeneous:
@@ -343,20 +360,17 @@ class GradedModuleB:
                 if p.degree() < 1:
                     raise ValueError(f"relation entry of degree 0 makes the presentation non-minimal: {p}")
                 degs.add(p.degree() + a)
+                for (var, _), q in p.items():
+                    coords[_VARS.index(var) * r + k] = q
             if not degs:
                 raise ValueError("zero relation row")
             if len(degs) > 1:
                 raise ValueError(f"relation row is not homogeneous, degrees {sorted(degs)}")
-        object.__setattr__(self, "_int_relations", _relation_coords(self))
+            branch_rows.append((degs.pop(), self.field.int_row(coords)))
+        object.__setattr__(self, "_branch_rows", tuple(branch_rows))
 
     def relation_degrees(self) -> tuple[int, ...]:
-        out = []
-        for row in self.relations:
-            for a, p in zip(self.gen_degrees, row):
-                if not p.is_zero:
-                    out.append(p.degree() + a)
-                    break
-        return tuple(out)
+        return tuple(d for d, _ in self._branch_rows)
 
     def with_field(self, field) -> "GradedModuleB":
         return replace(self, field=field)
@@ -415,50 +429,45 @@ def builtin(name: str, field=FP_DEFAULT) -> GradedModuleB:
 
 
 # ---------------------------------------------------------------------------
-# Degreewise bases and coordinate plumbing.
+# The engine, in branch coordinates (see the module doc).
 
 
-def _basis(degrees, d):
-    """Basis labels of the degree d piece of the free module with these
-    generator degrees: (k, "1") for generators in degree d, (k, var) for the
-    pure power multiples of lower generators."""
-    out = []
-    for k, a in enumerate(degrees):
-        if a == d:
-            out.append((k, "1"))
-        elif a < d:
-            out.extend(((k, "x"), (k, "y"), (k, "z")))
-    return out
+def _relation_walk(M: GradedModuleB, dstop: int):
+    """Walk the relation submodule of M up the degrees, from the lowest
+    generator degree to dstop.  Yields (d, rank, born): the dimension of the
+    submodule in degree d and the relation rows of degree d that are minimal
+    generators.  The v multiple of a relation of degree e < d is its v block,
+    whatever d is, so one tracker over the branch coordinates serves every
+    degree: at d it takes the blocks of the degree d - 1 relations, then the
+    degree d relations, and those that grow the span are the minimal ones."""
+    r = len(M.gen_degrees)
+    tracker = SpanTracker(M.field, 3 * r)
+    for d in range(min(M.gen_degrees), dstop + 1):
+        for e, row in M._branch_rows:
+            if e == d - 1:
+                for at in range(0, 3 * r, r):
+                    tracker.add([0] * at + row[at:at + r] + [0] * (2 * r - at))
+        born = [row for e, row in M._branch_rows if e == d and tracker.add(row) is not None]
+        yield d, tracker.rank, born
 
 
-def _poly_vec_coords(degrees, vec, d, index):
-    coords = [0] * len(index)
-    for k, poly in enumerate(vec):
-        for (var, exp), q in poly.items():
-            key = (k, "1") if exp == 0 else (k, var)
-            if degrees[k] + exp != d:
-                raise AssertionError(f"entry of degree {degrees[k] + exp} in a row of degree {d}")
-            coords[index[key]] += q
-    return coords
-
-
-def _relation_coords(M: GradedModuleB):
-    """(degree, basis labels, int coordinates over M.field) of each relation row."""
-    out = []
-    for rdeg, row in zip(M.relation_degrees(), M.relations):
-        labels = _basis(M.gen_degrees, rdeg)
-        index = {lab: n for n, lab in enumerate(labels)}
-        out.append((rdeg, labels, M.field.int_row(_poly_vec_coords(M.gen_degrees, row, rdeg, index))))
-    return tuple(out)
-
-
-def _shift(labels_from, coords_from, var, index_to, size):
-    """Coordinates of var^e times an element, e >= 1 implied by the degrees."""
-    out = [0] * size
-    for (k, branch), c in zip(labels_from, coords_from):
-        if c and (branch == "1" or branch == var):
-            out[index_to[(k, var)]] += c
-    return out
+def _branch_syzygies(gens, r: int, deg_bound: int, field):
+    """Minimal generators of degree <= deg_bound of the kernel of F_{i-1} -> F_{i-2},
+    as (degree, branch row over F_{i-1}) sorted by degree.  gens are the
+    generators of F_{i-1} as (degree, branch row of the image over the r
+    generators of F_{i-2}), sorted by degree."""
+    s = len(gens)
+    born = []
+    for v in range(3):
+        rows = list(zip(*(image[v * r:(v + 1) * r] for _, image in gens)))
+        for vec in kernel_basis(rows, s, field):
+            # the kernel vector of a free column is nonzero there and zero past it
+            free = next(filter(vec.__getitem__, reversed(range(s))))
+            d = gens[free][0] + 1
+            if d <= deg_bound:
+                born.append((d, [0] * (v * s) + vec + [0] * ((2 - v) * s)))
+    born.sort(key=lambda gen: gen[0])
+    return born
 
 
 @dataclass(frozen=True)
@@ -479,78 +488,23 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
     maxgen = max(M.gen_degrees, default=0)
     if deg_bound < maxgen + hom_bound:
         raise ValueError(f"deg_bound must be at least {maxgen + hom_bound} for this module")
-    field = M.field
     betti: dict[tuple[int, int], int] = {}
     for a in M.gen_degrees:
         betti[(0, a)] = betti.get((0, a), 0) + 1
 
-    # state for the map being differentiated at each step, see the module doc
-    upper_degrees = None  # F_{i-2} generator degrees
-    cur_degrees = M.gen_degrees  # F_{i-1} generator degrees
-    cur_images = None  # step >= 2: per generator of F_{i-1}, (degree, coords into F_{i-2})
-
-    rel_elements = M._int_relations
-
+    # generators of F_{i-1} as (degree, branch row of the image), sorted by degree
+    gens = []
+    if M.relations:
+        top = min(max(M.relation_degrees()), deg_bound)
+        gens = [(d, row) for d, _, born in _relation_walk(M, top) for row in born]
+    rank = len(M.gen_degrees)  # of F_{i-2} at step i
     for step in range(1, hom_bound + 1):
-        if step == 1:
-            if not rel_elements:
-                break
-            # no candidate relation past the largest relation degree
-            dstart = min(r for r, _, _ in rel_elements)
-            dstop = max(r for r, _, _ in rel_elements)
-        else:
-            if not cur_degrees:
-                break
-            # Nothing is born past max(cur_degrees) + 1.  For d > max(cur_degrees)
-            # the column (g, v) of the degree d map is v^e times the image of g,
-            # so its entries are the v-coefficients of that image and do not
-            # depend on d; every target row (k, v) exists, as a_k <= deg g < d.
-            # The three branch blocks are thus the same matrix in every such
-            # degree: the v-shift of the v-block of the degree d kernel is the
-            # whole v-block of the degree d + 1 kernel, already in the span.
-            dstart = min(cur_degrees)
-            dstop = max(cur_degrees) + 1
-        upper_basis_cache: dict[int, tuple[list, dict]] = {}
-
-        def upper_at(d):
-            if d not in upper_basis_cache:
-                labels = _basis(upper_degrees, d)
-                upper_basis_cache[d] = (labels, {lab: n for n, lab in enumerate(labels)})
-            return upper_basis_cache[d]
-
-        new_gens: list[tuple[int, list]] = []
-        prev_labels: list = []
-        prev_vectors: list[list] = []
-        for d in range(dstart, min(dstop, deg_bound) + 1):
-            labels = _basis(cur_degrees, d)
-            index = {lab: n for n, lab in enumerate(labels)}
-            tracker = SpanTracker(field, len(labels))
-            for vec in prev_vectors:
-                for var in _VARS:
-                    tracker.add(_shift(prev_labels, vec, var, index, len(labels)))
-            if step == 1:
-                candidates = [coords for r, _, coords in rel_elements if r == d]
-            else:
-                cols = []
-                _, tgt_index = upper_at(d)
-                for (g, branch) in labels:
-                    gdeg, gcoords = cur_images[g]
-                    if branch == "1":
-                        cols.append(gcoords)
-                    else:
-                        glabels, _ = upper_at(gdeg)
-                        cols.append(_shift(glabels, gcoords, branch, tgt_index, len(tgt_index)))
-                candidates = kernel_basis(list(zip(*cols)), len(labels), field)
-            for cand in candidates:
-                residual = tracker.add(cand)
-                if residual is not None:
-                    betti[(step, d)] = betti.get((step, d), 0) + 1
-                    new_gens.append((d, residual))
-            prev_labels = labels
-            prev_vectors = tracker.rows
-        upper_degrees = cur_degrees
-        cur_degrees = tuple(d for d, _ in new_gens)
-        cur_images = new_gens
+        if step > 1:
+            gens, rank = _branch_syzygies(gens, rank, deg_bound, M.field), len(gens)
+        if not gens:
+            break
+        for d, _ in gens:
+            betti[(step, d)] = betti.get((step, d), 0) + 1
 
     table = BettiTable({ij: Fraction(v) for ij, v in betti.items()}, tail_mode=EXPLICIT)
     tail_ok = True
@@ -583,22 +537,17 @@ def hilbert_data(M: GradedModuleB, deg_bound: int) -> HilbertData:
     numerator.  Raises StabilizationError unless the last three agree."""
     if not M.gen_degrees:
         return HilbertData(0, (), 0)
-    field = M.field
     dmin = min(M.gen_degrees)
     if deg_bound < dmin + 2:
         raise ValueError(f"deg_bound must be at least {dmin + 2}")
-    dims = []
-    for d in range(dmin, deg_bound + 1):
-        labels = _basis(M.gen_degrees, d)
-        index = {lab: n for n, lab in enumerate(labels)}
-        tracker = SpanTracker(field, len(labels))
-        for rdeg, rlabels, coords in M._int_relations:
-            if rdeg == d:
-                tracker.add(coords)
-            elif rdeg < d:
-                for var in _VARS:
-                    tracker.add(_shift(rlabels, coords, var, index, len(labels)))
-        dims.append(len(labels) - tracker.rank)
+    # from one past the top generator and relation degree on, every generator
+    # has its three branches and every relation block is in the span, so the
+    # dimensions no longer change; three equal ones close the walk
+    flat = max(M.gen_degrees + M.relation_degrees()) + 1
+    dims = [
+        sum(a == d for a in M.gen_degrees) + 3 * sum(a < d for a in M.gen_degrees) - rank
+        for d, rank, _ in _relation_walk(M, min(deg_bound, flat + 2))
+    ]
     if not dims[-1] == dims[-2] == dims[-3]:
         raise StabilizationError(
             f"dimensions {dims[-3:]} at degrees {deg_bound - 2}..{deg_bound} have not stabilized"
@@ -616,8 +565,11 @@ def syzygy_multiplicity(betti: BettiTable) -> Fraction:
 
 
 def mult_identity_check(M: GradedModuleB, deg_bound: int, hom_bound: int) -> bool:
-    """Whether gamma_inf of the resolved table equals the multiplicity from the
-    Hilbert function, the two being computed along independent routes."""
+    """Whether gamma_inf of the resolved table equals the multiplicity e from
+    the Hilbert function.  The relation walk gives both row 1 and the span
+    ranks, but the two sides stay independent where it counts: row 2 comes
+    from the branch kernels of the step 2 eliminations, and e from the rank of
+    the relation span alone."""
     res = min_free_resolution(M, deg_bound, hom_bound)
     low_truncated = [i for i in res.truncated_rows if i <= 2]
     if low_truncated:

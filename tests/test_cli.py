@@ -213,21 +213,31 @@ def test_huge_prime_is_refused_promptly(capsys, tmp_path):
 
 
 def test_high_power_of_an_inhomogeneous_base_is_refused_promptly(capsys, tmp_path):
-    path = write(tmp_path, "m.mod", "gens 0\nrel (x+1)^4000\n")
-    start = time.perf_counter()
-    code, out, err = invoke(capsys, "resolve", path, "--deg-bound", "6", "--hom-bound", "2")
-    assert time.perf_counter() - start < 2.0
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1 and "inhomogeneous" in err
+    for rel in ("(x+1)^4000", "*".join(["(x+1)^64"] * 40)):
+        path = write(tmp_path, "m.mod", f"gens 0\nrel {rel}\n")
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "resolve", path, "--deg-bound", "6", "--hom-bound", "2")
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "inhomogeneous" in err
 
 
 def test_resolve_cost_does_not_follow_deg_bound(capsys, tmp_path):
     path = write(tmp_path, "m.mod", "builtin omega\n")
+    for deg_bound in ("1000", "1000000000"):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "resolve", path, "--deg-bound", deg_bound, "--hom-bound", "6")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and err == ""
+        assert "truncated_rows: none" in out and "entry 6 6 96" in out and "e: 3" in out
+
+
+def test_hilbert_cost_does_not_follow_deg_bound(capsys, tmp_path):
+    path = write(tmp_path, "m.mod", "builtin omega\n")
     start = time.perf_counter()
-    code, out, err = invoke(capsys, "resolve", path, "--deg-bound", "1000", "--hom-bound", "6")
-    assert time.perf_counter() - start < 5.0
-    assert code == 0 and err == ""
-    assert "truncated_rows: none" in out and "entry 6 6 96" in out
+    code, out, _ = invoke(capsys, "hilbert", path, "--deg-bound", "1000000000")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and "numerator: 2 1" in out and "e: 3" in out
 
 
 def test_resolve_bad_bounds(capsys, tmp_path):

@@ -13,6 +13,7 @@ from betticone import (
     BPolynomial,
     BoundsError,
     GradedModuleB,
+    HilbertData,
     StabilizationError,
     BettiTable,
     builtin,
@@ -101,6 +102,10 @@ def test_parse_poly_grammar():
     one = BPolynomial.constant(1)
     assert parse_poly("(x+1)^3") == (X + one) ** 3
     assert parse_poly("(x+1)^64") == (X + one) ** MAX_INHOMOGENEOUS_POWER_DEGREE
+    # products are bounded by their result, not by their factors
+    assert parse_poly("(x+y^40)*(x+z^40)") == X * X
+    assert parse_poly("(x+1)^32*(x+1)^32") == (X + one) ** 64
+    assert parse_poly("3*(x+1)^64") == 3 * (X + one) ** 64
     assert parse_poly("-x + 2*z") == -X + 2 * Z
     assert parse_poly("3") == BPolynomial.constant(3)
     assert parse_poly("0").is_zero
@@ -108,7 +113,9 @@ def test_parse_poly_grammar():
 
 @pytest.mark.parametrize("bad", ["x/2", "2x", "w", "x^-1", "", "x +", "(x", "1/0",
                                  # powers of inhomogeneous bases past degree 64
-                                 "(x+1)^65", "(x+1)^4000", "((x+1)^64)^2", "(x^2+x)^33"])
+                                 "(x+1)^65", "(x+1)^4000", "((x+1)^64)^2", "(x^2+x)^33",
+                                 # products inhomogeneous past degree 64
+                                 "(x+1)^64*(x+1)", "*".join(["(x+1)^64"] * 40)])
 def test_parse_poly_rejects(bad):
     with pytest.raises(PolyParseError):
         parse_poly(bad)
@@ -257,30 +264,72 @@ def test_resolved_tables_live_in_the_cone():
         assert check_graded(res.betti).member, gens
 
 
+# -- the every-degree oracle ------------------------------------------------------
+# The engine before branch coordinates: a labelled basis per degree and a
+# tracker per degree, run over every degree up to deg_bound with no cut-off.
+
+
+def _basis(degrees, d):
+    """Basis labels of the degree d piece of the free module with these
+    generator degrees: (k, "1") for generators in degree d, (k, var) for the
+    pure power multiples of lower generators."""
+    out = []
+    for k, a in enumerate(degrees):
+        if a == d:
+            out.append((k, "1"))
+        elif a < d:
+            out.extend(((k, "x"), (k, "y"), (k, "z")))
+    return out
+
+
+def _shift(labels_from, coords_from, var, index_to, size):
+    """Coordinates of var^e times an element, e >= 1 implied by the degrees."""
+    out = [0] * size
+    for (k, branch), c in zip(labels_from, coords_from):
+        if c and (branch == "1" or branch == var):
+            out[index_to[(k, var)]] += c
+    return out
+
+
+def _labelled_relations(M):
+    """(degree, basis labels, int coordinates over M.field) of each relation row."""
+    out = []
+    for rdeg, row in zip(M.relation_degrees(), M.relations):
+        labels = _basis(M.gen_degrees, rdeg)
+        index = {lab: n for n, lab in enumerate(labels)}
+        coords = [0] * len(labels)
+        for k, poly in enumerate(row):
+            for (var, exp), q in poly.items():
+                coords[index[(k, var)]] += q
+        out.append((rdeg, labels, M.field.int_row(coords)))
+    return out
+
+
 def every_degree_resolution(M, deg_bound, hom_bound):
     """Oracle: the resolution loop run over every degree up to deg_bound at
-    every step, with no cut-off.  Returns (betti dict, tail_consistent,
-    truncated_rows) computed from scratch."""
+    every step.  Returns (betti dict, tail_consistent, truncated_rows)
+    computed from scratch."""
     field = M.field
+    relations = _labelled_relations(M)
     betti = {}
     for a in M.gen_degrees:
         betti[(0, a)] = betti.get((0, a), 0) + 1
     upper_degrees, cur_degrees, cur_images = None, M.gen_degrees, None
     for step in range(1, hom_bound + 1):
-        if not (M._int_relations if step == 1 else cur_degrees):
+        if not (relations if step == 1 else cur_degrees):
             break
         new_gens, prev_labels, prev_vectors = [], [], []
         for d in range(min(cur_degrees), deg_bound + 1):
-            labels = resolve_module._basis(cur_degrees, d)
+            labels = _basis(cur_degrees, d)
             index = {lab: n for n, lab in enumerate(labels)}
             tracker = SpanTracker(field, len(labels))
             for vec in prev_vectors:
                 for var in "xyz":
-                    tracker.add(resolve_module._shift(prev_labels, vec, var, index, len(labels)))
+                    tracker.add(_shift(prev_labels, vec, var, index, len(labels)))
             if step == 1:
-                candidates = [coords for r, _, coords in M._int_relations if r == d]
+                candidates = [coords for r, _, coords in relations if r == d]
             else:
-                tgt_labels = resolve_module._basis(upper_degrees, d)
+                tgt_labels = _basis(upper_degrees, d)
                 tgt_index = {lab: n for n, lab in enumerate(tgt_labels)}
                 cols = []
                 for g, branch in labels:
@@ -288,9 +337,8 @@ def every_degree_resolution(M, deg_bound, hom_bound):
                     if branch == "1":
                         cols.append(gcoords)
                     else:
-                        glabels = resolve_module._basis(upper_degrees, gdeg)
-                        cols.append(resolve_module._shift(glabels, gcoords, branch, tgt_index,
-                                                          len(tgt_labels)))
+                        glabels = _basis(upper_degrees, gdeg)
+                        cols.append(_shift(glabels, gcoords, branch, tgt_index, len(tgt_labels)))
                 candidates = kernel_basis(list(zip(*cols)), len(labels), field)
             for cand in candidates:
                 residual = tracker.add(cand)
@@ -306,6 +354,33 @@ def every_degree_resolution(M, deg_bound, hom_bound):
     )
     truncated = tuple(sorted({i for (i, j) in betti if j == deg_bound}))
     return betti, tail_ok, truncated
+
+
+def every_degree_hilbert(M, deg_bound):
+    """Oracle: hilbert_data with a fresh tracker in every degree up to deg_bound.
+    Returns the HilbertData, or the StabilizationError type."""
+    if not M.gen_degrees:
+        return HilbertData(0, (), 0)
+    dmin = min(M.gen_degrees)
+    relations = _labelled_relations(M)
+    dims = []
+    for d in range(dmin, deg_bound + 1):
+        labels = _basis(M.gen_degrees, d)
+        index = {lab: n for n, lab in enumerate(labels)}
+        tracker = SpanTracker(M.field, len(labels))
+        for rdeg, rlabels, coords in relations:
+            if rdeg == d:
+                tracker.add(coords)
+            elif rdeg < d:
+                for var in "xyz":
+                    tracker.add(_shift(rlabels, coords, var, index, len(labels)))
+        dims.append(len(labels) - tracker.rank)
+    if not dims[-1] == dims[-2] == dims[-3]:
+        return StabilizationError
+    diffs = [dims[0]] + [dims[n] - dims[n - 1] for n in range(1, len(dims))]
+    while diffs and diffs[-1] == 0:
+        diffs.pop()
+    return HilbertData(dmin, tuple(diffs), dims[-1])
 
 
 @st.composite
@@ -333,13 +408,24 @@ def small_modules(draw):
 
 @given(small_modules())
 @settings(max_examples=300, deadline=None)
-def test_degree_cut_off_matches_every_degree_oracle(case):
+def test_branch_engine_matches_every_degree_oracle(case):
     M, deg_bound, hom = case
     res = min_free_resolution(M, deg_bound, hom)
     betti, tail_ok, truncated = every_degree_resolution(M, deg_bound, hom)
     assert betti_entry_dict(res) == betti
     assert res.tail_consistent == tail_ok
     assert res.truncated_rows == truncated
+
+
+@given(small_modules())
+@settings(max_examples=300, deadline=None)
+def test_hilbert_walk_matches_every_degree_oracle(case):
+    M, deg_bound, _ = case
+    try:
+        got = hilbert_data(M, deg_bound)
+    except StabilizationError:
+        got = StabilizationError
+    assert got == every_degree_hilbert(M, deg_bound)
 
 
 def test_elimination_count_does_not_grow_with_deg_bound(monkeypatch):
@@ -354,7 +440,7 @@ def test_elimination_count_does_not_grow_with_deg_bound(monkeypatch):
     near_calls, calls[:] = list(calls), []
     far = min_free_resolution(builtin("omega"), deg_bound=40, hom_bound=7)
     assert calls == near_calls
-    assert len(calls) == 2 * (7 - 1)  # degrees i - 1 and i at each step i >= 2
+    assert len(calls) == 3 * (7 - 1)  # one per branch at each step i >= 2
     assert {ij: v for ij, v in far.betti.items() if ij[1] <= 17} == dict(near.betti.items())
     assert near.truncated_rows == far.truncated_rows == ()
 
