@@ -23,8 +23,21 @@ works in branch coordinates:
   depend on d: degree d sees the columns of degree < d.  In reduced echelon
   form the kernel vector of a free column of degree b uses only that column
   and earlier ones, so it is a minimal generator of degree b + 1 living in
-  branch v alone.  One elimination per branch and step finds them all, so
-  the cost follows hom_bound, not deg_bound.
+  branch v alone.  One elimination per branch finds them all;
+* only steps 2 and 3 are eliminated.  A step 2 generator lives in one branch,
+  so in every other branch its column at step 3 is zero and its kernel vector
+  is the unit vector there, of degree one more.  The nonzero columns of branch
+  w are the step 2 kernel vectors of branch w, independent as they come from
+  one reduced echelon form, so they add no kernel.  Row 3 is therefore row 2
+  doubled and shifted up one degree (entries past deg_bound dropped), and a
+  kernel vector other than a zero column's would show as an excess there:
+  that comparison is the certificate, and it raises AssertionError if it
+  fails.  Every step 3 generator is then a unit vector in one branch, and the
+  same argument carries on by induction: a generator of degree b in branch v
+  gives one generator of degree b + 1 in each of the two other branches.  So
+  row i is row i - 1 doubled and shifted for every i >= 3, and each step past
+  3 costs O(entries in row 2), with no elimination.  The cost follows
+  hom_bound, not deg_bound.
 
 Presentations are kept minimal by construction, so the Betti numbers are
 literal generator counts and every reported entry with degree <= deg_bound is
@@ -34,6 +47,7 @@ and is flagged as truncated.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -202,9 +216,23 @@ class PolyParseError(ValueError):
 # bounding it bounds the cost of every power and of every chain of products.
 MAX_INHOMOGENEOUS_POWER_DEGREE = 64
 
+# Largest size, in bits of the numerator or the denominator, that a power or
+# a product may give a coefficient: c^n costs n times the bits of c, so
+# without a bound a short text such as 3^1000000000 would not finish.
+MAX_COEFFICIENT_BITS = 4096
+
+# Deepest nesting of parentheses parse_poly follows; each level is a few
+# frames of its recursive descent.
+MAX_NESTING = 50
+
 
 def _top_degree(p: BPolynomial) -> int:
     return max((exp for (_, exp), _ in p.items()), default=0)
+
+
+def _coefficient_bits(p: BPolynomial) -> int:
+    """floor(log2) of the largest numerator or denominator of p, 0 for +-1."""
+    return max((max(abs(q.numerator), q.denominator).bit_length() - 1 for _, q in p.items()), default=0)
 
 
 def parse_poly(text: str) -> BPolynomial:
@@ -214,10 +242,13 @@ def parse_poly(text: str) -> BPolynomial:
     x^2 - 1/2*y^2 and (x+y+z)^3 parse (the latter is stored reduced).  A power
     of an inhomogeneous base is refused once its degree would pass
     MAX_INHOMOGENEOUS_POWER_DEGREE, and so is a product whose result is
-    inhomogeneous above that degree.
+    inhomogeneous above that degree.  Powers and products whose coefficients
+    would pass MAX_COEFFICIENT_BITS bits are refused too, and so are
+    parentheses nested deeper than MAX_NESTING.
     """
     tokens = _tokenize(text)
     pos = 0
+    depth = 0
 
     def peek():
         return tokens[pos]
@@ -231,6 +262,7 @@ def parse_poly(text: str) -> BPolynomial:
         return tok
 
     def atom():
+        nonlocal depth
         kind, val = peek()
         if kind == "int":
             take()
@@ -246,10 +278,14 @@ def parse_poly(text: str) -> BPolynomial:
             return BPolynomial.variable(val)
         if (kind, val) == ("op", "("):
             take()
+            depth += 1
+            if depth > MAX_NESTING:
+                raise PolyParseError(f"parentheses nested deeper than {MAX_NESTING} in {text!r}")
             inner = expr()
             if peek() != ("op", ")"):
                 raise PolyParseError(f"missing ')' in {text!r}")
             take()
+            depth -= 1
             return inner
         raise PolyParseError(f"unexpected {val!r} in {text!r}")
 
@@ -263,6 +299,8 @@ def parse_poly(text: str) -> BPolynomial:
                     f"power of an inhomogeneous base above degree {MAX_INHOMOGENEOUS_POWER_DEGREE}"
                     f" in {text!r}"
                 )
+            if n * _coefficient_bits(base) > MAX_COEFFICIENT_BITS:
+                raise PolyParseError(f"power with coefficients above {MAX_COEFFICIENT_BITS} bits in {text!r}")
             return base ** n
         return base
 
@@ -275,6 +313,8 @@ def parse_poly(text: str) -> BPolynomial:
                 raise PolyParseError(
                     f"product inhomogeneous above degree {MAX_INHOMOGENEOUS_POWER_DEGREE} in {text!r}"
                 )
+            if _coefficient_bits(out) > MAX_COEFFICIENT_BITS:
+                raise PolyParseError(f"product with coefficients above {MAX_COEFFICIENT_BITS} bits in {text!r}")
         return out
 
     def expr():
@@ -321,6 +361,11 @@ def _tokenize(text: str):
     return tokens
 
 
+# Widest span of generator and relation degrees a module may have.  The
+# relation walk and the Hilbert numerator run over every degree of the span.
+MAX_DEGREE_SPAN = 10_000
+
+
 class StabilizationError(RuntimeError):
     """Hilbert function did not flatten out inside the degree bound."""
 
@@ -336,7 +381,8 @@ class GradedModuleB:
     presentation is minimal and row 0 of the Betti table can be read off.
     Each relation is also kept as (degree, int row over the field in branch
     coordinates, see the module doc), so a coefficient the field cannot hold
-    is rejected when the module is built."""
+    is rejected when the module is built, and so is a module whose degrees
+    span more than MAX_DEGREE_SPAN."""
 
     gen_degrees: tuple[int, ...]
     relations: tuple[tuple[BPolynomial, ...], ...] = ()
@@ -367,6 +413,9 @@ class GradedModuleB:
             if len(degs) > 1:
                 raise ValueError(f"relation row is not homogeneous, degrees {sorted(degs)}")
             branch_rows.append((degs.pop(), self.field.int_row(coords)))
+        degrees = self.gen_degrees + tuple(d for d, _ in branch_rows)
+        if degrees and max(degrees) - min(degrees) > MAX_DEGREE_SPAN:
+            raise ValueError(f"generator and relation degrees span more than {MAX_DEGREE_SPAN}")
         object.__setattr__(self, "_branch_rows", tuple(branch_rows))
 
     def relation_degrees(self) -> tuple[int, ...]:
@@ -470,8 +519,19 @@ def _branch_syzygies(gens, r: int, deg_bound: int, field):
     return born
 
 
+# Largest hom_bound min_free_resolution accepts.  Row i has entries near
+# 2^i, so the output grows as hom_bound^2 digits: about 166 KB for omega at
+# hom_bound 1000.
+MAX_HOM_BOUND = 1000
+
+
 @dataclass(frozen=True)
 class ResolutionResult:
+    """A Betti table on the window, with its bounds.  tail_consistent, the
+    doubling 2 beta_{i,j} = beta_{i+1,j+1} for i >= 2 inside the window, is
+    always True: min_free_resolution proves it at step 3 and builds the later
+    rows from it.  The field stays for the callers that report it."""
+
     betti: BettiTable
     deg_bound: int
     hom_bound: int
@@ -482,15 +542,16 @@ class ResolutionResult:
 def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> ResolutionResult:
     """Betti table of a minimal free resolution on the window i <= hom_bound,
     j <= deg_bound.  Every reported entry is exact; truncated_rows lists the
-    rows that still have mass at deg_bound and so may continue past it."""
-    if hom_bound < 2:
-        raise ValueError("hom_bound must be at least 2")
+    rows that still have mass at deg_bound and so may continue past it.
+    Steps 2 and 3 are eliminations; step 3 certifies that every later row is
+    the one before doubled and shifted (module doc), and raises AssertionError
+    if it does not."""
+    if not 2 <= hom_bound <= MAX_HOM_BOUND:
+        raise ValueError(f"hom_bound must be at least 2 and at most {MAX_HOM_BOUND}")
     maxgen = max(M.gen_degrees, default=0)
     if deg_bound < maxgen + hom_bound:
         raise ValueError(f"deg_bound must be at least {maxgen + hom_bound} for this module")
-    betti: dict[tuple[int, int], int] = {}
-    for a in M.gen_degrees:
-        betti[(0, a)] = betti.get((0, a), 0) + 1
+    betti = Counter((0, a) for a in M.gen_degrees)
 
     # generators of F_{i-1} as (degree, branch row of the image), sorted by degree
     gens = []
@@ -498,25 +559,24 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
         top = min(max(M.relation_degrees()), deg_bound)
         gens = [(d, row) for d, _, born in _relation_walk(M, top) for row in born]
     rank = len(M.gen_degrees)  # of F_{i-2} at step i
+    row = {}  # number of generators of F_step in each degree
     for step in range(1, hom_bound + 1):
-        if step > 1:
-            gens, rank = _branch_syzygies(gens, rank, deg_bound, M.field), len(gens)
-        if not gens:
+        doubled = {d + 1: 2 * n for d, n in row.items() if d < deg_bound}
+        if step > 3:
+            row = doubled
+        else:
+            if step > 1:
+                gens, rank = _branch_syzygies(gens, rank, deg_bound, M.field), len(gens)
+            row = Counter(d for d, _ in gens)
+            if step == 3 and row != doubled:
+                raise AssertionError(f"row 3 {dict(row)} is not row 2 doubled and shifted {doubled}")
+        if not row:
             break
-        for d, _ in gens:
-            betti[(step, d)] = betti.get((step, d), 0) + 1
+        betti.update({(step, d): n for d, n in row.items()})
 
     table = BettiTable({ij: Fraction(v) for ij, v in betti.items()}, tail_mode=EXPLICIT)
-    tail_ok = True
-    for i in range(2, hom_bound):
-        degs = {j for (r, j) in betti if r == i} | {j - 1 for (r, j) in betti if r == i + 1}
-        for j in sorted(degs):
-            if j + 1 > deg_bound:
-                continue
-            if 2 * table.entry(i, j) != table.entry(i + 1, j + 1):
-                tail_ok = False
     truncated = tuple(sorted({i for (i, j) in betti if j == deg_bound}))
-    return ResolutionResult(table, deg_bound, hom_bound, tail_ok, truncated)
+    return ResolutionResult(table, deg_bound, hom_bound, True, truncated)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,17 @@
 """End to end exercises of the command line interface via run(argv)."""
 
 import io
+import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betticone import BettiTable, check_graded
 from betticone.cli import format_table_text, parse_module_text, parse_table_text, run
+from betticone.resolve import BUILTIN_NAMES, MAX_HOM_BOUND
 
 
 def invoke(capsys, *argv):
@@ -240,6 +245,21 @@ def test_hilbert_cost_does_not_follow_deg_bound(capsys, tmp_path):
     assert code == 0 and "numerator: 2 1" in out and "e: 3" in out
 
 
+def test_hom_bound_is_capped(capsys, tmp_path):
+    path = write(tmp_path, "m.mod", "builtin omega\n")
+    for hom in (MAX_HOM_BOUND + 1, 10 ** 18):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "resolve", path, "--deg-bound", str(hom + 5), "--hom-bound", str(hom))
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "hom_bound" in err
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "resolve", path, "--deg-bound", "1005", "--hom-bound", str(MAX_HOM_BOUND))
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and err == ""
+    assert f"entry 1000 1000 {3 * 2 ** 999}\n" in out and "truncated_rows: none" in out
+
+
 def test_resolve_bad_bounds(capsys, tmp_path):
     # unusable bounds are a usage error, not a checked failure
     path = write(tmp_path, "m.mod", "builtin B\n")
@@ -261,6 +281,74 @@ def test_hilbert_not_stabilized(capsys, tmp_path):
     path = write(tmp_path, "m.mod", "gens 0\nrel x^2\n")
     code, _, err = invoke(capsys, "hilbert", path, "--deg-bound", "3")
     assert code == 1 and "error:" in err
+
+
+# -- fuzzing resolve and hilbert ------------------------------------------------------
+
+ints = st.one_of(st.integers(-3, 12), st.integers(-10 ** 20, 10 ** 20))
+
+
+def monomial_sums(e, min_size=0):
+    """Relation entries + c1*v1^e - c2*v2^e ..., or 0."""
+    return st.lists(st.tuples(ints, st.sampled_from("xyz")), min_size=min_size, max_size=3).map(
+        lambda terms: " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*{v}^{e}" for c, v in terms) or "0")
+
+
+token_soups = st.lists(
+    st.one_of(st.sampled_from(list("xyz+-*/^() ")), ints.map(str)), max_size=12
+).map("".join)
+entries = st.one_of(
+    ints.flatmap(monomial_sums),
+    token_soups,
+    st.builds("({}*{})^{}".format, ints, st.sampled_from("xyz1"), ints),
+    st.builds(lambda n, inner: "(" * n + inner + ")" * n, st.integers(0, 200), token_soups),
+)
+module_lines = st.one_of(
+    st.one_of(st.sampled_from(["QQ", "Fp 2", "Fp 7", "Fp 32003", "Fp", "Zp 7"]),
+              ints.map("Fp {}".format)).map("field {}".format),
+    st.lists(ints, max_size=4).map(lambda ds: " ".join(["gens", *map(str, ds)])),
+    st.lists(entries, min_size=1, max_size=4).map(lambda row: "rel " + ", ".join(row)),
+    st.sampled_from(BUILTIN_NAMES + ("nonesuch", "")).map("builtin {}".format),
+    st.text(max_size=20),
+)
+
+
+@st.composite
+def module_texts(draw):
+    """Lines drawn from the format's keywords, entries and arbitrary text; or
+    a gens line with homogeneous rel rows of the right length, so that most
+    such modules resolve, with at most one drawn line put in among them."""
+    if not draw(st.integers(0, 3)):
+        return "\n".join(draw(st.lists(module_lines, max_size=8)))
+    gens = draw(st.lists(st.integers(-2, 4), min_size=1, max_size=3))
+    lines = [draw(st.sampled_from(["", "field QQ", "field Fp 2", "field Fp 7"])),
+             "gens " + " ".join(map(str, gens))]
+    reach = draw(st.sampled_from([3, 3, 3, 10 ** 7]))  # how far relation degrees go
+    for _ in range(draw(st.integers(1, 4))):
+        d = max(gens) + draw(st.integers(1, reach))
+        lines.append("rel " + ", ".join(draw(monomial_sums(d - a, 1)) if d > a else "0" for a in gens))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(module_lines))
+    return "\n".join(lines)
+
+
+@given(text=module_texts(), command=st.sampled_from(["resolve", "hilbert"]),
+       deg_bound=st.integers(-5, 10 ** 9), hom_bound=st.integers(-5, 2 * MAX_HOM_BOUND))
+@settings(max_examples=300, deadline=2000)
+def test_module_commands_survive_fuzzing(text, command, deg_bound, hom_bound):
+    argv = [command, "-", "--deg-bound", str(deg_bound)]
+    if command == "resolve":
+        argv += ["--hom-bound", str(hom_bound)]
+    saved, sys.stdin = sys.stdin, io.StringIO(text)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
 # -- verify-window and local ----------------------------------------------------------

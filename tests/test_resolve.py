@@ -30,7 +30,15 @@ from betticone import (
 )
 import betticone.resolve as resolve_module
 from betticone.linalg import SpanTracker, kernel_basis
-from betticone.resolve import BUILTIN_NAMES, MAX_INHOMOGENEOUS_POWER_DEGREE, PolyParseError
+from betticone.resolve import (
+    BUILTIN_NAMES,
+    MAX_COEFFICIENT_BITS,
+    MAX_DEGREE_SPAN,
+    MAX_HOM_BOUND,
+    MAX_INHOMOGENEOUS_POWER_DEGREE,
+    MAX_NESTING,
+    PolyParseError,
+)
 from betticone.tables import INDECOMPOSABLE_NAMES
 
 X = BPolynomial.variable("x")
@@ -106,6 +114,10 @@ def test_parse_poly_grammar():
     assert parse_poly("(x+y^40)*(x+z^40)") == X * X
     assert parse_poly("(x+1)^32*(x+1)^32") == (X + one) ** 64
     assert parse_poly("3*(x+1)^64") == 3 * (X + one) ** 64
+    # coefficients up to MAX_COEFFICIENT_BITS bits, parentheses up to MAX_NESTING deep
+    assert parse_poly(f"(2*x)^{MAX_COEFFICIENT_BITS}") == 2 ** MAX_COEFFICIENT_BITS * X ** MAX_COEFFICIENT_BITS
+    assert parse_poly(f"(1/2)^{MAX_COEFFICIENT_BITS - 1}*2*x") == Fraction(1, 2 ** (MAX_COEFFICIENT_BITS - 2)) * X
+    assert parse_poly("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == X
     assert parse_poly("-x + 2*z") == -X + 2 * Z
     assert parse_poly("3") == BPolynomial.constant(3)
     assert parse_poly("0").is_zero
@@ -115,7 +127,12 @@ def test_parse_poly_grammar():
                                  # powers of inhomogeneous bases past degree 64
                                  "(x+1)^65", "(x+1)^4000", "((x+1)^64)^2", "(x^2+x)^33",
                                  # products inhomogeneous past degree 64
-                                 "(x+1)^64*(x+1)", "*".join(["(x+1)^64"] * 40)])
+                                 "(x+1)^64*(x+1)", "*".join(["(x+1)^64"] * 40),
+                                 # coefficients past MAX_COEFFICIENT_BITS bits
+                                 "3^1000000000000", "(2*x)^4097", "(1/3*y)^4097", "2^4096*2*x",
+                                 "((2^64)^64)^2",
+                                 # parentheses nested past MAX_NESTING
+                                 "(" * 51 + "x" + ")" * 51, "(" * 5000 + "x" + ")" * 5000])
 def test_parse_poly_rejects(bad):
     with pytest.raises(PolyParseError):
         parse_poly(bad)
@@ -156,6 +173,13 @@ def test_graded_module_validation():
         GradedModuleB((0, 1), ((X, X),))
     with pytest.raises(ValueError, match="inhomogeneous"):
         GradedModuleB((0,), ((X + BPolynomial.constant(1),),))
+    # generator and relation degrees span at most MAX_DEGREE_SPAN
+    GradedModuleB((-5, MAX_DEGREE_SPAN - 5), ((BPolynomial.monomial("x", MAX_DEGREE_SPAN), BPolynomial.zero()),))
+    for gens, rows in (((0, MAX_DEGREE_SPAN + 1), ()),
+                       ((0,), ((BPolynomial.monomial("x", MAX_DEGREE_SPAN + 1),),)),
+                       ((0,), ((BPolynomial.monomial("y", 10 ** 30),),))):
+        with pytest.raises(ValueError, match="span"):
+            GradedModuleB(gens, rows)
 
 
 def test_relation_degrees():
@@ -190,6 +214,10 @@ def test_bound_validation():
         min_free_resolution(M, deg_bound=9, hom_bound=1)
     with pytest.raises(ValueError, match="deg_bound"):
         min_free_resolution(M, deg_bound=3, hom_bound=4)
+    with pytest.raises(ValueError, match="hom_bound"):
+        min_free_resolution(M, deg_bound=MAX_HOM_BOUND + 5, hom_bound=MAX_HOM_BOUND + 1)
+    top = min_free_resolution(builtin("omega"), deg_bound=MAX_HOM_BOUND + 5, hom_bound=MAX_HOM_BOUND)
+    assert top.betti.entry(MAX_HOM_BOUND, MAX_HOM_BOUND) == 3 * 2 ** (MAX_HOM_BOUND - 1)
 
 
 def test_ring_resolves_to_itself():
@@ -356,6 +384,35 @@ def every_degree_resolution(M, deg_bound, hom_bound):
     return betti, tail_ok, truncated
 
 
+def every_step_resolution(M, deg_bound, hom_bound):
+    """Oracle: the branch engine with three eliminations at every step
+    i >= 2, and the doubling observed afterwards instead of certified at
+    step 3.  Returns (betti dict, tail_consistent, truncated_rows)."""
+    betti = {}
+    for a in M.gen_degrees:
+        betti[(0, a)] = betti.get((0, a), 0) + 1
+    gens = []
+    if M.relations:
+        top = min(max(M.relation_degrees()), deg_bound)
+        gens = [(d, row) for d, _, born in resolve_module._relation_walk(M, top) for row in born]
+    rank = len(M.gen_degrees)
+    for step in range(1, hom_bound + 1):
+        if step > 1:
+            gens, rank = resolve_module._branch_syzygies(gens, rank, deg_bound, M.field), len(gens)
+        if not gens:
+            break
+        for d, _ in gens:
+            betti[(step, d)] = betti.get((step, d), 0) + 1
+    tail_ok = all(
+        2 * betti.get((i, j), 0) == betti.get((i + 1, j + 1), 0)
+        for i in range(2, hom_bound)
+        for j in {j for (r, j) in betti if r == i} | {j - 1 for (r, j) in betti if r == i + 1}
+        if j + 1 <= deg_bound
+    )
+    truncated = tuple(sorted({i for (i, j) in betti if j == deg_bound}))
+    return betti, tail_ok, truncated
+
+
 def every_degree_hilbert(M, deg_bound):
     """Oracle: hilbert_data with a fresh tracker in every degree up to deg_bound.
     Returns the HilbertData, or the StabilizationError type."""
@@ -384,7 +441,7 @@ def every_degree_hilbert(M, deg_bound):
 
 
 @st.composite
-def small_modules(draw):
+def small_modules(draw, max_hom=5):
     gens = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
     field = draw(st.sampled_from((QQ, PrimeField(2), PrimeField(7), FP_DEFAULT)))
     rows = []
@@ -401,7 +458,7 @@ def small_modules(draw):
         rows.append(tuple(row))
         if draw(st.integers(0, 4)) == 0:
             rows.append(tuple(row))  # a redundant copy
-    hom = draw(st.integers(2, 5))
+    hom = draw(st.integers(2, max_hom))
     deg_bound = max(gens) + hom + draw(st.integers(0, 5))
     return GradedModuleB(tuple(gens), tuple(rows), field), deg_bound, hom
 
@@ -428,7 +485,18 @@ def test_hilbert_walk_matches_every_degree_oracle(case):
     assert got == every_degree_hilbert(M, deg_bound)
 
 
-def test_elimination_count_does_not_grow_with_deg_bound(monkeypatch):
+@given(small_modules(max_hom=9))
+@settings(max_examples=300, deadline=None)
+def test_certified_tail_matches_every_step_oracle(case):
+    M, deg_bound, hom = case
+    res = min_free_resolution(M, deg_bound, hom)
+    betti, tail_ok, truncated = every_step_resolution(M, deg_bound, hom)
+    assert betti_entry_dict(res) == betti
+    assert res.tail_consistent == tail_ok
+    assert res.truncated_rows == truncated
+
+
+def test_six_eliminations_at_hom_7_and_14_and_deg_bound_17_and_40(monkeypatch):
     calls = []
 
     def counting_kernel_basis(rows, ncols, field):
@@ -436,19 +504,43 @@ def test_elimination_count_does_not_grow_with_deg_bound(monkeypatch):
         return kernel_basis(rows, ncols, field)
 
     monkeypatch.setattr(resolve_module, "kernel_basis", counting_kernel_basis)
-    near = min_free_resolution(builtin("omega"), deg_bound=17, hom_bound=7)
-    near_calls, calls[:] = list(calls), []
-    far = min_free_resolution(builtin("omega"), deg_bound=40, hom_bound=7)
-    assert calls == near_calls
-    assert len(calls) == 3 * (7 - 1)  # one per branch at each step i >= 2
-    assert {ij: v for ij, v in far.betti.items() if ij[1] <= 17} == dict(near.betti.items())
-    assert near.truncated_rows == far.truncated_rows == ()
+    counts = {}
+    for hom in (7, 14):
+        near = min_free_resolution(builtin("omega"), deg_bound=17, hom_bound=hom)
+        counts[hom, 17], calls[:] = list(calls), []
+        far = min_free_resolution(builtin("omega"), deg_bound=40, hom_bound=hom)
+        counts[hom, 40], calls[:] = list(calls), []
+        assert {ij: v for ij, v in far.betti.items() if ij[1] <= 17} == dict(near.betti.items())
+        assert near.truncated_rows == far.truncated_rows == ()
+    # one per branch at steps 2 and 3; every later row is certified doubling
+    assert all(c == counts[7, 17] for c in counts.values()) and len(counts[7, 17]) == 6
+
+
+@pytest.mark.parametrize("change", ["gains", "loses"])
+def test_step_3_certificate_fires(monkeypatch, change):
+    steps = []
+
+    def altered_branch_syzygies(gens, r, deg_bound, field):
+        born = branch_syzygies(gens, r, deg_bound, field)
+        steps.append(born)
+        if len(steps) == 2:  # step 3 gains or loses one generator
+            born = born + born[-1:] if change == "gains" else born[:-1]
+        return born
+
+    branch_syzygies = resolve_module._branch_syzygies
+    monkeypatch.setattr(resolve_module, "_branch_syzygies", altered_branch_syzygies)
+    with pytest.raises(AssertionError, match="row 3"):
+        min_free_resolution(builtin("omega"), deg_bound=9, hom_bound=4)
+    assert len(steps) == 2  # no elimination past step 3
 
 
 @pytest.mark.parametrize("field", [QQ, FP_DEFAULT], ids=["QQ", "F32003"])
-def test_builtins_keep_doubling_to_hom_9(field):
+def test_builtins_match_every_step_oracle_to_hom_10(field):
     for name in BUILTIN_NAMES:
-        res = min_free_resolution(builtin(name, field), deg_bound=12, hom_bound=9)
+        M = builtin(name, field)
+        res = min_free_resolution(M, deg_bound=13, hom_bound=10)
+        assert (betti_entry_dict(res), res.tail_consistent, res.truncated_rows) \
+            == every_step_resolution(M, 13, 10), name
         assert res.tail_consistent, name
         assert res.truncated_rows == (), name
 
