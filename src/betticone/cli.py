@@ -32,6 +32,7 @@ or simply `builtin omega`.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -45,6 +46,7 @@ from .cone import (
 )
 from .linalg import QQ, FP_DEFAULT, PrimeField
 from .resolve import (
+    MAX_COEFFICIENT_BITS,
     BoundsError,
     GradedModuleB,
     PolyParseError,
@@ -63,7 +65,7 @@ from .tables import (
     eval_functional,
     make_pure_diagram,
 )
-from .window import Window, WindowCapError, cross_check
+from .window import Window, cross_check
 
 
 class TableFormatError(ValueError):
@@ -72,6 +74,26 @@ class TableFormatError(ValueError):
 
 class ModuleFormatError(ValueError):
     pass
+
+
+# Fraction expands a decimal exponent, so a text such as 1e1000000000 would
+# not finish: an exponent past MAX_COEFFICIENT_BITS is refused before the
+# value is built.
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _parse_rational(text: str) -> Fraction:
+    """Fraction(text), refused with a ValueError when its numerator or its
+    denominator would pass MAX_COEFFICIENT_BITS bits, the bound parse_poly
+    keeps on coefficients."""
+    exp = _EXPONENT.search(text)
+    try:
+        q = None if exp and abs(int(exp[1])) > MAX_COEFFICIENT_BITS else Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
+    if q is None or max(abs(q.numerator), q.denominator).bit_length() - 1 > MAX_COEFFICIENT_BITS:
+        raise ValueError(f"{text!r} needs a numerator or denominator above {MAX_COEFFICIENT_BITS} bits")
+    return q
 
 
 def parse_table_text(text: str) -> BettiTable:
@@ -93,8 +115,8 @@ def parse_table_text(text: str) -> BettiTable:
         if len(parts) != 4:
             raise TableFormatError(f"bad entry line: {line!r}")
         try:
-            i, j, val = int(parts[1]), int(parts[2]), Fraction(parts[3])
-        except (ValueError, ZeroDivisionError) as exc:
+            i, j, val = int(parts[1]), int(parts[2]), _parse_rational(parts[3])
+        except ValueError as exc:
             raise TableFormatError(f"bad entry line: {line!r}") from exc
         if (i, j) in entries:
             raise TableFormatError(f"duplicate entry at ({i}, {j})")
@@ -265,7 +287,7 @@ def cmd_verify_window(args) -> int:
 
 
 def cmd_local(args) -> int:
-    s = BettiSequence.of(Fraction(args.b0), Fraction(args.b1), Fraction(args.b2))
+    s = BettiSequence.of(_parse_rational(args.b0), _parse_rational(args.b1), _parse_rational(args.b2))
     verdict = check_local(s, finite_length=args.finite_length)
     if not verdict.member:
         if args.mode == "decompose":
@@ -344,16 +366,10 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (TableFormatError, ModuleFormatError, PolyParseError, WindowCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (StabilizationError, BoundsError, DecompositionLoopError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,6 +32,7 @@ from .tables import (
     Functional,
     RationalLike,
     _cone_functionals,
+    _doubling_equalities,
     collapse_tail,
     eval_functional,
     make_pure_diagram,
@@ -88,33 +89,13 @@ class MembershipVerdict:
     violation: Violation | None = None
 
 
-def _doubling_scan(v: BettiTable) -> Violation | None:
-    # Explicit tables are finite windows: the doubling equalities are checked
-    # everywhere except past the topmost stored row, where the window ends.
-    if v.tail_mode == CANONICAL:
-        return None
-    top = v.max_row
-    checks = set()
-    for (i, j) in v.support():
-        if i >= 2 and i < top:
-            checks.add((i, j))
-        if i >= 3:
-            checks.add((i - 1, j - 1))
-    for (i, j) in sorted(checks):
-        f = Functional.doubling_eq(i, j)
-        val = eval_functional(f, v)
-        if val != 0:
-            return Violation(f.label(), val, f)
-    return None
-
-
 def _first_violation(v: BettiTable, finite_length: bool = False) -> Violation | None:
     """First violated halfspace in the fixed scan order: doubling equalities,
     then epsilon, then alpha, then gamma, each by increasing index, and last
     gamma_inf = 0 when finite_length is set."""
-    viol = _doubling_scan(v)
-    if viol is not None:
-        return viol
+    for f, val in _doubling_equalities(v):
+        if val != 0:
+            return Violation(f.label(), val, f)
     for (i, j), val in v.items():
         if val < 0:
             f = Functional.epsilon(i, j)
@@ -281,7 +262,7 @@ def check_local(s: BettiSequence, finite_length: bool = False) -> MembershipVerd
     viol = _local_violation(s, finite_length)
     if viol is not None:
         return MembershipVerdict(False, violation=viol)
-    return MembershipVerdict(True, decomposition=decompose_local(s, finite_length))
+    return MembershipVerdict(True, decomposition=_local_coefficients(s, finite_length))
 
 
 def decompose_local(s: BettiSequence, finite_length: bool = False) -> LocalDecomposition:
@@ -290,6 +271,11 @@ def decompose_local(s: BettiSequence, finite_length: bool = False) -> LocalDecom
     viol = _local_violation(s, finite_length)
     if viol is not None:
         raise NotInConeError(viol)
+    return _local_coefficients(s, finite_length)
+
+
+def _local_coefficients(s: BettiSequence, finite_length: bool) -> LocalDecomposition:
+    """The coefficients of decompose_local, for a sequence already known to be a member."""
     c = s.b2 / 6
     b = s.b1 - 3 * c
     a = s.b0 - b - c

@@ -141,9 +141,6 @@ class SpanTracker:
     def rank(self) -> int:
         return len(self.rows)
 
-    def contains(self, vec) -> bool:
-        return self.reduce(vec)[0] is None
-
 
 def kernel_basis(rows: list[list], ncols: int, field) -> list[list]:
     """Basis of the right kernel of a matrix given as a list of int rows."""
@@ -163,10 +160,3 @@ def kernel_basis(rows: list[list], ncols: int, field) -> list[list]:
             vec[piv] = -row[free] * scale // row[piv]
         basis.append(_normalize(vec, tracker.p)[1])
     return basis
-
-
-def matrix_rank(rows: list[list], ncols: int, field) -> int:
-    tracker = SpanTracker(field, ncols)
-    for row in rows:
-        tracker.add(row)
-    return tracker.rank

@@ -118,9 +118,6 @@ class BPolynomial:
     def items(self):
         return tuple(sorted(self._coeffs.items(), key=lambda kv: (kv[0][1], kv[0][0])))
 
-    def coefficient(self, mono) -> Fraction:
-        return self._coeffs.get(tuple(mono), Fraction(0))
-
     @property
     def is_homogeneous(self) -> bool:
         return len({exp for (_, exp) in self._coeffs}) <= 1
@@ -441,18 +438,6 @@ def quotient_module(gens, field=FP_DEFAULT) -> GradedModuleB:
     return GradedModuleB((0,), tuple(rows), field)
 
 
-def _x(e=1):
-    return BPolynomial.monomial("x", e)
-
-
-def _y(e=1):
-    return BPolynomial.monomial("y", e)
-
-
-def _z(e=1):
-    return BPolynomial.monomial("z", e)
-
-
 BUILTIN_NAMES = ("B", "omega", "M1", "M2", "M3", "M12", "M13", "M23", "k_residue")
 
 
@@ -460,20 +445,16 @@ def builtin(name: str, field=FP_DEFAULT) -> GradedModuleB:
     """Standard test modules: the ring, its canonical module (presented as the
     cokernel of the 2 x 3 matrix with rows (-z, y, 0) and (0, -y, x)), the six
     monomial quotients, and the residue field."""
+    x, y, z = map(BPolynomial.variable, _VARS)
     if name == "B":
         return GradedModuleB((0,), (), field)
     if name == "omega":
-        rows = ((-_z(), BPolynomial.zero()), (_y(), -_y()), (BPolynomial.zero(), _x()))
+        rows = ((-z, BPolynomial.zero()), (y, -y), (BPolynomial.zero(), x))
         return GradedModuleB((0, 0), rows, field)
-    singles = {"M1": "x", "M2": "y", "M3": "z"}
-    if name in singles:
-        return quotient_module([BPolynomial.variable(singles[name])], field)
-    doubles = {"M12": "xy", "M13": "xz", "M23": "yz"}
-    if name in doubles:
-        a, b = doubles[name]
-        return quotient_module([BPolynomial.variable(a), BPolynomial.variable(b)], field)
-    if name == "k_residue":
-        return quotient_module([_x(), _y(), _z()], field)
+    quotients = {"M1": (x,), "M2": (y,), "M3": (z,), "M12": (x, y), "M13": (x, z), "M23": (y, z),
+                 "k_residue": (x, y, z)}
+    if name in quotients:
+        return quotient_module(quotients[name], field)
     raise ValueError(f"unknown builtin {name!r}; admitted: {', '.join(BUILTIN_NAMES)}")
 
 
@@ -488,15 +469,19 @@ def _relation_walk(M: GradedModuleB, dstop: int):
     generators.  The v multiple of a relation of degree e < d is its v block,
     whatever d is, so one tracker over the branch coordinates serves every
     degree: at d it takes the blocks of the degree d - 1 relations, then the
-    degree d relations, and those that grow the span are the minimal ones."""
+    degree d relations, and those that grow the span are the minimal ones.
+    The relations are grouped by degree first, so the walk costs
+    O(degrees + relations), not their product."""
     r = len(M.gen_degrees)
+    by_degree: dict[int, list] = {}
+    for e, row in M._branch_rows:
+        by_degree.setdefault(e, []).append(row)
     tracker = SpanTracker(M.field, 3 * r)
     for d in range(min(M.gen_degrees), dstop + 1):
-        for e, row in M._branch_rows:
-            if e == d - 1:
-                for at in range(0, 3 * r, r):
-                    tracker.add([0] * at + row[at:at + r] + [0] * (2 * r - at))
-        born = [row for e, row in M._branch_rows if e == d and tracker.add(row) is not None]
+        for row in by_degree.get(d - 1, ()):
+            for at in range(0, 3 * r, r):
+                tracker.add([0] * at + row[at:at + r] + [0] * (2 * r - at))
+        born = [row for row in by_degree.get(d, ()) if tracker.add(row) is not None]
         yield d, tracker.rank, born
 
 

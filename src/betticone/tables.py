@@ -165,13 +165,9 @@ def collapse_tail(table: BettiTable) -> BettiTable:
     """
     if table.tail_mode == CANONICAL:
         return table
-    top = table.max_row
-    for (i, j) in table.support():
-        if 2 <= i < top and 2 * table.entry(i, j) != table.entry(i + 1, j + 1):
-            raise ValueError(f"doubling fails at ({i}, {j}); table is not a tail window")
-        # every stored entry in rows >= 3 must be fed by the row below it
-        if i >= 3 and 2 * table.entry(i - 1, j - 1) != table.entry(i, j):
-            raise ValueError(f"doubling fails at ({i - 1}, {j - 1}); table is not a tail window")
+    for f, val in _doubling_equalities(table):
+        if val != 0:
+            raise ValueError(f"doubling fails at ({f.i}, {f.j}); table is not a tail window")
     kept = {(i, j): v for (i, j), v in table.items() if i <= 2}
     return BettiTable(kept, tail_mode=CANONICAL)
 
@@ -341,6 +337,23 @@ def eval_functional(f: Functional, v: BettiTable) -> Fraction:
     if f.kind == DOUBLING_EQ:
         return 2 * v.entry(f.i, f.j) - v.entry(f.i + 1, f.j + 1)
     raise ValueError(f"unknown functional kind: {f.kind!r}")
+
+
+def _doubling_equalities(table: BettiTable) -> Iterator[tuple[Functional, Fraction]]:
+    """The doubling equalities an explicit table must meet, by increasing
+    (i, j), with their values on it.  The table is a finite window: a stored
+    entry in rows 2 <= i < top must double into the row above, and one in rows
+    i >= 3 must be fed by the row below, while the topmost stored row is the
+    window boundary.  A canonical table has the doubling built in and yields
+    nothing."""
+    if table.tail_mode == CANONICAL:
+        return
+    top = table.max_row
+    at = {(i, j) for (i, j) in table.support() if 2 <= i < top}
+    at.update((i - 1, j - 1) for (i, j) in table.support() if i >= 3)
+    for i, j in sorted(at):
+        f = Functional.doubling_eq(i, j)
+        yield f, eval_functional(f, table)
 
 
 def _cone_functionals(*tables: BettiTable) -> Iterator[tuple[Functional, tuple[Fraction, ...]]]:

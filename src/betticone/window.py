@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cone import Decomposition
 from .tables import (
     ALPHA,
     BettiTable,
@@ -34,6 +33,11 @@ from .tables import (
 )
 
 _ROWS = (0, 1, 2)
+
+
+# Largest window dimension (3 * width) cross_check accepts: width 6, such as
+# the window [0, 5].
+MAX_WINDOW_DIM = 18
 
 
 class WindowCapError(ValueError):
@@ -183,7 +187,7 @@ class WindowReport:
 
 
 def cross_check(w: Window, finite_length: bool = False, include_alpha: bool = True,
-                include_gamma: bool = True, dim_cap: int = 18) -> WindowReport:
+                include_gamma: bool = True) -> WindowReport:
     """Compare the generator and facet descriptions on a window.
 
     The generators are checked against every facet (a failure there is a bug
@@ -191,8 +195,8 @@ def cross_check(w: Window, finite_length: bool = False, include_alpha: bool = Tr
     one to one against the generators up to positive scaling.  Dropping alpha
     or gamma facets widens the cone and shows up as witness rays.
     """
-    if w.dim > dim_cap:
-        raise WindowCapError(f"window dimension {w.dim} exceeds cap {dim_cap}")
+    if w.dim > MAX_WINDOW_DIM:
+        raise WindowCapError(f"window dimension {w.dim} exceeds cap {MAX_WINDOW_DIM}")
     gens = window_generators(w, finite_length)
     ineqs, eqs = window_facets(w, finite_length, include_alpha, include_gamma)
     gen_norm = []
@@ -225,31 +229,3 @@ def cross_check(w: Window, finite_length: bool = False, include_alpha: bool = Tr
         rays=tuple(rays),
         generator_vectors=tuple(gen_norm),
     )
-
-
-def _lcg(seed: int):
-    # classic 32 bit linear congruential stream, fixed here so tests replay
-    state = seed % 2 ** 32
-    while True:
-        state = (1664525 * state + 1013904223) % 2 ** 32
-        yield state
-
-
-def random_cone_point(w: Window, seed: int, finite_length: bool = False):
-    """Seeded random nonnegative combination of window generators, returned as
-    (table, terms).  Deterministic across runs by construction."""
-    gens = window_generators(w, finite_length)
-    if not gens:
-        raise ValueError("window has no generators")
-    rng = _lcg(seed)
-    terms = []
-    for pd in gens:
-        r = next(rng)
-        if r % 3 == 0:
-            terms.append((pd.degree_sequence, Fraction(1 + r % 8, 1 + r % 4)))
-    if not terms:
-        pd = gens[next(rng) % len(gens)]
-        r = next(rng)
-        terms.append((pd.degree_sequence, Fraction(1 + r % 8, 1 + r % 4)))
-    deco = Decomposition(tuple(terms))
-    return deco.recombine(), tuple(terms)

@@ -4,6 +4,7 @@ import io
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +146,26 @@ def test_decompose_output(capsys, tmp_path):
     assert lines[0] == "terms: 2"
     assert lines[1] == "term: (0, 1, 2, ...) coeff: 1"
     assert lines[2] == "term: (0, inf) coeff: 1"
+
+
+@pytest.mark.parametrize("value", ["1e10000000", "1e1000000000", "7.5e-10000000", "9" * 1300, str(2 ** 4097)])
+def test_values_past_the_coefficient_bound_are_refused_promptly(capsys, tmp_path, value):
+    path = write(tmp_path, "t.betti", f"betti v1\nmode canonical\nentry 0 0 {value}\n")
+    for argv in (["check", path], ["local", "check", value, "1", "1"], ["local", "decompose", "1", "1", value]):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_values_up_to_the_coefficient_bound_parse():
+    # the bound is the one parse_poly keeps: floor(log2) of the numerator or
+    # the denominator at most 4096
+    for value in (2 ** 4097 - 1, Fraction(1, 2 ** 4097 - 1), Fraction(10 ** 1233)):
+        t = BettiTable({(0, 0): value})
+        assert parse_table_text(format_table_text(t)) == t
+    assert parse_table_text("betti v1\nmode canonical\nentry 0 0 1e1233\n") == BettiTable({(0, 0): 10 ** 1233})
 
 
 def test_check_missing_file(capsys, tmp_path):
@@ -349,6 +370,80 @@ def test_module_commands_survive_fuzzing(text, command, deg_bound, hom_bound):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+# -- fuzzing check, decompose and local ------------------------------------------------
+
+indices = st.one_of(st.integers(-3, 8), st.integers(-10 ** 20, 10 ** 20))
+numbers = st.one_of(
+    ints.map(str),
+    st.fractions().map(str),
+    st.decimals(allow_nan=False, allow_infinity=False).map(str),
+    st.builds("{}e{}".format, st.integers(-99, 99), st.one_of(st.integers(-9, 9), indices)),
+)
+values = st.one_of(
+    numbers,
+    st.sampled_from(["1/0", "0/0", "nan", "inf", "1e", "e5", "1_000", ".5", "5.", "-0", "1/-2", "1e5_0"]),
+    st.text(max_size=8),
+)
+table_lines = st.one_of(
+    st.sampled_from(["betti v1", "betti v2", "mode canonical", "mode explicit", "mode diagonal", ""]),
+    st.builds("entry {} {} {}".format, indices, indices, values),
+    st.text(max_size=20),
+)
+
+
+@st.composite
+def table_texts(draw):
+    """Lines drawn from the format's header, mode and entry lines and from
+    arbitrary text; or a well formed header with numeric entry lines in the
+    rows the mode admits (up to 4 if explicit), with at most one drawn line
+    put in among them."""
+    if not draw(st.integers(0, 3)):
+        return "\n".join(draw(st.lists(table_lines, max_size=8)))
+    mode = draw(st.sampled_from(["canonical", "explicit"]))
+    rows = st.integers(0, 2 if mode == "canonical" else 4)
+    cells = draw(st.dictionaries(st.tuples(rows, st.integers(-3, 6)), numbers, max_size=6))
+    lines = ["betti v1", f"mode {mode}", *(f"entry {i} {j} {v}" for (i, j), v in cells.items())]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(table_lines))
+    return "\n".join(lines)
+
+
+def run_quietly(argv, stdin=""):
+    """(exit code, stdout, stderr) of run(argv) with stdin read from a string."""
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+cells = st.one_of(st.integers(-10 ** 40, 10 ** 40), st.fractions(max_denominator=10 ** 12))
+drawn_tables = st.one_of(
+    st.dictionaries(st.tuples(st.integers(0, 2), indices), cells, max_size=6).map(BettiTable),
+    st.dictionaries(st.tuples(st.integers(0, 40), indices), cells, max_size=6).map(
+        lambda entries: BettiTable(entries, tail_mode="explicit")),
+)
+
+
+@given(text=table_texts(), table=drawn_tables, command=st.sampled_from(["check", "decompose"]),
+       finite_length=st.booleans(), local=st.tuples(st.sampled_from(["check", "decompose"]), values, values, values))
+@settings(max_examples=300, deadline=2000)
+def test_table_commands_survive_fuzzing(text, table, command, finite_length, local):
+    assert parse_table_text(format_table_text(table)) == table
+    flag = ["--finite-length"] if finite_length else []
+    mode, *triple = local
+    # values go after --, so that argparse reads one starting with - as a value
+    for argv, stdin in (([command, "-", *flag], text), ([command, "-", *flag], format_table_text(table)),
+                        (["local", mode, *flag, "--", *triple], "")):
+        code, _, err = run_quietly(argv, stdin)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.startswith("error:") and err.count("\n") == 1
 
 
 # -- verify-window and local ----------------------------------------------------------

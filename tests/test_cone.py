@@ -30,6 +30,7 @@ from betticone import (
     table_arith,
 )
 from betticone import cone
+from betticone.tables import _doubling_equalities
 
 OMEGA_TABLE = BettiTable({(0, 0): 2, (1, 1): 3, (2, 2): 6})
 
@@ -175,9 +176,9 @@ def full_span_functionals(v):
 
 def full_span_violation(v, finite_length):
     """(label, value) of the first violated functional, or None."""
-    viol = cone._doubling_scan(v)
-    if viol is not None:
-        return viol.label, viol.value
+    for f, val in _doubling_equalities(v):
+        if val != 0:
+            return f.label(), val
     for (i, j), val in v.items():
         if val < 0:
             return f"epsilon({i},{j})", val
@@ -402,3 +403,14 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_guards_fire_past_the_membership_scan():
+    # the pivot and the local coefficients trust the scan; called without it
+    # on a non-member they raise, under python -O too
+    with pytest.raises(AssertionError, match="without row 0 mass"):
+        cone._pivot(BettiTable({(1, 1): 1}))
+    with pytest.raises(AssertionError, match="contradict the membership scan"):
+        cone._local_coefficients(BettiSequence.of(0, 1, 0), finite_length=False)
+    with pytest.raises(AssertionError, match="contradict the membership scan"):
+        cone._local_coefficients(BettiSequence.of(1, 0, 0), finite_length=True)

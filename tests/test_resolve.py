@@ -1,5 +1,6 @@
 """Ring elements, module presentations, resolutions, and Hilbert data."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -581,6 +582,23 @@ def test_hilbert_stabilization_guard():
         hilbert_data(quotient_module(["x^2"]), 2)
     with pytest.raises(ValueError, match="deg_bound"):
         hilbert_data(builtin("B"), 1)
+
+
+def test_relation_walk_visits_each_degree_and_relation_once():
+    # 2,000 relations spread over 10,000 degrees.  The module is built outside
+    # the clock, so the clock sees the relation walk and what follows it.
+    M = GradedModuleB((0,), tuple((BPolynomial.monomial("xyz"[k % 3], k),) for k in range(8001, 10001)))
+    start = time.perf_counter()
+    res = min_free_resolution(M, 10 ** 9, 3)
+    assert time.perf_counter() - start < 0.25
+    start = time.perf_counter()
+    hd = hilbert_data(M, 10 ** 9)
+    assert time.perf_counter() - start < 0.25
+    # only x^8001, y^8002 and z^8003 are minimal; the span ends at degree 8003
+    assert dict(res.betti.items()) == {(0, 0): 1, **{(i, 8000 + i + n): 2 ** (i - 1) for i in (1, 2, 3)
+                                                      for n in range(3)}}
+    assert hd.e == 0 and hd.numerator[:2] == (1, 2) and hd.numerator[-3:] == (-1, -1, -1)
+    assert len(hd.numerator) == 8004
 
 
 def test_finite_length_witnesses_have_e_zero():
