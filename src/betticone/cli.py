@@ -202,20 +202,21 @@ def _parse_field(spec: str):
     raise ValueError(f"bad field {spec!r} (use qq, fp, or fp:P)")
 
 
-def _print_verdict(verdict, show_member: bool) -> int:
-    """Print a membership verdict: the violated functional of a non-member,
-    the decomposition terms of a member.  Returns the exit code."""
-    if show_member:
-        print(f"member: {'yes' if verdict.member else 'no'}")
-    if not verdict.member:
-        v = verdict.violation
-        print(f"violated: {v.label} value: {v.value}")
-        return 1
-    deco = verdict.decomposition
-    print(f"terms: {len(deco.terms)}")
-    for d, coeff in deco.terms:
-        print(f"term: {d} coeff: {coeff}")
-    return 0
+def _print_verdict(verdict, head=()) -> int:
+    """Print the lines in head, then a membership verdict: the violated
+    functional of a non-member, the decomposition terms of a member.  The
+    whole text is built before any of it is written, so a value past Python's
+    int-to-text limit ends in exit 2 with nothing printed.  Returns the exit
+    code."""
+    lines = list(head)
+    if verdict.member:
+        deco = verdict.decomposition
+        lines.append(f"terms: {len(deco.terms)}")
+        lines += [f"term: {d} coeff: {coeff}" for d, coeff in deco.terms]
+    else:
+        lines.append(f"violated: {verdict.violation.label} value: {verdict.violation.value}")
+    print("\n".join(lines))
+    return 0 if verdict.member else 1
 
 
 def cmd_rays(args) -> int:
@@ -235,8 +236,9 @@ def cmd_rays(args) -> int:
 
 def cmd_check(args) -> int:
     table = parse_table_text(_read_text(args.file))
-    checker = check_finite_length if args.finite_length else check_graded
-    return _print_verdict(checker(table), args.show_member)
+    verdict = (check_finite_length if args.finite_length else check_graded)(table)
+    head = [f"member: {'yes' if verdict.member else 'no'}"] if args.show_member else []
+    return _print_verdict(verdict, head)
 
 
 def cmd_resolve(args) -> int:
@@ -290,9 +292,7 @@ def cmd_local(args) -> int:
     s = BettiSequence.of(_parse_rational(args.b0), _parse_rational(args.b1), _parse_rational(args.b2))
     verdict = check_local(s, finite_length=args.finite_length)
     if not verdict.member:
-        if args.mode == "decompose":
-            print("not in local cone")
-        return _print_verdict(verdict, show_member=args.mode == "check")
+        return _print_verdict(verdict, ["not in local cone" if args.mode == "decompose" else "member: no"])
     if args.mode == "check":
         print("member: yes")
         return 0
@@ -353,6 +353,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("b1")
     p.add_argument("b2")
     p.add_argument("--finite-length", action="store_true")
+    # argparse reads only plain negative ints and decimals as values, and
+    # -1/2 or -1e3 as unknown options; here a - before a digit or a point
+    # starts a value
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.set_defaults(func=cmd_local)
 
     return parser

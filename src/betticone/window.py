@@ -131,46 +131,37 @@ def normalize_ray(vec) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def _zero_mask(processed, r):
-    return frozenset(n for n, a in enumerate(processed) if _dot(a, r) == 0)
-
-
 def extreme_rays(dim: int, ineqs, eqs=()):
     """Extreme rays of {v : a.v >= 0 for ineqs, b.v = 0 for eqs} by double
     description, assuming the inequalities contain the coordinate orthant
     (ours always do).  Rays are kept as primitive integer tuples throughout,
-    and are returned sorted."""
-    rays = [tuple(int(m == n) for m in range(dim)) for n in range(dim)]
-    processed = list(rays)
+    and are returned sorted.
+
+    Each ray carries an int bitmask of the constraints it is flat on: bit n
+    for coordinate n, bit dim + t for the t-th constraint processed.  A new
+    ray is a strictly positive combination of its two parents, so it is flat
+    exactly where both of them are, and on the new constraint."""
+    full = (1 << dim) - 1
+    rays = {tuple(int(m == n) for m in range(dim)): full ^ (1 << n) for n in range(dim)}
     todo = list(ineqs)
     for b in eqs:
         todo.append(b)
         todo.append(tuple(-c for c in b))
-    for a in todo:
-        vals = [_dot(a, r) for r in rays]
-        if all(v >= 0 for v in vals):
-            processed.append(a)
-            continue
-        keep = [r for r, v in zip(rays, vals) if v >= 0]
-        masks = [_zero_mask(processed, r) for r in rays]
-        plus = [n for n, v in enumerate(vals) if v > 0]
-        minus = [n for n, v in enumerate(vals) if v < 0]
-        seen = set(keep)
-        fresh = []
-        for np_ in plus:
-            for nm in minus:
-                common = masks[np_] & masks[nm]
+    for t, a in enumerate(todo):
+        bit = 1 << (dim + t)
+        vals = {r: _dot(a, r) for r in rays}
+        plus = [r for r, v in vals.items() if v > 0]
+        minus = [r for r, v in vals.items() if v < 0]
+        new = {r: m | bit if vals[r] == 0 else m for r, m in rays.items() if vals[r] >= 0}
+        for rp in plus:
+            for rm in minus:
+                common = rays[rp] & rays[rm]
                 # adjacency: no third extreme ray flat on every constraint both are flat on
-                if any(common <= masks[o] for o in range(len(rays)) if o != np_ and o != nm):
+                if any(common & m == common for o, m in rays.items() if o != rp and o != rm):
                     continue
-                rp, rm = rays[np_], rays[nm]
-                combo = [vals[np_] * cm - vals[nm] * cp for cp, cm in zip(rp, rm)]
-                key = normalize_ray(combo)
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(key)
-        rays = keep + fresh
-        processed.append(a)
+                combo = [vals[rp] * cm - vals[rm] * cp for cp, cm in zip(rp, rm)]
+                new.setdefault(normalize_ray(combo), common | bit)
+        rays = new
     return sorted(rays)
 
 
@@ -183,7 +174,6 @@ class WindowReport:
     equal: bool
     witnesses: tuple[str, ...]
     rays: tuple[tuple[int, ...], ...]
-    generator_vectors: tuple[tuple[int, ...], ...]
 
 
 def cross_check(w: Window, finite_length: bool = False, include_alpha: bool = True,
@@ -227,5 +217,4 @@ def cross_check(w: Window, finite_length: bool = False, include_alpha: bool = Tr
         equal=not witnesses,
         witnesses=tuple(witnesses),
         rays=tuple(rays),
-        generator_vectors=tuple(gen_norm),
     )

@@ -8,6 +8,7 @@ own functionals wherever a criterion calls for an independent judgment.
 
 from fractions import Fraction
 
+from betticone import window as window_module
 from betticone import (
     BettiSequence,
     BettiTable,
@@ -212,7 +213,7 @@ def test_criterion_06_decomposition_round_trips():
     print("criterion 6 (200 random decompositions round trip): PASS")
 
 
-def test_criterion_07_window_rays_match_generators():
+def test_criterion_07_window_rays_match_generators(monkeypatch):
     for jmin, jmax in ((0, 1), (0, 3), (-2, 2), (0, 5)):
         report = cross_check(Window(jmin, jmax))
         assert report.equal, (jmin, jmax, report.witnesses)
@@ -224,6 +225,14 @@ def test_criterion_07_window_rays_match_generators():
     # ablations: each facet family is load bearing
     assert not cross_check(Window(0, 3), include_alpha=False).equal
     assert not cross_check(Window(0, 3), include_gamma=False).equal
+
+    # past the cap: width 8 at a negative jmin, and the ablations at width 7
+    monkeypatch.setattr(window_module, "MAX_WINDOW_DIM", 24)
+    for finite_length in (False, True):
+        report = cross_check(Window(-3, 4), finite_length=finite_length)
+        assert report.equal and report.n_rays == report.n_generators, report.witnesses
+    assert not cross_check(Window(-3, 3), include_alpha=False).equal
+    assert not cross_check(Window(-3, 3), include_gamma=False).equal
     print("criterion 7 (window extreme rays equal the pure diagrams): PASS")
 
 

@@ -5,13 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_bench_harness_runs_module_pipeline():
+@pytest.mark.parametrize("workload", ["module_pipeline", "window_rays"])
+def test_bench_harness_runs(workload):
     # zero seconds still runs one round of every part and checks it against the oracle
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "module_pipeline", "--seed", "1",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )

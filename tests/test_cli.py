@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betticone import BettiTable, check_graded
-from betticone.cli import format_table_text, parse_module_text, parse_table_text, run
-from betticone.resolve import BUILTIN_NAMES, MAX_HOM_BOUND
+from betticone import QQ, BettiTable, check_graded
+from betticone.cli import ModuleFormatError, format_table_text, parse_module_text, parse_table_text, run
+from betticone.resolve import BUILTIN_NAMES, MAX_HOM_BOUND, GradedModuleB
 
 
 def invoke(capsys, *argv):
@@ -157,6 +157,16 @@ def test_values_past_the_coefficient_bound_are_refused_promptly(capsys, tmp_path
         assert time.perf_counter() - start < 2.0
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_a_verdict_past_the_int_to_text_limit_prints_nothing(capsys, tmp_path):
+    # each entry is within the coefficient bound, but the violated gamma sums
+    # them over pairwise coprime denominators, past Python's 4,300 digits
+    entries = "".join(f"entry 0 {n} 1/{2 ** 4096 - k}\n" for n, k in enumerate((1, 3, 5, 7, 9)))
+    path = write(tmp_path, "t.betti", f"betti v1\nmode canonical\n{entries}entry 1 9 1\n")
+    code, out, err = invoke(capsys, "check", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_values_up_to_the_coefficient_bound_parse():
@@ -353,6 +363,16 @@ def module_texts(draw):
     return "\n".join(lines)
 
 
+@given(text=module_texts(), field=st.sampled_from([None, QQ]))
+@settings(max_examples=300, deadline=2000)
+def test_module_parsing_survives_fuzzing(text, field):
+    try:
+        module = parse_module_text(text, field=field)
+    except ModuleFormatError:
+        return
+    assert isinstance(module, GradedModuleB)
+
+
 @given(text=module_texts(), command=st.sampled_from(["resolve", "hilbert"]),
        deg_bound=st.integers(-5, 10 ** 9), hom_bound=st.integers(-5, 2 * MAX_HOM_BOUND))
 @settings(max_examples=300, deadline=2000)
@@ -430,16 +450,21 @@ drawn_tables = st.one_of(
 )
 
 
+# numbers go straight on the local command line, even -1/2 or -5e3; any other
+# value goes after --, or argparse would read -x as an option
+local_values = st.one_of(st.tuples(st.just([]), numbers, numbers, numbers),
+                         st.tuples(st.just(["--"]), values, values, values))
+
+
 @given(text=table_texts(), table=drawn_tables, command=st.sampled_from(["check", "decompose"]),
-       finite_length=st.booleans(), local=st.tuples(st.sampled_from(["check", "decompose"]), values, values, values))
+       finite_length=st.booleans(), mode=st.sampled_from(["check", "decompose"]), local=local_values)
 @settings(max_examples=300, deadline=2000)
-def test_table_commands_survive_fuzzing(text, table, command, finite_length, local):
+def test_table_commands_survive_fuzzing(text, table, command, finite_length, mode, local):
     assert parse_table_text(format_table_text(table)) == table
     flag = ["--finite-length"] if finite_length else []
-    mode, *triple = local
-    # values go after --, so that argparse reads one starting with - as a value
+    separator, *triple = local
     for argv, stdin in (([command, "-", *flag], text), ([command, "-", *flag], format_table_text(table)),
-                        (["local", mode, *flag, "--", *triple], "")):
+                        (["local", mode, *flag, *separator, *triple], "")):
         code, _, err = run_quietly(argv, stdin)
         assert code in (0, 1, 2)
         if code == 2:
@@ -492,6 +517,13 @@ def test_local_decompose(capsys):
 def test_local_accepts_fractions(capsys):
     code, out, _ = invoke(capsys, "local", "decompose", "1/2", "1/2", "0")
     assert code == 0 and "a: 0" in out and "b: 1/2" in out
+
+
+@pytest.mark.parametrize("value, shown", [("-1/2", "-1/2"), ("-1e3", "-1000"), ("-.5", "-1/2")])
+def test_local_reads_negative_values(capsys, value, shown):
+    for argv in (["local", "check", value, "1", "1"], ["local", "check", "--", value, "1", "1"]):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (1, f"member: no\nviolated: b0 value: {shown}\n", "")
 
 
 def test_local_rejects_garbage(capsys):

@@ -156,6 +156,61 @@ def test_window_zero_one_rays_solved_by_hand():
     ])
 
 
+def frozenset_extreme_rays(dim, ineqs, eqs=()):
+    """The double description pass that recomputes every ray's zero set, as a
+    frozenset of processed constraints, before each constraint."""
+    def zero_set(processed, r):
+        return frozenset(n for n, a in enumerate(processed) if sum(c * x for c, x in zip(a, r)) == 0)
+
+    rays = [tuple(int(m == n) for m in range(dim)) for n in range(dim)]
+    processed = list(rays)
+    todo = list(ineqs)
+    for b in eqs:
+        todo.append(b)
+        todo.append(tuple(-c for c in b))
+    for a in todo:
+        vals = [sum(c * x for c, x in zip(a, r)) for r in rays]
+        if all(v >= 0 for v in vals):
+            processed.append(a)
+            continue
+        keep = [r for r, v in zip(rays, vals) if v >= 0]
+        masks = [zero_set(processed, r) for r in rays]
+        plus = [n for n, v in enumerate(vals) if v > 0]
+        minus = [n for n, v in enumerate(vals) if v < 0]
+        seen = set(keep)
+        fresh = []
+        for np_ in plus:
+            for nm in minus:
+                common = masks[np_] & masks[nm]
+                if any(common <= masks[o] for o in range(len(rays)) if o != np_ and o != nm):
+                    continue
+                rp, rm = rays[np_], rays[nm]
+                key = normalize_ray([vals[np_] * cm - vals[nm] * cp for cp, cm in zip(rp, rm)])
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(key)
+        rays = keep + fresh
+        processed.append(a)
+    return sorted(rays)
+
+
+@st.composite
+def constraint_systems(draw):
+    """The coordinate inequalities plus up to 8 random ones, shuffled, and up
+    to 2 equalities, all with entries in [-3, 3]."""
+    dim = draw(st.integers(1, 6))
+    row = st.tuples(*[st.integers(-3, 3)] * dim)
+    units = [tuple(int(m == n) for m in range(dim)) for n in range(dim)]
+    ineqs = draw(st.permutations(units + draw(st.lists(row, max_size=8))))
+    return dim, ineqs, draw(st.lists(row, max_size=2))
+
+
+@given(constraint_systems())
+@settings(max_examples=300, deadline=None)
+def test_extreme_rays_agree_with_the_zero_set_oracle(system):
+    assert extreme_rays(*system) == frozenset_extreme_rays(*system)
+
+
 def test_normalize_ray():
     assert normalize_ray([Fraction(1, 2), Fraction(3, 2)]) == (1, 3)
     assert normalize_ray([4, 6]) == (2, 3)
