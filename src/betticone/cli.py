@@ -26,12 +26,13 @@ by generator degrees plus relation rows:
     rel y, -y
     rel 0, x
 
-or simply `builtin omega`.
+or simply `builtin omega`.  A field, gens or builtin line may appear once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -145,6 +146,8 @@ def parse_module_text(text: str, field=None) -> GradedModuleB:
             continue
         key, _, rest = line.partition(" ")
         rest = rest.strip()
+        if {"field": file_field, "gens": gens, "builtin": builtin_name}.get(key) is not None:
+            raise ModuleFormatError(f"repeated {key} line: {line!r}")
         if key == "field":
             parts = rest.split()
             if parts == ["QQ"]:
@@ -303,7 +306,11 @@ def cmd_local(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser run() shares: built on the first call, not at import.
+    parse_args returns a new Namespace and looks sys.stdout and sys.stderr
+    up when it writes, so one parser serves every call."""
     parser = argparse.ArgumentParser(
         prog="betticone",
         description="Betti cone toolkit for the ring k[x,y,z]/(xy,yz,xz)",

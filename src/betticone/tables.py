@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterable, Iterator, Mapping, Union
 
 CANONICAL = "canonical"
@@ -30,7 +31,28 @@ FREE = "free"
 TWO_STEP = "two_step"
 TAIL = "tail"
 
-INF = float("inf")
+
+@total_ordering
+class _Infinity:
+    """The type of INF, the degree of a missing position: above every int,
+    equal to nothing but INF."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, _Infinity)
+
+    def __hash__(self):
+        return hash(_Infinity)
+
+    def __lt__(self, other):
+        return False if isinstance(other, (int, _Infinity)) else NotImplemented
+
+    def __repr__(self):
+        return "INF"
+
+
+INF = _Infinity()
 
 RationalLike = Union[int, Fraction]
 

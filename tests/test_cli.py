@@ -1,6 +1,7 @@
 """End to end exercises of the command line interface via run(argv)."""
 
 import io
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betticone import QQ, BettiTable, check_graded
+from betticone import QQ, BettiTable, check_graded, cli
 from betticone.cli import ModuleFormatError, format_table_text, parse_module_text, parse_table_text, run
 from betticone.resolve import BUILTIN_NAMES, MAX_HOM_BOUND, GradedModuleB
 
@@ -233,6 +234,18 @@ def test_resolve_rejects_a_denominator_the_field_cannot_invert(capsys, tmp_path)
     code, out, err = invoke(capsys, "resolve", path, "--deg-bound", "6", "--hom-bound", "2")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "divisible by 7" in err
+
+
+@pytest.mark.parametrize("text", [
+    "field QQ\nfield Fp 7\ngens 0\nrel 7*x\n",
+    "gens 0\ngens 5\nrel x\n",
+    "builtin omega\nbuiltin B\n",
+])
+def test_a_repeated_module_keyword_is_refused(capsys, tmp_path, text):
+    path = write(tmp_path, "m.mod", text)
+    code, out, err = invoke(capsys, "resolve", path, "--deg-bound", "6", "--hom-bound", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: repeated ") and err.count("\n") == 1
 
 
 def test_huge_prime_is_refused_promptly(capsys, tmp_path):
@@ -540,6 +553,48 @@ def test_no_arguments_is_a_usage_error(capsys):
 
 def test_unknown_command(capsys):
     assert invoke(capsys, "frobnicate")[0] == 2
+
+
+def test_every_subcommand_shares_one_parser(capsys, tmp_path):
+    table = write(tmp_path, "t.betti", TAIL_TABLE)
+    module = write(tmp_path, "m.mod", "builtin omega\n")
+    cli._build_parser.cache_clear()
+    for argv in (["rays", "--d0", "0", "--d1", "2"], ["check", table], ["decompose", table],
+                 ["resolve", module, "--deg-bound", "6", "--hom-bound", "2"],
+                 ["hilbert", module, "--deg-bound", "6"], ["verify-window", "--jmin", "0", "--jmax", "1"],
+                 ["local", "check", "1", "1", "1"]):
+        assert invoke(capsys, *argv)[0] == 0, argv
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_the_shared_parser_answers_as_a_fresh_one(tmp_path, monkeypatch):
+    # flags and defaults of one call must not leak into the next
+    module = write(tmp_path, "m.mod", "field Fp 7\ngens 0\nrel 7*x\n")
+    resolve = ["resolve", module, "--deg-bound", "6", "--hom-bound", "2"]
+    window = ["verify-window", "--jmin", "0", "--jmax", "3"]
+    script = [
+        (["resolve", "-", "--hom-bound", "2"], ""),
+        ([*resolve, "--field", "qq"], ""), (resolve, ""),
+        (["check", "-", "--finite-length"], OMEGA_TABLE), (["check", "-"], OMEGA_TABLE),
+        (["decompose", "-"], TAIL_TABLE), (["check", "-"], TAIL_TABLE),
+        (["local", "check", "-1/2", "1", "1"], ""), (["local", "decompose", "1", "1", "0"], ""),
+        ([*window, "--drop-gamma"], ""), (window, ""),
+    ]
+    shared = [run_quietly(argv, stdin) for argv, stdin in script]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert shared == [run_quietly(argv, stdin) for argv, stdin in script]
+    codes = [code for code, _, _ in shared]
+    assert codes == [2, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0]
+    assert "gamma_inf: 3" in shared[2][1] and "gamma_inf: 3" not in shared[1][1]
+    assert shared[6][1].startswith("member: yes") and not shared[5][1].startswith("member:")
+
+
+def test_importing_the_cli_builds_no_parser():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import betticone.cli as c; print(c._build_parser.cache_info().misses)"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 def test_resolved_table_is_in_the_cone(capsys, tmp_path):

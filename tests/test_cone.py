@@ -309,6 +309,7 @@ def test_degseq_leq_basic_cases():
     assert degseq_leq(DegreeSequence.tail(0, 1), DegreeSequence.free(0))
     assert degseq_leq(DegreeSequence.two_step(0, 1), DegreeSequence.free(0))
     assert degseq_leq(DegreeSequence.two_step(0, 1), DegreeSequence.two_step(0, 2))
+    assert degseq_leq(DegreeSequence.two_step(2, 4), DegreeSequence.tail(2, 7))  # (2, 4, inf) <= (2, 7, 8)
 
 
 def test_degseq_leq_incomparable_pair():

@@ -171,6 +171,22 @@ def test_degree_sequence_shapes_and_positions():
     assert [tl.degree(n) for n in range(5)] == [1, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize("d", [DegreeSequence.free(-2), DegreeSequence.two_step(0, 3), DegreeSequence.tail(1, 2)])
+def test_degrees_are_ints_or_INF_never_floats(d):
+    for n in range(6):
+        k = d.degree(n)
+        assert type(k) is int or k is INF, (n, k)
+
+
+def test_INF_is_above_every_int_and_equals_only_itself():
+    for k in (-10 ** 100, -1, 0, 1, 10 ** 100):
+        assert k < INF and k <= INF and INF > k and INF >= k and k != INF
+        assert not (INF < k or INF <= k or k > INF or k >= INF or INF == k)
+    assert INF == INF and INF <= INF and INF >= INF and not INF < INF
+    assert INF != float("inf") and not isinstance(INF, float)
+    assert len({INF, INF}) == 1
+
+
 def test_degree_sequence_requires_increasing():
     with pytest.raises(ValueError, match="d0 < d1"):
         DegreeSequence.two_step(3, 3)
