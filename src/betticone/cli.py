@@ -47,7 +47,6 @@ from .cone import (
 )
 from .linalg import QQ, FP_DEFAULT, PrimeField
 from .resolve import (
-    MAX_COEFFICIENT_BITS,
     BoundsError,
     GradedModuleB,
     PolyParseError,
@@ -60,6 +59,7 @@ from .resolve import (
 from .tables import (
     CANONICAL,
     EXPLICIT,
+    MAX_COEFFICIENT_BITS,
     BettiTable,
     DegreeSequence,
     Functional,

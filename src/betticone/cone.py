@@ -16,6 +16,13 @@ entries, so the membership scan and the decomposition's ratio test visit just
 those breakpoints (tables._cone_functionals): their cost follows the number of
 stored entries, not the span of degrees between them.
 
+The membership scan runs on ints: it multiplies the entries once by L, the
+lcm of their denominators, and reports a violated value as value / L.  When L
+passes MAX_COEFFICIENT_BITS bits it scans the Fractions themselves, since
+entries with pairwise coprime denominators would give ints of that many bits
+each, where sums that cancel keep Fractions small.  The ratio test stays on
+Fractions.
+
 The local (single column) cone over Betti sequences (b0, b1, b2) is handled at
 the end of the module, with rays (1,0,0), (1,1,0), (1,3,6).
 """
@@ -24,17 +31,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .tables import (
     CANONICAL,
+    EXPLICIT,
+    MAX_COEFFICIENT_BITS,
     BettiTable,
     DegreeSequence,
     Functional,
     RationalLike,
     _cone_functionals,
     _doubling_equalities,
-    collapse_tail,
-    eval_functional,
+    _exact,
+    _head,
     make_pure_diagram,
     table_arith,
 )
@@ -89,25 +99,41 @@ class MembershipVerdict:
     violation: Violation | None = None
 
 
+def _scaled(v: BettiTable) -> tuple[dict, int]:
+    """The entries of v times L, the lcm of their denominators, and L; the
+    entries themselves and 1 once L passes MAX_COEFFICIENT_BITS bits."""
+    items = v.items()
+    scale = 1
+    for _, val in items:
+        scale = lcm(scale, val.denominator)
+        if scale.bit_length() - 1 > MAX_COEFFICIENT_BITS:
+            return dict(items), 1
+    return {ij: val.numerator * (scale // val.denominator) for ij, val in items}, scale
+
+
+def _violation(f: Functional, val, scale: int) -> Violation:
+    return Violation(f.label(), Fraction(val, scale), f)
+
+
 def _first_violation(v: BettiTable, finite_length: bool = False) -> Violation | None:
     """First violated halfspace in the fixed scan order: doubling equalities,
     then epsilon, then alpha, then gamma, each by increasing index, and last
     gamma_inf = 0 when finite_length is set."""
-    for f, val in _doubling_equalities(v):
-        if val != 0:
-            return Violation(f.label(), val, f)
-    for (i, j), val in v.items():
+    entries, scale = _scaled(v)
+    if v.tail_mode == EXPLICIT:
+        for i, j, val in _doubling_equalities(entries):
+            if val != 0:
+                return _violation(Functional.doubling_eq(i, j), val, scale)
+    for (i, j), val in entries.items():
         if val < 0:
-            f = Functional.epsilon(i, j)
-            return Violation(f.label(), val, f)
-    for f, (val,) in _cone_functionals(v):
+            return _violation(Functional.epsilon(i, j), val, scale)
+    gamma_inf = 0
+    for kind, k, (val,) in _cone_functionals(entries):
         if val < 0:
-            return Violation(f.label(), val, f)
-    if finite_length:
-        f = Functional.gamma_inf()
-        total = eval_functional(f, v)
-        if total != 0:
-            return Violation(f.label(), total, f)
+            return _violation(Functional(kind, k=k), val, scale)
+        gamma_inf = val  # the last value yielded is gamma_inf
+    if finite_length and gamma_inf != 0:
+        return _violation(Functional.gamma_inf(), gamma_inf, scale)
     return None
 
 
@@ -115,7 +141,7 @@ def _check(v: BettiTable, finite_length: bool) -> MembershipVerdict:
     viol = _first_violation(v, finite_length)
     if viol is not None:
         return MembershipVerdict(False, violation=viol)
-    return MembershipVerdict(True, decomposition=_greedy(v))
+    return MembershipVerdict(True, decomposition=_greedy(_head(v)))
 
 
 def check_graded(v: BettiTable) -> MembershipVerdict:
@@ -148,7 +174,7 @@ def _max_step(v: BettiTable, pi: BettiTable) -> Fraction:
     """Largest c with v - c*pi still in the cone, by an exact ratio test over
     every functional that is positive on pi."""
     best = min(v.entry(i, j) / pval for (i, j), pval in pi.items())
-    for _, (val, pval) in _cone_functionals(v, pi):
+    for _, _, (val, pval) in _cone_functionals(v, pi):
         if pval > 0 and val / pval < best:
             best = val / pval
     return best
@@ -167,12 +193,12 @@ def decompose(v: BettiTable) -> Decomposition:
     viol = _first_violation(v)
     if viol is not None:
         raise NotInConeError(viol)
-    return _greedy(v)
+    return _greedy(_head(v))
 
 
 def _greedy(v: BettiTable) -> Decomposition:
-    """The rounds of decompose, for a table already known to be a member."""
-    v = collapse_tail(v)
+    """The rounds of decompose, for the rows 0..2 (a canonical table) of a
+    table already known to be a member."""
     cap = 3 * len(v.support()) + 3
     terms: list[tuple[DegreeSequence, Fraction]] = []
     for _ in range(cap):
@@ -222,7 +248,7 @@ class BettiSequence:
 
     @classmethod
     def of(cls, b0: RationalLike, b1: RationalLike, b2: RationalLike) -> "BettiSequence":
-        return cls(Fraction(b0), Fraction(b1), Fraction(b2))
+        return cls(_exact(b0), _exact(b1), _exact(b2))
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .linalg import FP_DEFAULT, SpanTracker, kernel_basis
-from .tables import EXPLICIT, BettiTable, Functional, eval_functional
+from .tables import EXPLICIT, MAX_COEFFICIENT_BITS, BettiTable, Functional, eval_functional
 
 _VARS = ("x", "y", "z")
 _UNIT = ("1", 0)
@@ -87,10 +87,12 @@ class BPolynomial:
             elif var not in _VARS or exp < 0:
                 raise ValueError(f"bad monomial {mono!r}")
             q = Fraction(value)
-            if q != 0:
-                items[mono] = items.get(mono, Fraction(0)) + q
-                if items[mono] == 0:
-                    del items[mono]
+            if mono in items:
+                q += items[mono]
+            if q:
+                items[mono] = q
+            else:
+                items.pop(mono, None)
         self._coeffs = items
 
     @classmethod
@@ -147,7 +149,17 @@ class BPolynomial:
             return NotImplemented
         return self + (-other)
 
+    def _constant(self):
+        """The value of a constant element, None for any other."""
+        return self._coeffs.get(_UNIT, 0) if self._coeffs.keys() <= {_UNIT} else None
+
     def __mul__(self, other):
+        if isinstance(other, BPolynomial):
+            # a constant factor is a scalar multiply
+            if self._constant() is not None:
+                self, other = other, self
+            if other._constant() is not None:
+                other = other._constant()
         if isinstance(other, (int, Fraction)):
             return BPolynomial({m: q * other for m, q in self._coeffs.items()})
         if not isinstance(other, BPolynomial):
@@ -166,6 +178,11 @@ class BPolynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative int")
+        if n == 0:
+            return BPolynomial.constant(1)
+        if self.is_homogeneous:
+            # mixed products vanish in B, so only the n-th powers of the terms remain
+            return BPolynomial({(v, e * n): q ** n for (v, e), q in self._coeffs.items()})
         out, square = BPolynomial.constant(1), self
         while n:
             if n & 1:
@@ -212,11 +229,6 @@ class PolyParseError(ValueError):
 # inhomogeneous.  Term counts and coefficient sizes grow with that degree, so
 # bounding it bounds the cost of every power and of every chain of products.
 MAX_INHOMOGENEOUS_POWER_DEGREE = 64
-
-# Largest size, in bits of the numerator or the denominator, that a power or
-# a product may give a coefficient: c^n costs n times the bits of c, so
-# without a bound a short text such as 3^1000000000 would not finish.
-MAX_COEFFICIENT_BITS = 4096
 
 # Deepest nesting of parentheses parse_poly follows; each level is a few
 # frames of its recursive descent.

@@ -13,8 +13,8 @@ first three rows, and this module stores tables in two modes:
   resolution engine needs when it reports a finite window of an infinite
   resolution.
 
-Entries are exact rationals (fractions.Fraction).  Tables are treated as
-immutable values; all operations return new tables.
+Entries are exact rationals (fractions.Fraction); a float entry is refused.
+Tables are treated as immutable values; all operations return new tables.
 """
 
 from __future__ import annotations
@@ -56,6 +56,21 @@ INF = _Infinity()
 
 RationalLike = Union[int, Fraction]
 
+# Largest size, in bits of a numerator or a denominator (floor of log2), that
+# a parsed coefficient or table entry may have: c^n costs n times the bits of
+# c, so without a bound a short text such as 3^1000000000 would not finish.
+# The membership scan clears denominators only while their lcm stays within
+# it.
+MAX_COEFFICIENT_BITS = 4096
+
+
+def _exact(value) -> Fraction:
+    """value as a Fraction; a float is refused, its binary expansion would be
+    taken for the number meant."""
+    if isinstance(value, float):
+        raise ValueError(f"float {value!r} is not an exact rational; pass an int, a Fraction or a string")
+    return Fraction(value)
+
 
 class BettiTable:
     """Sparse table of rational entries indexed by (homological index, degree)."""
@@ -74,14 +89,14 @@ class BettiTable:
             pairs = entries
         for key, value in pairs:
             i, j = key
-            if not isinstance(i, int) or not isinstance(j, int):
+            if not (isinstance(i, int) and isinstance(j, int)) or isinstance(i, bool) or isinstance(j, bool):
                 raise ValueError(f"table index must be a pair of ints, got {key!r}")
             if i < 0:
                 raise ValueError(f"homological index must be >= 0, got {i}")
             if (i, j) in items:
                 raise ValueError(f"duplicate table entry at {(i, j)}")
-            q = Fraction(value)
-            if q != 0:
+            q = value if type(value) is Fraction else _exact(value)
+            if q:
                 items[(i, j)] = q
         if tail_mode == CANONICAL:
             bad = [ij for ij in items if ij[0] >= 3]
@@ -117,11 +132,6 @@ class BettiTable:
     @property
     def is_zero(self) -> bool:
         return not self._entries
-
-    @property
-    def max_row(self) -> int:
-        # stored rows only; meaningful mostly in explicit mode
-        return max((i for (i, _) in self._entries), default=-1)
 
     @property
     def min_degree(self):
@@ -185,13 +195,18 @@ def collapse_tail(table: BettiTable) -> BettiTable:
     window (the topmost stored row is the window boundary and is exempt on
     its upper side).  Raises ValueError on a mismatch.
     """
+    if table.tail_mode == EXPLICIT:
+        for i, j, val in _doubling_equalities(table._entries):
+            if val != 0:
+                raise ValueError(f"doubling fails at ({i}, {j}); table is not a tail window")
+    return _head(table)
+
+
+def _head(table: BettiTable) -> BettiTable:
+    """Rows 0..2 of a table as a canonical table, the doubling unchecked."""
     if table.tail_mode == CANONICAL:
         return table
-    for f, val in _doubling_equalities(table):
-        if val != 0:
-            raise ValueError(f"doubling fails at ({f.i}, {f.j}); table is not a tail window")
-    kept = {(i, j): v for (i, j), v in table.items() if i <= 2}
-    return BettiTable(kept, tail_mode=CANONICAL)
+    return BettiTable({(i, j): v for (i, j), v in table.items() if i <= 2}, tail_mode=CANONICAL)
 
 
 @dataclass(frozen=True)
@@ -361,34 +376,39 @@ def eval_functional(f: Functional, v: BettiTable) -> Fraction:
     raise ValueError(f"unknown functional kind: {f.kind!r}")
 
 
-def _doubling_equalities(table: BettiTable) -> Iterator[tuple[Functional, Fraction]]:
-    """The doubling equalities an explicit table must meet, by increasing
-    (i, j), with their values on it.  The table is a finite window: a stored
-    entry in rows 2 <= i < top must double into the row above, and one in rows
-    i >= 3 must be fed by the row below, while the topmost stored row is the
-    window boundary.  A canonical table has the doubling built in and yields
-    nothing."""
-    if table.tail_mode == CANONICAL:
-        return
-    top = table.max_row
-    at = {(i, j) for (i, j) in table.support() if 2 <= i < top}
-    at.update((i - 1, j - 1) for (i, j) in table.support() if i >= 3)
+def _doubling_equalities(
+    entries: Mapping[tuple[int, int], RationalLike],
+) -> Iterator[tuple[int, int, RationalLike]]:
+    """The doubling equalities 2*v[i, j] = v[i + 1, j + 1] that the stored
+    entries of an explicit table must meet, as (i, j, value) by increasing
+    (i, j).  The table is a finite window: a stored entry in rows
+    2 <= i < top must double into the row above, and one in rows i >= 3 must
+    be fed by the row below, while the topmost stored row is the window
+    boundary.  The values are plain arithmetic on the entries, so ints give
+    ints and Fractions give Fractions."""
+    top = max((i for i, _ in entries), default=-1)
+    at = {(i, j) for (i, j) in entries if 2 <= i < top}
+    at.update((i - 1, j - 1) for (i, j) in entries if i >= 3)
     for i, j in sorted(at):
-        f = Functional.doubling_eq(i, j)
-        yield f, eval_functional(f, table)
+        yield i, j, 2 * entries.get((i, j), 0) - entries.get((i + 1, j + 1), 0)
 
 
-def _cone_functionals(*tables: BettiTable) -> Iterator[tuple[Functional, tuple[Fraction, ...]]]:
-    """alpha_k by increasing k, then gamma_k by increasing k, at every k where
-    the value on one of the tables can change, with the values on each table.
+def _cone_functionals(*tables) -> Iterator[tuple[str, int, tuple[RationalLike, ...]]]:
+    """(ALPHA, k, values) by increasing k, then (GAMMA, k, values) by
+    increasing k, at every k where the value on one of the tables can change,
+    with the values on each table.  A table here is anything whose items()
+    gives ((i, j), value) pairs, such as a dict or a BettiTable; the values
+    are plain arithmetic on its entries, so ints give ints and Fractions give
+    Fractions.
 
     alpha_k vanishes unless (1, k) or (2, k + 1) is stored, and gamma_k is a
     step function jumping only at k = j - i for stored (i, j), i <= 2.  Every
-    skipped k thus has alpha_k = 0 and the gamma of the last key below it.
+    skipped k thus has alpha_k = 0 and the gamma of the last key below it,
+    and the last gamma yielded is gamma_inf.
     """
-    zeros = (Fraction(0),) * len(tables)
-    alpha: dict[int, list[Fraction]] = {}
-    gamma_jumps: dict[int, list[Fraction]] = {}
+    zeros = (0,) * len(tables)
+    alpha: dict[int, list] = {}
+    gamma_jumps: dict[int, list] = {}
     for t, v in enumerate(tables):
         for (i, j), val in v.items():
             if i > 2:
@@ -397,11 +417,11 @@ def _cone_functionals(*tables: BettiTable) -> Iterator[tuple[Functional, tuple[F
             if i > 0:
                 alpha.setdefault(j - i + 1, list(zeros))[t] += (2, -1)[i - 1] * val
     for k in sorted(alpha):
-        yield Functional.alpha(k), tuple(alpha[k])
+        yield ALPHA, k, tuple(alpha[k])
     gamma = zeros
     for k in sorted(gamma_jumps):
         gamma = tuple(g + dg for g, dg in zip(gamma, gamma_jumps[k]))
-        yield Functional.gamma(k), gamma
+        yield GAMMA, k, gamma
 
 
 # The four ray classes of the Herzog-Kuhl locus, keyed by the slope invariant c.

@@ -28,7 +28,6 @@ from .tables import (
     Functional,
     PureDiagram,
     _cone_functionals,
-    eval_functional,
     make_pure_diagram,
 )
 
@@ -104,16 +103,14 @@ def window_facets(w: Window, finite_length: bool = False,
     """(inequalities, equalities) as (Functional, coefficient vector) pairs.
     A vector holds the functional's values on the window's unit tables, and
     alpha and gamma run over the breakpoints of those unit tables."""
-    units = [BettiTable({(i, j): 1}) for i in _ROWS for j in w.columns()]
-
-    def vector(f):
-        return tuple(int(eval_functional(f, u)) for u in units)
-
-    ineqs = [(f, vector(f)) for f in (Functional.epsilon(i, j) for i in _ROWS for j in w.columns())]
-    for f, values in _cone_functionals(*units):
-        if include_alpha if f.kind == ALPHA else include_gamma:
-            ineqs.append((f, tuple(int(c) for c in values)))
-    eqs = [(Functional.gamma_inf(), vector(Functional.gamma_inf()))] if finite_length else []
+    cells = [(i, j) for i in _ROWS for j in w.columns()]
+    ineqs = [(Functional.epsilon(*ij), tuple(int(ij == other) for other in cells)) for ij in cells]
+    gamma_inf = ()
+    for kind, k, values in _cone_functionals(*({ij: 1} for ij in cells)):
+        if include_alpha if kind == ALPHA else include_gamma:
+            ineqs.append((Functional(kind, k=k), values))
+        gamma_inf = values  # the last values yielded are gamma_inf's
+    eqs = [(Functional.gamma_inf(), gamma_inf)] if finite_length else []
     return ineqs, eqs
 
 

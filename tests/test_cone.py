@@ -2,6 +2,7 @@
 
 import ast
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -176,9 +177,10 @@ def full_span_functionals(v):
 
 def full_span_violation(v, finite_length):
     """(label, value) of the first violated functional, or None."""
-    for f, val in _doubling_equalities(v):
-        if val != 0:
-            return f.label(), val
+    if v.tail_mode == EXPLICIT:
+        for i, j, val in _doubling_equalities(dict(v.items())):
+            if val != 0:
+                return Functional.doubling_eq(i, j).label(), val
     for (i, j), val in v.items():
         if val < 0:
             return f"epsilon({i},{j})", val
@@ -251,6 +253,81 @@ def test_breakpoint_scan_matches_full_span_scan(v, finite_length):
     else:
         assert not verdict.member
         assert (verdict.violation.label, verdict.violation.value) == expected
+
+
+# -- the int scan against the same walk, and its Fraction fallback ---------------
+
+
+fine_values = st.fractions(min_value=-2, max_value=6, max_denominator=50)
+fine_members = st.lists(
+    st.tuples(degree_sequences, st.fractions(min_value=Fraction(1, 50), max_value=6, max_denominator=50)),
+    max_size=4,
+).map(lambda terms: combo(*terms))
+fine_scan_inputs = st.one_of(
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(-4, 6)), fine_values, max_size=8).map(BettiTable),
+    st.dictionaries(st.tuples(st.integers(0, 4), st.integers(-4, 6)), fine_values, max_size=8).map(
+        lambda entries: BettiTable(entries, tail_mode=EXPLICIT)
+    ),
+    fine_members,
+    st.tuples(fine_members, st.integers(2, 5)).map(lambda t: expand_tail(t[0], max_row=t[1])),
+    st.tuples(
+        fine_members,
+        st.dictionaries(st.tuples(st.integers(0, 2), st.integers(-6, 10)),
+                        st.fractions(min_value=-1, max_value=1, max_denominator=50), max_size=2),
+    ).map(lambda t: table_arith(1, t[0], 1, BettiTable(t[1]))),
+)
+
+
+@given(fine_scan_inputs, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_int_scan_matches_full_span_scan(v, finite_length):
+    viol = cone._first_violation(v, finite_length)
+    expected = full_span_violation(v, finite_length)
+    if expected is None:
+        assert viol is None
+    else:
+        assert (viol.label, viol.value) == expected
+        assert type(viol.value) is Fraction
+
+
+def coprime_denominators(n):
+    """n pairwise coprime denominators of just under 4000 bits: k*N + 1 for
+    k = 1..n, with N a multiple of n!.  A prime dividing two of them divides
+    their difference, a multiple of N by less than n, so it divides N, and
+    then it cannot divide k*N + 1."""
+    big = factorial(n) << (3990 - factorial(n).bit_length())
+    return [k * big + 1 for k in range(1, n + 1)]
+
+
+def test_coprime_denominators_fall_back_to_fractions():
+    # 200 two-step diagrams pi_(2m, 2m+1) / d_m: every gamma jump cancels, so
+    # the Fraction scan stays small where ints scaled by the lcm would not
+    dens = coprime_denominators(200)
+    member = BettiTable({(r, 2 * m + r): Fraction(1, d) for m, d in enumerate(dens) for r in (0, 1)})
+    assert len(member.support()) == 400
+    assert cone._scaled(member)[1] == 1
+    assert cone._first_violation(member) is None
+    assert cone._first_violation(member, finite_length=True) is None
+
+
+def test_coprime_denominators_report_the_full_span_violation():
+    # 74 such diagrams, then v[1, 200] = 1/d and v[2, 201] = 3/d: alpha(200) = -1/d
+    dens = coprime_denominators(75)
+    entries = {(r, 2 * m + r): Fraction(1, d) for m, d in enumerate(dens[:74]) for r in (0, 1)}
+    entries.update({(1, 200): Fraction(1, dens[74]), (2, 201): Fraction(3, dens[74])})
+    table = BettiTable(entries)
+    assert len(table.support()) == 150
+    assert cone._scaled(table)[1] == 1
+    for finite_length in (False, True):
+        viol = cone._first_violation(table, finite_length)
+        assert (viol.label, viol.value) == full_span_violation(table, finite_length)
+        assert viol.value == Fraction(-1, dens[74])
+        assert type(viol.value) is Fraction
+
+
+def test_betti_sequence_rejects_floats():
+    with pytest.raises(ValueError, match="float"):
+        BettiSequence.of(1, 0.5, 0)
 
 
 # -- greedy decomposition ----------------------------------------------------

@@ -124,6 +124,33 @@ def test_parse_poly_grammar():
     assert parse_poly("0").is_zero
 
 
+homogeneous_bases = st.tuples(
+    st.integers(1, 4), st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5), min_size=3, max_size=3)
+).map(lambda t: BPolynomial({(v, t[0]): q for v, q in zip("xyz", t[1])}))
+
+
+@given(homogeneous_bases, st.integers(0, 12))
+@settings(max_examples=200, deadline=None)
+def test_homogeneous_power_is_the_repeated_product(base, n):
+    product = BPolynomial.constant(1)
+    for _ in range(n):
+        product = product * base
+    assert base ** n == product
+    assert parse_poly(f"({base})^{n}") == product
+
+
+def test_power_and_scalar_product_edge_cases():
+    one = BPolynomial.constant(1)
+    assert BPolynomial.zero() ** 0 == one
+    assert parse_poly("0^0") == one
+    assert parse_poly("(x-y)^0") == one
+    assert parse_poly("0^3").is_zero
+    assert parse_poly("(1/2)^3") == BPolynomial.constant(Fraction(1, 8))
+    assert parse_poly("x*3") == parse_poly("3*x") == 3 * X
+    assert parse_poly("0*(x+1)").is_zero
+    assert parse_poly("2*(x+1)*1/2") == X + one
+
+
 @pytest.mark.parametrize("bad", ["x/2", "2x", "w", "x^-1", "", "x +", "(x", "1/0",
                                  # powers of inhomogeneous bases past degree 64
                                  "(x+1)^65", "(x+1)^4000", "((x+1)^64)^2", "(x^2+x)^33",

@@ -66,6 +66,19 @@ def test_non_int_index_rejected():
         BettiTable({(0, Fraction(1, 2)): 1})
 
 
+def test_float_entry_rejected():
+    # 0.1 would be stored as 3602879701896397/36028797018963968
+    with pytest.raises(ValueError, match="float"):
+        BettiTable({(0, 0): 0.1})
+
+
+def test_bool_index_rejected():
+    # (True, 0) would be kept as a key and printed as "entry True 0 1"
+    for key in ((True, 0), (0, False)):
+        with pytest.raises(ValueError, match="pair of ints"):
+            BettiTable({key: 1})
+
+
 def test_canonical_mode_rejects_high_rows():
     with pytest.raises(ValueError, match="rows 0..2"):
         BettiTable({(3, 3): 12})
