@@ -17,11 +17,11 @@ those breakpoints (tables._cone_functionals): their cost follows the number of
 stored entries, not the span of degrees between them.
 
 The membership scan runs on ints: it multiplies the entries once by L, the
-lcm of their denominators, and reports a violated value as value / L.  When L
-passes MAX_COEFFICIENT_BITS bits it scans the Fractions themselves, since
-entries with pairwise coprime denominators would give ints of that many bits
-each, where sums that cancel keep Fractions small.  The ratio test stays on
-Fractions.
+lcm of their denominators, and reports a violated value as value / L.  A table
+whose L passes MAX_COEFFICIENT_BITS bits is refused with ValueError before
+the scan, as entries with pairwise coprime denominators would make every sum
+of the scan, and every greedy round after it, that many bits wide.  The ratio
+test stays on Fractions.
 
 The local (single column) cone over Betti sequences (b0, b1, b2) is handled at
 the end of the module, with rays (1,0,0), (1,1,0), (1,3,6).
@@ -100,14 +100,14 @@ class MembershipVerdict:
 
 
 def _scaled(v: BettiTable) -> tuple[dict, int]:
-    """The entries of v times L, the lcm of their denominators, and L; the
-    entries themselves and 1 once L passes MAX_COEFFICIENT_BITS bits."""
+    """The entries of v times L, the lcm of their denominators, and L.
+    Raises ValueError once L passes MAX_COEFFICIENT_BITS bits."""
     items = v.items()
     scale = 1
     for _, val in items:
         scale = lcm(scale, val.denominator)
         if scale.bit_length() - 1 > MAX_COEFFICIENT_BITS:
-            return dict(items), 1
+            raise ValueError(f"the lcm of the entry denominators passes {MAX_COEFFICIENT_BITS} bits")
     return {ij: val.numerator * (scale // val.denominator) for ij, val in items}, scale
 
 
@@ -145,7 +145,9 @@ def _check(v: BettiTable, finite_length: bool) -> MembershipVerdict:
 
 
 def check_graded(v: BettiTable) -> MembershipVerdict:
-    """Membership in the graded cone, with a certificate either way."""
+    """Membership in the graded cone, with a certificate either way.  Raises
+    ValueError when the lcm of the entry denominators passes
+    MAX_COEFFICIENT_BITS bits."""
     return _check(v, finite_length=False)
 
 
@@ -188,7 +190,9 @@ def decompose(v: BettiTable) -> Decomposition:
     at d1 + 1, and subtracts the largest multiple of pi_d that keeps the
     residual in the cone.  The binding functional of the ratio test zeroes at
     least one support entry per round, so the iteration cap of 3*|support| + 3
-    is generous; hitting it raises with the residual attached.
+    is generous; hitting it raises with the residual attached.  A table whose
+    entry denominators have an lcm past MAX_COEFFICIENT_BITS bits is refused
+    with ValueError, as in check_graded.
     """
     viol = _first_violation(v)
     if viol is not None:

@@ -39,6 +39,17 @@ works in branch coordinates:
   3 costs O(entries in row 2), with no elimination.  The cost follows
   hom_bound, not deg_bound.
 
+Each branch elimination takes only its live columns, those with a nonzero v
+block.  A dead column is zero, so it is never a pivot: its kernel vector is
+its unit vector, of degree one more than its generator.  The reduced echelon
+form of the live columns is that of the whole branch matrix with the zero
+columns left out, so their kernel vectors are the same vectors without the
+dead coordinates.  The engine writes the unit vectors down and eliminates the
+live columns alone, and the output is the list a full elimination gives, in
+the same order.  At step 3 every column lives in one branch, so each branch
+matrix keeps about a third of its columns: for omega the six eliminations go
+from 2 x 3 and 3 x 6 to 2 x 1 and 3 x 2.
+
 Presentations are kept minimal by construction, so the Betti numbers are
 literal generator counts and every reported entry with degree <= deg_bound is
 exact.  A row that still has mass at deg_bound may continue past the window
@@ -47,7 +58,6 @@ and is flagged as truncated.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -499,21 +509,45 @@ def _relation_walk(M: GradedModuleB, dstop: int):
 
 def _branch_syzygies(gens, r: int, deg_bound: int, field):
     """Minimal generators of degree <= deg_bound of the kernel of F_{i-1} -> F_{i-2},
-    as (degree, branch row over F_{i-1}) sorted by degree.  gens are the
-    generators of F_{i-1} as (degree, branch row of the image over the r
-    generators of F_{i-2}), sorted by degree."""
+    as (degree, branch row over F_{i-1}) sorted by degree, and by branch and
+    free column within a degree.  gens are the generators of F_{i-1} as
+    (degree, branch row of the image over the r generators of F_{i-2}),
+    sorted by degree."""
     s = len(gens)
     born = []
     for v in range(3):
-        rows = list(zip(*(image[v * r:(v + 1) * r] for _, image in gens)))
-        for vec in kernel_basis(rows, s, field):
+        live, columns = [], []
+        for k, (d, image) in enumerate(gens):
+            block = image[v * r:(v + 1) * r]
+            if any(block):
+                live.append(k)
+                columns.append(block)
+            elif d < deg_bound:
+                # a dead column is free, and its kernel vector is its unit vector
+                row = [0] * (3 * s)
+                row[v * s + k] = 1
+                born.append((d + 1, v, k, row))
+        if not live:
+            continue
+        for vec in kernel_basis(list(zip(*columns)), len(live), field):
             # the kernel vector of a free column is nonzero there and zero past it
-            free = next(filter(vec.__getitem__, reversed(range(s))))
-            d = gens[free][0] + 1
+            k = live[next(filter(vec.__getitem__, reversed(range(len(live)))))]
+            d = gens[k][0] + 1
             if d <= deg_bound:
-                born.append((d, [0] * (v * s) + vec + [0] * ((2 - v) * s)))
-    born.sort(key=lambda gen: gen[0])
-    return born
+                row = [0] * (3 * s)
+                for col, a in zip(live, vec):
+                    row[v * s + col] = a
+                born.append((d, v, k, row))
+    born.sort()  # (d, v, k) is unique, so rows are never compared
+    return [(d, row) for d, _, _, row in born]
+
+
+def _tally(keys) -> dict:
+    """How often each key occurs."""
+    counts = {}
+    for key in keys:
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 # Largest hom_bound min_free_resolution accepts.  Row i has entries near
@@ -548,7 +582,7 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
     maxgen = max(M.gen_degrees, default=0)
     if deg_bound < maxgen + hom_bound:
         raise ValueError(f"deg_bound must be at least {maxgen + hom_bound} for this module")
-    betti = Counter((0, a) for a in M.gen_degrees)
+    betti = _tally((0, a) for a in M.gen_degrees)
 
     # generators of F_{i-1} as (degree, branch row of the image), sorted by degree
     gens = []
@@ -564,9 +598,9 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
         else:
             if step > 1:
                 gens, rank = _branch_syzygies(gens, rank, deg_bound, M.field), len(gens)
-            row = Counter(d for d, _ in gens)
+            row = _tally(d for d, _ in gens)
             if step == 3 and row != doubled:
-                raise AssertionError(f"row 3 {dict(row)} is not row 2 doubled and shifted {doubled}")
+                raise AssertionError(f"row 3 {row} is not row 2 doubled and shifted {doubled}")
         if not row:
             break
         betti.update({(step, d): n for d, n in row.items()})

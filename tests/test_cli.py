@@ -161,13 +161,15 @@ def test_values_past_the_coefficient_bound_are_refused_promptly(capsys, tmp_path
 
 
 def test_a_verdict_past_the_int_to_text_limit_prints_nothing(capsys, tmp_path):
-    # each entry is within the coefficient bound, but the violated gamma sums
-    # them over pairwise coprime denominators, past Python's 4,300 digits
+    # each entry is within the coefficient bound, but the violated gamma would
+    # sum them over pairwise coprime denominators, past Python's 4,300 digits:
+    # the lcm of the denominators passes the bound, so check refuses the table
     entries = "".join(f"entry 0 {n} 1/{2 ** 4096 - k}\n" for n, k in enumerate((1, 3, 5, 7, 9)))
     path = write(tmp_path, "t.betti", f"betti v1\nmode canonical\n{entries}entry 1 9 1\n")
-    code, out, err = invoke(capsys, "check", path)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    for argv in (["check", path], ["check", path, "--finite-length"], ["decompose", path]):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: the lcm of the entry denominators passes 4096 bits\n"
 
 
 def test_values_up_to_the_coefficient_bound_parse():

