@@ -47,7 +47,6 @@ from .cone import (
 )
 from .linalg import QQ, FP_DEFAULT, PrimeField
 from .resolve import (
-    BoundsError,
     GradedModuleB,
     PolyParseError,
     StabilizationError,
@@ -108,7 +107,7 @@ def parse_table_text(text: str) -> BettiTable:
     if len(lines) < 2 or lines[1] not in ("mode canonical", "mode explicit"):
         raise TableFormatError("second line must be: mode canonical|explicit")
     mode = CANONICAL if lines[1].endswith("canonical") else EXPLICIT
-    entries = {}
+    entries = []
     for line in lines[2:]:
         parts = line.split()
         if parts[0] != "entry":
@@ -119,9 +118,7 @@ def parse_table_text(text: str) -> BettiTable:
             i, j, val = int(parts[1]), int(parts[2]), _parse_rational(parts[3])
         except ValueError as exc:
             raise TableFormatError(f"bad entry line: {line!r}") from exc
-        if (i, j) in entries:
-            raise TableFormatError(f"duplicate entry at ({i}, {j})")
-        entries[(i, j)] = val
+        entries.append(((i, j), val))
     try:
         return BettiTable(entries, tail_mode=mode)
     except ValueError as exc:
@@ -377,7 +374,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (StabilizationError, BoundsError, DecompositionLoopError) as exc:
+    except (StabilizationError, DecompositionLoopError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

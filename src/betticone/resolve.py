@@ -386,7 +386,8 @@ MAX_DEGREE_SPAN = 10_000
 
 
 class StabilizationError(RuntimeError):
-    """Hilbert function did not flatten out inside the degree bound."""
+    """The degree bound stops short of the degree past which the Hilbert
+    function is proved constant."""
 
 
 class BoundsError(RuntimeError):
@@ -423,7 +424,7 @@ class GradedModuleB:
                 if not p.is_homogeneous:
                     raise ValueError(f"inhomogeneous relation entry: {p}")
                 if p.degree() < 1:
-                    raise ValueError(f"relation entry of degree 0 makes the presentation non-minimal: {p}")
+                    raise ValueError(f"relation entry {p} is a unit, which makes the presentation non-minimal")
                 degs.add(p.degree() + a)
                 for (var, _), q in p.items():
                     coords[_VARS.index(var) * r + k] = q
@@ -446,18 +447,8 @@ class GradedModuleB:
 
 def quotient_module(gens, field=FP_DEFAULT) -> GradedModuleB:
     """Cyclic quotient B/(g1, ..., gn) for homogeneous positive degree gi."""
-    rows = []
-    for g in gens:
-        if isinstance(g, str):
-            g = parse_poly(g)
-        if g.is_zero:
-            raise ValueError("zero ideal generator")
-        if not g.is_homogeneous:
-            raise ValueError(f"inhomogeneous ideal generator: {g}")
-        if g.degree() < 1:
-            raise ValueError(f"unit ideal generator: {g}")
-        rows.append((g,))
-    return GradedModuleB((0,), tuple(rows), field)
+    rows = tuple((parse_poly(g) if isinstance(g, str) else g,) for g in gens)
+    return GradedModuleB((0,), rows, field)
 
 
 BUILTIN_NAMES = ("B", "omega", "M1", "M2", "M3", "M12", "M13", "M23", "k_residue")
@@ -605,7 +596,7 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
             break
         betti.update({(step, d): n for d, n in row.items()})
 
-    table = BettiTable({ij: Fraction(v) for ij, v in betti.items()}, tail_mode=EXPLICIT)
+    table = BettiTable(betti, tail_mode=EXPLICIT)
     truncated = tuple(sorted({i for (i, j) in betti if j == deg_bound}))
     return ResolutionResult(table, deg_bound, hom_bound, True, truncated)
 
@@ -624,29 +615,26 @@ class HilbertData:
 
 
 def hilbert_data(M: GradedModuleB, deg_bound: int) -> HilbertData:
-    """Dimensions of the graded pieces up to deg_bound, packaged as the series
-    numerator.  Raises StabilizationError unless the last three agree."""
+    """Dimensions of the graded pieces, packaged as the series numerator.
+    They are constant from flat, one past the top generator and relation
+    degree, on: there every generator has its three branches and every
+    relation block is in the span.  deg_bound must reach flat, or
+    StabilizationError is raised, as a dimension past it could still change."""
     if not M.gen_degrees:
         return HilbertData(0, (), 0)
-    dmin = min(M.gen_degrees)
-    if deg_bound < dmin + 2:
-        raise ValueError(f"deg_bound must be at least {dmin + 2}")
-    # from one past the top generator and relation degree on, every generator
-    # has its three branches and every relation block is in the span, so the
-    # dimensions no longer change; three equal ones close the walk
     flat = max(M.gen_degrees + M.relation_degrees()) + 1
+    if deg_bound < flat:
+        raise StabilizationError(
+            f"deg_bound {deg_bound} is below {flat}, one past the top generator and relation degree"
+        )
     dims = [
         sum(a == d for a in M.gen_degrees) + 3 * sum(a < d for a in M.gen_degrees) - rank
-        for d, rank, _ in _relation_walk(M, min(deg_bound, flat + 2))
+        for d, rank, _ in _relation_walk(M, flat)
     ]
-    if not dims[-1] == dims[-2] == dims[-3]:
-        raise StabilizationError(
-            f"dimensions {dims[-3:]} at degrees {deg_bound - 2}..{deg_bound} have not stabilized"
-        )
     diffs = [dims[0]] + [dims[n] - dims[n - 1] for n in range(1, len(dims))]
     while diffs and diffs[-1] == 0:
         diffs.pop()
-    return HilbertData(dmin, tuple(diffs), dims[-1])
+    return HilbertData(min(M.gen_degrees), tuple(diffs), dims[-1])
 
 
 def syzygy_multiplicity(betti: BettiTable) -> Fraction:

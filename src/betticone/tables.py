@@ -84,17 +84,20 @@ class BettiTable:
         if entries is None:
             pairs: Iterable = ()
         elif isinstance(entries, Mapping):
-            pairs = entries.items()
+            pairs = entries.items()  # a Mapping cannot repeat a key
         else:
-            pairs = entries
+            seen: dict = {}
+            for (i, j), value in entries:
+                if (i, j) in seen:
+                    raise ValueError(f"duplicate table entry at {(i, j)}")
+                seen[i, j] = value
+            pairs = seen.items()
         for key, value in pairs:
             i, j = key
             if not (isinstance(i, int) and isinstance(j, int)) or isinstance(i, bool) or isinstance(j, bool):
                 raise ValueError(f"table index must be a pair of ints, got {key!r}")
             if i < 0:
                 raise ValueError(f"homological index must be >= 0, got {i}")
-            if (i, j) in items:
-                raise ValueError(f"duplicate table entry at {(i, j)}")
             q = value if type(value) is Fraction else _exact(value)
             if q:
                 items[(i, j)] = q

@@ -90,11 +90,8 @@ def table_vector(table: BettiTable, w: Window) -> list[Fraction]:
     is an error; stored rows >= 3 are ignored, the window does not see them."""
     vec = [Fraction(0)] * w.dim
     for (i, j), v in table.items():
-        if i > 2:
-            continue
-        if not w.jmin <= j <= w.jmax:
-            raise ValueError(f"entry at ({i}, {j}) falls outside window [{w.jmin}, {w.jmax}]")
-        vec[w.index(i, j)] = v
+        if i <= 2:
+            vec[w.index(i, j)] = v
     return vec
 
 

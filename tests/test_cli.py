@@ -1,11 +1,13 @@
 """End to end exercises of the command line interface via run(argv)."""
 
 import io
+import shlex
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,13 @@ def test_check_bad_table_file(capsys, tmp_path):
     assert code == 2 and "betti v1" in err
 
 
+def test_check_refuses_a_repeated_entry_after_a_zero(capsys, tmp_path):
+    path = write(tmp_path, "t.betti", "betti v1\nmode canonical\nentry 0 0 0\nentry 0 0 1\n")
+    code, out, err = invoke(capsys, "check", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "duplicate" in err
+
+
 # -- resolve and hilbert -------------------------------------------------------------
 
 
@@ -323,10 +332,19 @@ def test_hilbert_omega(capsys, tmp_path):
 
 
 def test_hilbert_not_stabilized(capsys, tmp_path):
-    # dims of B/(x^2) are 1, 3, 2, 2, ... so a window ending at 3 is too early
-    path = write(tmp_path, "m.mod", "gens 0\nrel x^2\n")
-    code, _, err = invoke(capsys, "hilbert", path, "--deg-bound", "3")
-    assert code == 1 and "error:" in err
+    # dims of B/(x^5) are 1, 3, 3, 3, 3, 2, 2, ... so a window ending at 4 is too early
+    path = write(tmp_path, "m.mod", "gens 0\nrel x^5\n")
+    code, out, err = invoke(capsys, "hilbert", path, "--deg-bound", "4")
+    assert code == 1 and out == "" and "error:" in err
+
+
+def test_resolve_prints_no_e_below_the_flat_degree(capsys, tmp_path):
+    path = write(tmp_path, "m.mod", "gens 0\nrel x^5\n")
+    code, out, err = invoke(capsys, "resolve", path, "--deg-bound", "4", "--hom-bound", "2")
+    assert code == 1 and "entry 0 0 1" in out and "e:" not in out
+    assert "below 6" in err
+    code, out, _ = invoke(capsys, "resolve", path, "--deg-bound", "7", "--hom-bound", "2")
+    assert code == 0 and "e: 2" in out
 
 
 # -- fuzzing resolve and hilbert ------------------------------------------------------
@@ -605,3 +623,38 @@ def test_resolved_table_is_in_the_cone(capsys, tmp_path):
     code, out, _ = invoke(capsys, "resolve", path, "--deg-bound", "12", "--hom-bound", "4")
     assert code == 0
     assert check_graded(parse_table_text(out)).member
+
+
+# -- the README's CLI block ------------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_cli_block_runs(capsys, tmp_path, monkeypatch):
+    # table.betti is the tail pure diagram of (0, 2), a member of both cones;
+    # m.mod is written by the block's own printf line
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "table.betti", "betti v1\nmode canonical\nentry 0 0 1\nentry 1 2 3\nentry 2 3 6\n")
+    ran = []
+    for line in block.splitlines():
+        words = list(shlex.shlex(line, posix=True, punctuation_chars=True))  # comments dropped
+        if not words:
+            continue
+        if words[0] == "printf":
+            assert words[2] == ">" and len(words) == 4, line
+            write(tmp_path, words[3], words[1].replace("\\n", "\n"))
+            continue
+        stdin = ""
+        while words:
+            argv = words[:words.index("|")] if "|" in words else words
+            words = words[len(argv) + 1:]
+            assert argv[0] == "betticone", line
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            code, stdin, err = invoke(capsys, *argv[1:])
+            assert err == "" or code == 1, (line, err)
+            ran.append((argv[1:], code))
+    expected = [1 if "--drop-gamma" in argv else 0 for argv, _ in ran]
+    assert [code for _, code in ran] == expected
+    # ten lines, one of them a two-command pipe
+    assert len(ran) == 11 and expected.count(1) == 1

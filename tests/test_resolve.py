@@ -481,14 +481,18 @@ def every_step_resolution(M, deg_bound, hom_bound):
 
 
 def every_degree_hilbert(M, deg_bound):
-    """Oracle: hilbert_data with a fresh tracker in every degree up to deg_bound.
-    Returns the HilbertData, or the StabilizationError type."""
+    """Oracle: hilbert_data with a fresh tracker in every degree.  The
+    dimensions are computed up to max(deg_bound, flat + 2), where flat is one
+    past the top generator and relation degree, and must be constant from
+    flat on.  Returns the HilbertData, or the StabilizationError type exactly
+    when deg_bound < flat."""
     if not M.gen_degrees:
         return HilbertData(0, (), 0)
     dmin = min(M.gen_degrees)
+    flat = max(M.gen_degrees + M.relation_degrees()) + 1
     relations = _labelled_relations(M)
     dims = []
-    for d in range(dmin, deg_bound + 1):
+    for d in range(dmin, max(deg_bound, flat + 2) + 1):
         labels = _basis(M.gen_degrees, d)
         index = {lab: n for n, lab in enumerate(labels)}
         tracker = SpanTracker(M.field, len(labels))
@@ -499,7 +503,8 @@ def every_degree_hilbert(M, deg_bound):
                 for var in "xyz":
                     tracker.add(_shift(rlabels, coords, var, index, len(labels)))
         dims.append(len(labels) - tracker.rank)
-    if not dims[-1] == dims[-2] == dims[-3]:
+    assert len(set(dims[flat - dmin:])) == 1, (flat, dims)
+    if deg_bound < flat:
         return StabilizationError
     diffs = [dims[0]] + [dims[n] - dims[n - 1] for n in range(1, len(dims))]
     while diffs and diffs[-1] == 0:
@@ -649,8 +654,26 @@ def test_hilbert_numerator_sums_to_e():
 def test_hilbert_stabilization_guard():
     with pytest.raises(StabilizationError):
         hilbert_data(quotient_module(["x^2"]), 2)
-    with pytest.raises(ValueError, match="deg_bound"):
-        hilbert_data(builtin("B"), 1)
+    with pytest.raises(StabilizationError):
+        hilbert_data(builtin("B"), 0)
+    # B is flat from degree 1 on: its dimensions are 1, 3, 3, ...
+    hd = hilbert_data(builtin("B"), 1)
+    assert (hd.offset, hd.numerator, hd.e) == (0, (1, 2), 3)
+
+
+def test_hilbert_needs_one_past_the_top_relation_degree():
+    # the dimensions of B/(x^5) are 1, 3, 3, 3, 3 up to degree 4 and 2 from
+    # degree 5 on, so no window ending below 5 can tell e; the proof of
+    # flatness starts at 6, one past the top relation degree
+    with pytest.raises(StabilizationError, match="below 6"):
+        hilbert_data(quotient_module(["x^5"]), 4)
+    with pytest.raises(StabilizationError):
+        hilbert_data(quotient_module(["x^5"]), 5)
+    assert hilbert_data(quotient_module(["x^5"]), 6).e == 2
+    # B/(x^2) is 1, 3, 2, 2, ...: flat from degree 3 on, so 3 is enough
+    hd = hilbert_data(quotient_module(["x^2"]), 3)
+    assert hd == hilbert_data(quotient_module(["x^2"]), 8)
+    assert hd.e == 2
 
 
 def test_relation_walk_visits_each_degree_and_relation_once():

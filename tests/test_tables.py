@@ -54,6 +54,10 @@ def test_zero_entries_are_dropped():
 def test_duplicate_entry_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         BettiTable([((0, 0), 1), ((0, 0), 2)])
+    # a zero first value is dropped from the table, but its key was still given
+    for pairs in ([((0, 0), 0), ((0, 0), 1)], [((1, 2), 0), ((0, 0), 1), ((1, 2), 0)]):
+        with pytest.raises(ValueError, match="duplicate"):
+            BettiTable(pairs)
 
 
 def test_negative_row_rejected():
