@@ -257,7 +257,7 @@ def cmd_resolve(args) -> int:
         print(f"warning: {exc}", file=sys.stderr)
         code = 1
     if res.truncated_rows:
-        print(f"warning: rows {rows} still have mass at deg_bound {res.deg_bound}", file=sys.stderr)
+        print(f"warning: rows {rows} may continue past deg_bound {res.deg_bound}", file=sys.stderr)
         code = 1
     return code
 

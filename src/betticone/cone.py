@@ -29,9 +29,9 @@ the end of the module, with rays (1,0,0), (1,1,0), (1,3,6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .tables import (
     CANONICAL,
@@ -69,8 +69,7 @@ class DecompositionLoopError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A functional with a value that breaks membership (negative, or nonzero
     for an equality constraint)."""
 
@@ -79,8 +78,7 @@ class Violation:
     functional: Functional | None = None
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Nonnegative combination of pure diagrams, in greedy subtraction order."""
 
     terms: tuple[tuple[DegreeSequence, Fraction], ...]
@@ -92,8 +90,7 @@ class Decomposition:
         return total
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
+class MembershipVerdict(NamedTuple):
     member: bool
     decomposition: object | None = None
     violation: Violation | None = None
@@ -242,8 +239,7 @@ def degseq_leq(d: DegreeSequence, e: DegreeSequence) -> bool:
 # Local cone over Betti sequences (b0, b1, b2).
 
 
-@dataclass(frozen=True)
-class BettiSequence:
+class BettiSequence(NamedTuple):
     """A total Betti sequence; signs are checked by check_local, not here."""
 
     b0: Fraction
@@ -255,8 +251,7 @@ class BettiSequence:
         return cls(_exact(b0), _exact(b1), _exact(b2))
 
 
-@dataclass(frozen=True)
-class LocalDecomposition:
+class LocalDecomposition(NamedTuple):
     """Coefficients over the local rays (1,0,0), (1,1,0), (1,3,6)."""
 
     a: Fraction

@@ -14,7 +14,7 @@ lead * v - c * row, so no Fraction appears in the elimination.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -34,17 +34,17 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(namedtuple("Field", "p")):
     """Q for p = 0, the prime field F_p otherwise."""
 
-    p: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p >= MAX_PRIME:
-            raise ValueError(f"prime {self.p} is too large, F_p needs p < 2^31")
-        if self.p != 0 and not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __new__(cls, p: int = 0):
+        if p >= MAX_PRIME:
+            raise ValueError(f"prime {p} is too large, F_p needs p < 2^31")
+        if p != 0 and not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return super().__new__(cls, p)
 
     @property
     def name(self) -> str:

@@ -52,14 +52,16 @@ from 2 x 3 and 3 x 6 to 2 x 1 and 3 x 2.
 
 Presentations are kept minimal by construction, so the Betti numbers are
 literal generator counts and every reported entry with degree <= deg_bound is
-exact.  A row that still has mass at deg_bound may continue past the window
-and is flagged as truncated.
+exact.  A row that still has mass at deg_bound may continue past the window,
+and so may row 1 when a relation lies past it; such a row is flagged as
+truncated, and so is every row after it, as its syzygies lie past the window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import FP_DEFAULT, SpanTracker, kernel_basis
 from .tables import EXPLICIT, MAX_COEFFICIENT_BITS, BettiTable, Functional, eval_functional
@@ -394,8 +396,7 @@ class BoundsError(RuntimeError):
     """Bounds too small to certify the rows a computation depends on."""
 
 
-@dataclass(frozen=True)
-class GradedModuleB:
+class GradedModuleB(namedtuple("GradedModuleB", "gen_degrees relations field")):
     """Finitely presented graded B-module: generator degrees plus homogeneous
     relation rows.  Every relation entry must have positive degree, so the
     presentation is minimal and row 0 of the Betti table can be read off.
@@ -404,21 +405,17 @@ class GradedModuleB:
     is rejected when the module is built, and so is a module whose degrees
     span more than MAX_DEGREE_SPAN."""
 
-    gen_degrees: tuple[int, ...]
-    relations: tuple[tuple[BPolynomial, ...], ...] = ()
-    field: object = FP_DEFAULT
-
-    def __post_init__(self):
-        object.__setattr__(self, "gen_degrees", tuple(int(a) for a in self.gen_degrees))
-        object.__setattr__(self, "relations", tuple(tuple(row) for row in self.relations))
-        r = len(self.gen_degrees)
+    def __new__(cls, gen_degrees, relations=(), field=FP_DEFAULT):
+        gen_degrees = tuple(int(a) for a in gen_degrees)
+        relations = tuple(tuple(row) for row in relations)
+        r = len(gen_degrees)
         branch_rows = []
-        for row in self.relations:
+        for row in relations:
             if len(row) != r:
                 raise ValueError(f"relation row of length {len(row)} against {r} generators")
             degs = set()
             coords = [0] * (3 * r)
-            for k, (a, p) in enumerate(zip(self.gen_degrees, row)):
+            for k, (a, p) in enumerate(zip(gen_degrees, row)):
                 if p.is_zero:
                     continue
                 if not p.is_homogeneous:
@@ -432,17 +429,19 @@ class GradedModuleB:
                 raise ValueError("zero relation row")
             if len(degs) > 1:
                 raise ValueError(f"relation row is not homogeneous, degrees {sorted(degs)}")
-            branch_rows.append((degs.pop(), self.field.int_row(coords)))
-        degrees = self.gen_degrees + tuple(d for d, _ in branch_rows)
+            branch_rows.append((degs.pop(), field.int_row(coords)))
+        degrees = gen_degrees + tuple(d for d, _ in branch_rows)
         if degrees and max(degrees) - min(degrees) > MAX_DEGREE_SPAN:
             raise ValueError(f"generator and relation degrees span more than {MAX_DEGREE_SPAN}")
-        object.__setattr__(self, "_branch_rows", tuple(branch_rows))
+        self = super().__new__(cls, gen_degrees, relations, field)
+        self._branch_rows = tuple(branch_rows)
+        return self
 
     def relation_degrees(self) -> tuple[int, ...]:
         return tuple(d for d, _ in self._branch_rows)
 
     def with_field(self, field) -> "GradedModuleB":
-        return replace(self, field=field)
+        return GradedModuleB(self.gen_degrees, self.relations, field)
 
 
 def quotient_module(gens, field=FP_DEFAULT) -> GradedModuleB:
@@ -547,8 +546,7 @@ def _tally(keys) -> dict:
 MAX_HOM_BOUND = 1000
 
 
-@dataclass(frozen=True)
-class ResolutionResult:
+class ResolutionResult(NamedTuple):
     """A Betti table on the window, with its bounds.  tail_consistent, the
     doubling 2 beta_{i,j} = beta_{i+1,j+1} for i >= 2 inside the window, is
     always True: min_free_resolution proves it at step 3 and builds the later
@@ -564,7 +562,9 @@ class ResolutionResult:
 def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> ResolutionResult:
     """Betti table of a minimal free resolution on the window i <= hom_bound,
     j <= deg_bound.  Every reported entry is exact; truncated_rows lists the
-    rows that still have mass at deg_bound and so may continue past it.
+    rows that may continue past deg_bound: a row with mass at deg_bound, row 1
+    when a relation lies past it, and every row after such a row up to
+    hom_bound.
     Steps 2 and 3 are eliminations; step 3 certifies that every later row is
     the one before doubled and shifted (module doc), and raises AssertionError
     if it does not."""
@@ -597,12 +597,14 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
         betti.update({(step, d): n for d, n in row.items()})
 
     table = BettiTable(betti, tail_mode=EXPLICIT)
-    truncated = tuple(sorted({i for (i, j) in betti if j == deg_bound}))
+    cut = [i for (i, j) in betti if j == deg_bound]
+    if M.relations and max(M.relation_degrees()) > deg_bound:
+        cut.append(1)
+    truncated = tuple(range(min(cut), hom_bound + 1)) if cut else ()
     return ResolutionResult(table, deg_bound, hom_bound, True, truncated)
 
 
-@dataclass(frozen=True)
-class HilbertData:
+class HilbertData(NamedTuple):
     """Numerator of the Hilbert series against 1/(1 - t), and the multiplicity.
 
     numerator[n] is the coefficient of t^(offset + n); the multiplicity e is

@@ -19,10 +19,10 @@ Tables are treated as immutable values; all operations return new tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 CANONICAL = "canonical"
 EXPLICIT = "explicit"
@@ -212,8 +212,7 @@ def _head(table: BettiTable) -> BettiTable:
     return BettiTable({(i, j): v for (i, j), v in table.items() if i <= 2}, tail_mode=CANONICAL)
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
+class DegreeSequence(namedtuple("DegreeSequence", "shape d0 d1")):
     """Strictly increasing degree sequence in one of the three admitted shapes.
 
     free:     (d0, inf, inf, ...)
@@ -221,21 +220,20 @@ class DegreeSequence:
     tail:     (d0, d1, d1 + 1, d1 + 2, ...)
     """
 
-    shape: str
-    d0: int
-    d1: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.shape not in (FREE, TWO_STEP, TAIL):
-            raise ValueError(f"unknown shape: {self.shape!r}")
-        if self.shape == FREE:
-            if self.d1 is not None:
+    def __new__(cls, shape: str, d0: int, d1: int | None = None):
+        if shape not in (FREE, TWO_STEP, TAIL):
+            raise ValueError(f"unknown shape: {shape!r}")
+        if shape == FREE:
+            if d1 is not None:
                 raise ValueError("free shape takes d0 only")
         else:
-            if self.d1 is None:
-                raise ValueError(f"{self.shape} shape needs d1")
-            if not self.d0 < self.d1:
-                raise ValueError(f"need d0 < d1, got ({self.d0}, {self.d1})")
+            if d1 is None:
+                raise ValueError(f"{shape} shape needs d1")
+            if not d0 < d1:
+                raise ValueError(f"need d0 < d1, got ({d0}, {d1})")
+        return super().__new__(cls, shape, d0, d1)
 
     @classmethod
     def free(cls, d0: int) -> "DegreeSequence":
@@ -271,8 +269,7 @@ class DegreeSequence:
         return f"({self.d0}, {self.d1}, {self.d1 + 1}, ...)"
 
 
-@dataclass(frozen=True)
-class PureDiagram:
+class PureDiagram(NamedTuple):
     """The canonical table attached to a degree sequence, with unit leading entry."""
 
     degree_sequence: DegreeSequence
@@ -304,8 +301,7 @@ GAMMA_INF = "gamma_inf"
 DOUBLING_EQ = "doubling_eq"
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(NamedTuple):
     """Identifier of one linear functional on tables.
 
     epsilon(i, j)      entry at (i, j)
@@ -437,8 +433,7 @@ _HK_RAYS = {
 }
 
 
-@dataclass(frozen=True)
-class HKRay:
+class HKRay(NamedTuple):
     """First lattice point on one of the four rational rays cut out by the
     Herzog-Kuhl equation 3*(b0 - b1) + c*b1 = 0, extended by doubling."""
 

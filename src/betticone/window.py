@@ -17,9 +17,10 @@ jmin - 2 up to jmax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .tables import (
     ALPHA,
@@ -43,14 +44,13 @@ class WindowCapError(ValueError):
     """Window too wide for the double description pass."""
 
 
-@dataclass(frozen=True)
-class Window:
-    jmin: int
-    jmax: int
+class Window(namedtuple("Window", "jmin jmax")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.jmin > self.jmax:
-            raise ValueError(f"empty window [{self.jmin}, {self.jmax}]")
+    def __new__(cls, jmin: int, jmax: int):
+        if jmin > jmax:
+            raise ValueError(f"empty window [{jmin}, {jmax}]")
+        return super().__new__(cls, jmin, jmax)
 
     @property
     def width(self) -> int:
@@ -159,8 +159,7 @@ def extreme_rays(dim: int, ineqs, eqs=()):
     return sorted(rays)
 
 
-@dataclass(frozen=True)
-class WindowReport:
+class WindowReport(NamedTuple):
     window: Window
     n_generators: int
     n_facets: int

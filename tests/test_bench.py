@@ -10,9 +10,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["module_pipeline", "window_rays"])
+@pytest.mark.parametrize("workload", ["resolve_deep", "module_pipeline", "cone_batch", "window_rays"])
 def test_bench_harness_runs(workload):
-    # zero seconds still runs one round of every part and checks it against the oracle
+    # zero seconds still runs one round of every part and checks it against the
+    # oracle; the digests read the records (str of the cone terms, report.rays)
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0", "--trace", "0"],

@@ -230,7 +230,7 @@ def test_resolve_truncation_warns_and_fails(capsys, tmp_path):
     code, out, err = invoke(capsys, "resolve", path, "--deg-bound", "6", "--hom-bound", "2")
     assert code == 1
     assert "truncated_rows: 2" in out
-    assert "still have mass at deg_bound 6" in err
+    assert "may continue past deg_bound 6" in err
 
 
 def test_resolve_field_override(capsys, tmp_path):

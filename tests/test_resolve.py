@@ -313,6 +313,17 @@ def test_truncated_rows_are_flagged():
     assert 2 in res.truncated_rows
 
 
+def test_rows_past_the_window_are_flagged():
+    # the relation x^5 lies past deg_bound 4: row 1 (degree 5) and row 2
+    # (degree 6) are missing from the table, so both are flagged
+    res = min_free_resolution(quotient_module(["x^5"]), deg_bound=4, hom_bound=2)
+    assert dict(res.betti.items()) == {(0, 0): 1}
+    assert res.truncated_rows == (1, 2)
+    # row 2 has mass at deg_bound 6, so rows 3 and 4 may continue too
+    res = min_free_resolution(quotient_module(["x^5", "y^5", "z^5"]), deg_bound=6, hom_bound=4)
+    assert res.truncated_rows == (2, 3, 4)
+
+
 def test_resolved_tables_live_in_the_cone():
     for gens in (["x^2"], ["x^3", "y^2"], ["x^2", "y^2", "z^2"], ["(x+y+z)^2"]):
         res = min_free_resolution(quotient_module(gens), deg_bound=12, hom_bound=4)
@@ -359,6 +370,19 @@ def _labelled_relations(M):
                 coords[index[(k, var)]] += q
         out.append((rdeg, labels, M.field.int_row(coords)))
     return out
+
+
+def truncated_rows(M, betti, deg_bound, hom_bound):
+    """The rows of an oracle's betti dict that may continue past deg_bound,
+    walked up one row at a time: row i is cut when it has mass at deg_bound,
+    when row i - 1 is cut, or, for row 1, when a relation lies past
+    deg_bound."""
+    cut = []
+    for i in range(hom_bound + 1):
+        if ((i, deg_bound) in betti or (cut and cut[-1] == i - 1)
+                or (i == 1 and any(d > deg_bound for d in M.relation_degrees()))):
+            cut.append(i)
+    return tuple(cut)
 
 
 def every_degree_resolution(M, deg_bound, hom_bound):
@@ -408,8 +432,7 @@ def every_degree_resolution(M, deg_bound, hom_bound):
         for i in range(2, hom_bound)
         for j in range(deg_bound)
     )
-    truncated = tuple(sorted({i for (i, j) in betti if j == deg_bound}))
-    return betti, tail_ok, truncated
+    return betti, tail_ok, truncated_rows(M, betti, deg_bound, hom_bound)
 
 
 def full_matrix_branch_syzygies(gens, r, deg_bound, field):
@@ -476,8 +499,7 @@ def every_step_resolution(M, deg_bound, hom_bound):
         for j in {j for (r, j) in betti if r == i} | {j - 1 for (r, j) in betti if r == i + 1}
         if j + 1 <= deg_bound
     )
-    truncated = tuple(sorted({i for (i, j) in betti if j == deg_bound}))
-    return betti, tail_ok, truncated
+    return betti, tail_ok, truncated_rows(M, betti, deg_bound, hom_bound)
 
 
 def every_degree_hilbert(M, deg_bound):
