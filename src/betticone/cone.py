@@ -23,6 +23,11 @@ the scan, as entries with pairwise coprime denominators would make every sum
 of the scan, and every greedy round after it, that many bits wide.  The ratio
 test stays on Fractions.
 
+Its cost: one pass over the entries in storage order, with one multiply each
+and one lcm per distinct denominator, no sort of the entries (the first
+negative entry is the least (i, j) among the negative ones), and then one
+sort of the alpha and of the gamma breakpoints.
+
 The local (single column) cone over Betti sequences (b0, b1, b2) is handled at
 the end of the module, with rays (1,0,0), (1,1,0), (1,3,6).
 """
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import NamedTuple
 
 from .tables import (
@@ -97,15 +103,20 @@ class MembershipVerdict(NamedTuple):
 
 
 def _scaled(v: BettiTable) -> tuple[dict, int]:
-    """The entries of v times L, the lcm of their denominators, and L.
-    Raises ValueError once L passes MAX_COEFFICIENT_BITS bits."""
-    items = v.items()
+    """The entries of v times L, the lcm of their denominators, and L, in
+    storage order.  Raises ValueError once L passes MAX_COEFFICIENT_BITS bits,
+    which the lcm over the distinct denominators alone decides."""
+    ratios = list(map(Fraction.as_integer_ratio, v._entries.values()))
+    nums, dens = zip(*ratios) if ratios else ((), ())
+    factor = dict.fromkeys(dens)
     scale = 1
-    for _, val in items:
-        scale = lcm(scale, val.denominator)
+    for d in factor:
+        scale = lcm(scale, d)
         if scale.bit_length() - 1 > MAX_COEFFICIENT_BITS:
             raise ValueError(f"the lcm of the entry denominators passes {MAX_COEFFICIENT_BITS} bits")
-    return {ij: val.numerator * (scale // val.denominator) for ij, val in items}, scale
+    for d in factor:
+        factor[d] = scale // d
+    return dict(zip(v._entries, map(mul, nums, map(factor.__getitem__, dens)))), scale
 
 
 def _violation(f: Functional, val, scale: int) -> Violation:
@@ -121,9 +132,9 @@ def _first_violation(v: BettiTable, finite_length: bool = False) -> Violation | 
         for i, j, val in _doubling_equalities(entries):
             if val != 0:
                 return _violation(Functional.doubling_eq(i, j), val, scale)
-    for (i, j), val in entries.items():
-        if val < 0:
-            return _violation(Functional.epsilon(i, j), val, scale)
+    if min(entries.values(), default=0) < 0:
+        ij = min(ij for ij, val in entries.items() if val < 0)
+        return _violation(Functional.epsilon(*ij), entries[ij], scale)
     gamma_inf = 0
     for kind, k, (val,) in _cone_functionals(entries):
         if val < 0:
@@ -172,8 +183,8 @@ def _pivot(v: BettiTable) -> DegreeSequence:
 def _max_step(v: BettiTable, pi: BettiTable) -> Fraction:
     """Largest c with v - c*pi still in the cone, by an exact ratio test over
     every functional that is positive on pi."""
-    best = min(v.entry(i, j) / pval for (i, j), pval in pi.items())
-    for _, _, (val, pval) in _cone_functionals(v, pi):
+    best = min(v.entry(i, j) / pval for (i, j), pval in pi._entries.items())
+    for _, _, (val, pval) in _cone_functionals(v._entries, pi._entries):
         if pval > 0 and val / pval < best:
             best = val / pval
     return best

@@ -18,6 +18,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
+from .tables import _Checked
+
 # F_p is meant as a small modular fast path; this bound keeps the primality
 # check by trial division bounded too
 MAX_PRIME = 2 ** 31
@@ -34,7 +36,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class Field(namedtuple("Field", "p")):
+class Field(_Checked, namedtuple("Field", "p")):
     """Q for p = 0, the prime field F_p otherwise."""
 
     __slots__ = ()

@@ -64,7 +64,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .linalg import FP_DEFAULT, SpanTracker, kernel_basis
-from .tables import EXPLICIT, MAX_COEFFICIENT_BITS, BettiTable, Functional, eval_functional
+from .tables import EXPLICIT, MAX_COEFFICIENT_BITS, BettiTable, Functional, _Checked, eval_functional
 
 _VARS = ("x", "y", "z")
 _UNIT = ("1", 0)
@@ -396,7 +396,7 @@ class BoundsError(RuntimeError):
     """Bounds too small to certify the rows a computation depends on."""
 
 
-class GradedModuleB(namedtuple("GradedModuleB", "gen_degrees relations field")):
+class GradedModuleB(_Checked, namedtuple("GradedModuleB", "gen_degrees relations field")):
     """Finitely presented graded B-module: generator degrees plus homogeneous
     relation rows.  Every relation entry must have positive degree, so the
     presentation is minimal and row 0 of the Betti table can be read off.

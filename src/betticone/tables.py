@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import total_ordering
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 CANONICAL = "canonical"
@@ -70,6 +71,18 @@ def _exact(value) -> Fraction:
     if isinstance(value, float):
         raise ValueError(f"float {value!r} is not an exact rational; pass an int, a Fraction or a string")
     return Fraction(value)
+
+
+class _Checked:
+    """First base of a namedtuple subclass whose __new__ checks its fields:
+    _make, and _replace which calls it, go through that constructor, so they
+    refuse what it refuses and rebuild whatever it derives."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*super()._make(iterable))
 
 
 class BettiTable:
@@ -212,7 +225,7 @@ def _head(table: BettiTable) -> BettiTable:
     return BettiTable({(i, j): v for (i, j), v in table.items() if i <= 2}, tail_mode=CANONICAL)
 
 
-class DegreeSequence(namedtuple("DegreeSequence", "shape d0 d1")):
+class DegreeSequence(_Checked, namedtuple("DegreeSequence", "shape d0 d1")):
     """Strictly increasing degree sequence in one of the three admitted shapes.
 
     free:     (d0, inf, inf, ...)
@@ -396,31 +409,39 @@ def _cone_functionals(*tables) -> Iterator[tuple[str, int, tuple[RationalLike, .
     """(ALPHA, k, values) by increasing k, then (GAMMA, k, values) by
     increasing k, at every k where the value on one of the tables can change,
     with the values on each table.  A table here is anything whose items()
-    gives ((i, j), value) pairs, such as a dict or a BettiTable; the values
-    are plain arithmetic on its entries, so ints give ints and Fractions give
-    Fractions.
+    gives ((i, j), value) pairs in any order, such as a dict or a BettiTable;
+    the values are plain arithmetic on its entries, so ints give ints and
+    Fractions give Fractions.
 
     alpha_k vanishes unless (1, k) or (2, k + 1) is stored, and gamma_k is a
     step function jumping only at k = j - i for stored (i, j), i <= 2.  Every
     skipped k thus has alpha_k = 0 and the gamma of the last key below it,
     and the last gamma yielded is gamma_inf.
+
+    Cost: one pass over the entries of each table, unsorted, adds up its
+    alpha values and gamma jumps by k; then one sort of the union of the keys
+    of each kind, off which map, zip and itertools.accumulate read the values
+    and sum the jumps.
     """
-    zeros = (0,) * len(tables)
-    alpha: dict[int, list] = {}
-    gamma_jumps: dict[int, list] = {}
-    for t, v in enumerate(tables):
+    alphas, jumps = [], []
+    for v in tables:
+        alpha, jump = {}, {}
         for (i, j), val in v.items():
-            if i > 2:
-                continue
-            gamma_jumps.setdefault(j - i, list(zeros))[t] += (3, -3, 1)[i] * val
-            if i > 0:
-                alpha.setdefault(j - i + 1, list(zeros))[t] += (2, -1)[i - 1] * val
-    for k in sorted(alpha):
-        yield ALPHA, k, tuple(alpha[k])
-    gamma = zeros
-    for k in sorted(gamma_jumps):
-        gamma = tuple(g + dg for g, dg in zip(gamma, gamma_jumps[k]))
-        yield GAMMA, k, gamma
+            if i == 0:
+                jump[j] = jump.get(j, 0) + 3 * val
+            elif i == 1:
+                jump[j - 1] = jump.get(j - 1, 0) - 3 * val
+                alpha[j] = alpha.get(j, 0) + 2 * val
+            elif i == 2:
+                jump[j - 2] = jump.get(j - 2, 0) + val
+                alpha[j - 1] = alpha.get(j - 1, 0) - val
+        alphas.append(alpha)
+        jumps.append(jump)
+    zero = repeat(0)  # the default of every get below
+    ks = sorted(set().union(*alphas))
+    yield from zip(repeat(ALPHA), ks, zip(*[map(a.get, ks, zero) for a in alphas]))
+    ks = sorted(set().union(*jumps))
+    yield from zip(repeat(GAMMA), ks, zip(*[accumulate(map(g.get, ks, zero)) for g in jumps]))
 
 
 # The four ray classes of the Herzog-Kuhl locus, keyed by the slope invariant c.

@@ -28,6 +28,7 @@ from .tables import (
     DegreeSequence,
     Functional,
     PureDiagram,
+    _Checked,
     _cone_functionals,
     make_pure_diagram,
 )
@@ -44,7 +45,7 @@ class WindowCapError(ValueError):
     """Window too wide for the double description pass."""
 
 
-class Window(namedtuple("Window", "jmin jmax")):
+class Window(_Checked, namedtuple("Window", "jmin jmax")):
     __slots__ = ()
 
     def __new__(cls, jmin: int, jmax: int):

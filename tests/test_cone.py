@@ -2,7 +2,7 @@
 
 import time
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -325,6 +325,30 @@ def test_the_refusal_comes_before_any_violation():
     viol = cone._first_violation(table)
     assert (viol.label, viol.value) == full_span_violation(table, False)
     assert viol.value == Fraction(-1, dens[1])
+
+
+def test_one_lcm_per_distinct_denominator(monkeypatch):
+    # 2,000 entries over the denominators {1, 2, 3}: at most one lcm for each
+    table = BettiTable({(i, j): Fraction(2 * j + 1 + i, 1 + j % 3) for i in range(2) for j in range(1000)})
+    assert len(table.support()) == 2000
+    assert {val.denominator for _, val in table.items()} == {1, 2, 3}
+    calls = []
+
+    def counting_lcm(*args):
+        calls.append(args)
+        return lcm(*args)
+
+    monkeypatch.setattr(cone, "lcm", counting_lcm)
+    entries, scale = cone._scaled(table)
+    assert len(calls) <= 3
+    # the per-entry formula: L folds every entry's denominator, and each
+    # entry is its numerator times L over its denominator
+    expected_scale = 1
+    for _, val in table.items():
+        expected_scale = lcm(expected_scale, val.denominator)
+    expected = {ij: val.numerator * (expected_scale // val.denominator) for ij, val in table.items()}
+    assert (entries, scale) == (expected, expected_scale) == (expected, 6)
+    assert all(type(val) is int for val in entries.values())
 
 
 def test_betti_sequence_rejects_floats():

@@ -118,6 +118,15 @@ X = BPolynomial.variable("x")
     pytest.param(lambda: GradedModuleB(gen_degrees=(0, 0), relations=((X,),)), "length 1 against 2",
                  id="ragged-kw"),
     pytest.param(lambda: GradedModuleB((0,), ((X7,),), Field(7)), "divisible by 7", id="denominator"),
+    # _make, and _replace which calls it, go through the constructor
+    pytest.param(lambda: Window(0, 3)._replace(jmin=5), "empty window", id="window-replace"),
+    pytest.param(lambda: Window._make((3, 1)), "empty window", id="window-make"),
+    pytest.param(lambda: DegreeSequence.tail(0, 1)._replace(d1=0), "need d0 < d1", id="tail-replace"),
+    pytest.param(lambda: DegreeSequence._make(("free", 0, 1)), "free shape takes d0 only", id="free-make"),
+    pytest.param(lambda: Field._make([4]), "not prime", id="field-make"),
+    pytest.param(lambda: QQ._replace(p=4), "not prime", id="field-replace"),
+    pytest.param(lambda: builtin("omega")._replace(gen_degrees=(0,)), "length 2 against 1", id="module-replace"),
+    pytest.param(lambda: GradedModuleB._make(((0,), ((X7,),), Field(7))), "divisible by 7", id="module-make"),
 ])
 def test_constructors_still_refuse(build, message):
     with pytest.raises(ValueError, match=message):
@@ -129,9 +138,20 @@ def test_with_field_rederives_the_branch_rows():
     with pytest.raises(ValueError, match="divisible by 7"):
         M.with_field(Field(7))
     omega = builtin("omega", QQ)
-    moved = omega.with_field(FP_DEFAULT)
-    assert moved == builtin("omega", FP_DEFAULT)
-    assert moved._branch_rows == builtin("omega", FP_DEFAULT)._branch_rows != omega._branch_rows
+    for moved in (omega.with_field(FP_DEFAULT), omega._replace(field=FP_DEFAULT)):
+        assert moved == builtin("omega", FP_DEFAULT)
+        assert moved._branch_rows == builtin("omega", FP_DEFAULT)._branch_rows != omega._branch_rows
+
+
+def test_make_and_replace_keep_the_namedtuple_contract():
+    assert Window._make([0, 3]) == Window(0, 3) and type(Window._make([0, 3])) is Window
+    assert Window(0, 3)._replace(jmax=5) == Window(0, 5)
+    assert DegreeSequence._make(("two_step", 0, 2)) == DegreeSequence.two_step(0, 2)
+    assert Field._make([7]) == Field(7)
+    with pytest.raises(TypeError, match="Expected 2 arguments, got 3"):
+        Window._make([0, 1, 2])
+    with pytest.raises(ValueError, match="unexpected field names"):
+        Window(0, 3)._replace(width=2)
 
 
 def test_importing_the_cli_loads_no_code_generation():

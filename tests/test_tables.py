@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betticone import (
@@ -23,6 +23,7 @@ from betticone import (
     syzygy_of_indecomposable,
     table_arith,
 )
+from betticone.tables import ALPHA, GAMMA, _cone_functionals
 
 
 def gamma_by_definition(v: BettiTable, k: int) -> Fraction:
@@ -291,6 +292,66 @@ def test_doubling_eq_holds_on_canonical_tail():
     v = BettiTable({(2, 3): 6})
     assert eval_functional(Functional.doubling_eq(2, 3), v) == 2 * 6 - v.entry(3, 4)
     assert eval_functional(Functional.doubling_eq(2, 3), v) == 0
+
+
+def reference_cone_functionals(*tables):
+    """The enumerator as it was when it summed a list of per-table values at
+    each key in Python, kept as the oracle of the one in tables."""
+    zeros = (0,) * len(tables)
+    alpha: dict[int, list] = {}
+    gamma_jumps: dict[int, list] = {}
+    for t, v in enumerate(tables):
+        for (i, j), val in v.items():
+            if i > 2:
+                continue
+            gamma_jumps.setdefault(j - i, list(zeros))[t] += (3, -3, 1)[i] * val
+            if i > 0:
+                alpha.setdefault(j - i + 1, list(zeros))[t] += (2, -1)[i - 1] * val
+    for k in sorted(alpha):
+        yield ALPHA, k, tuple(alpha[k])
+    gamma = zeros
+    for k in sorted(gamma_jumps):
+        gamma = tuple(g + dg for g, dg in zip(gamma, gamma_jumps[k]))
+        yield GAMMA, k, gamma
+
+
+int_or_fraction = st.one_of(st.integers(-6, 6), small_fractions)
+
+
+@st.composite
+def functional_inputs(draw):
+    """1, 2 or 18 tables, each a dict (zero values kept) or an explicit
+    BettiTable, with entries in rows 0..4 over a few degrees, so that keys
+    collide across rows, plus pairs whose contributions cancel:
+    v[0, j] = v[1, j + 1] in the gamma jump at j, and v[2, j + 1] = 2 v[1, j]
+    in alpha_j."""
+    tables = []
+    for _ in range(draw(st.sampled_from((1, 2, 18)))):
+        cell = st.tuples(st.integers(0, 4), st.integers(-3, 4))
+        entries = draw(st.dictionaries(cell, int_or_fraction, max_size=6))
+        for j in draw(st.lists(st.integers(-3, 4), max_size=2)):
+            a = draw(int_or_fraction)
+            entries[0, j] = entries[1, j + 1] = a
+        for j in draw(st.lists(st.integers(-3, 4), max_size=2)):
+            a = draw(int_or_fraction)
+            entries[1, j], entries[2, j + 1] = a, 2 * a
+        tables.append(BettiTable(entries, tail_mode=EXPLICIT) if draw(st.booleans()) else entries)
+    return tables
+
+
+def typed(functionals):
+    return [(kind, k, values, tuple(map(type, values))) for kind, k, values in functionals]
+
+
+@given(functional_inputs())
+@example([{(0, 0): 1, (1, 1): 1, (3, 0): 5}])
+@example([{(1, 0): Fraction(1, 2), (2, 1): 1}, BettiTable({(0, 2): 4, (4, 9): 1}, tail_mode=EXPLICIT)])
+@example([{}])
+@settings(max_examples=100, deadline=None)
+def test_cone_functionals_match_the_reference(tables):
+    got = typed(_cone_functionals(*tables))
+    assert got == typed(reference_cone_functionals(*tables))
+    assert all(len(values) == len(tables) for _, _, values, _ in got)
 
 
 # -- Herzog-Kuhl rays ---------------------------------------------------------
