@@ -11,17 +11,18 @@ violated functional as a certificate; on success the certificate is an exact
 greedy decomposition into pure diagrams.  The finite length variant adds the
 single condition gamma_inf = 0, which kills the free summands.
 
-alpha_k and gamma_k change only at the shifted degrees j - i of stored
-entries, so the membership scan and the decomposition's ratio test visit just
-those breakpoints (tables._cone_functionals): their cost follows the number of
-stored entries, not the span of degrees between them.
+alpha_k and gamma_k change only at the shifted degrees j - i of stored entries,
+so the membership scan and the decomposition's ratio test visit just those
+breakpoints (tables._cone_functionals): their cost follows the number of stored
+entries, not the span of degrees between them.  A greedy round, on a residual
+dict of Fractions, costs one pass over its keys for the pivot, the ratio test
+over the breakpoints, and an update of pi_d's 1-3 entries.
 
 The membership scan runs on ints: it multiplies the entries once by L, the
 lcm of their denominators, and reports a violated value as value / L.  A table
 whose L passes MAX_COEFFICIENT_BITS bits is refused with ValueError before
 the scan, as entries with pairwise coprime denominators would make every sum
-of the scan, and every greedy round after it, that many bits wide.  The ratio
-test stays on Fractions.
+of the scan, and every greedy round after it, that many bits wide.
 
 Its cost: one pass over the entries in storage order, with one multiply each
 and one lcm per distinct denominator, no sort of the entries (the first
@@ -40,7 +41,6 @@ from operator import mul
 from typing import NamedTuple
 
 from .tables import (
-    CANONICAL,
     EXPLICIT,
     MAX_COEFFICIENT_BITS,
     BettiTable,
@@ -50,9 +50,7 @@ from .tables import (
     _cone_functionals,
     _doubling_equalities,
     _exact,
-    _head,
     make_pure_diagram,
-    table_arith,
 )
 
 
@@ -90,10 +88,11 @@ class Decomposition(NamedTuple):
     terms: tuple[tuple[DegreeSequence, Fraction], ...]
 
     def recombine(self) -> BettiTable:
-        total = BettiTable({}, tail_mode=CANONICAL)
+        total: dict[tuple[int, int], Fraction] = {}
         for d, coeff in self.terms:
-            total = table_arith(1, total, coeff, make_pure_diagram(d).table)
-        return total
+            for ij, pval in make_pure_diagram(d).table._entries.items():
+                total[ij] = total.get(ij, 0) + coeff * pval
+        return BettiTable(total)
 
 
 class MembershipVerdict(NamedTuple):
@@ -149,7 +148,7 @@ def _check(v: BettiTable, finite_length: bool) -> MembershipVerdict:
     viol = _first_violation(v, finite_length)
     if viol is not None:
         return MembershipVerdict(False, violation=viol)
-    return MembershipVerdict(True, decomposition=_greedy(_head(v)))
+    return MembershipVerdict(True, decomposition=_greedy(v))
 
 
 def check_graded(v: BettiTable) -> MembershipVerdict:
@@ -164,27 +163,11 @@ def check_finite_length(v: BettiTable) -> MembershipVerdict:
     return _check(v, finite_length=True)
 
 
-def _pivot(v: BettiTable) -> DegreeSequence:
-    row0 = v.row_degrees(0)
-    row1 = v.row_degrees(1)
-    # For a cone member with row 1 mass, row 0 must start strictly below it
-    # (gamma at d1 - 1 forces it), so the pivot below is always well formed.
-    if not row0:
-        raise AssertionError(f"cone member without row 0 mass: {v!r}")
-    d0 = row0[0]
-    if not row1:
-        return DegreeSequence.free(d0)
-    d1 = row1[0]
-    if v.entry(2, d1 + 1) != 0:
-        return DegreeSequence.tail(d0, d1)
-    return DegreeSequence.two_step(d0, d1)
-
-
-def _max_step(v: BettiTable, pi: BettiTable) -> Fraction:
+def _max_step(v: dict, pi: dict) -> Fraction:
     """Largest c with v - c*pi still in the cone, by an exact ratio test over
-    every functional that is positive on pi."""
-    best = min(v.entry(i, j) / pval for (i, j), pval in pi._entries.items())
-    for _, _, (val, pval) in _cone_functionals(v._entries, pi._entries):
+    every functional that is positive on pi, on entry dicts with pi's keys in v."""
+    best = min(v[ij] / pval for ij, pval in pi.items())
+    for _, _, (val, pval) in _cone_functionals(v, pi):
         if pval > 0 and val / pval < best:
             best = val / pval
     return best
@@ -196,36 +179,57 @@ def decompose(v: BettiTable) -> Decomposition:
     Each round picks d0 and d1 as the lowest degrees with mass in rows 0 and 1
     (d1 = inf when row 1 is empty), prefers the tail shape when row 2 has mass
     at d1 + 1, and subtracts the largest multiple of pi_d that keeps the
-    residual in the cone.  The binding functional of the ratio test zeroes at
-    least one support entry per round, so the iteration cap of 3*|support| + 3
-    is generous; hitting it raises with the residual attached.  A table whose
+    residual in the cone.  A round costs one pass over the residual's keys for
+    the pivot, the ratio test over the breakpoints, and an update of 1-3
+    entries.  The binding functional of the ratio test zeroes at least one
+    support entry per round, so the iteration cap of 3*|support| + 3 is
+    generous; hitting it raises with the residual attached.  A table whose
     entry denominators have an lcm past MAX_COEFFICIENT_BITS bits is refused
     with ValueError, as in check_graded.
     """
     viol = _first_violation(v)
     if viol is not None:
         raise NotInConeError(viol)
-    return _greedy(_head(v))
+    return _greedy(v)
 
 
 def _greedy(v: BettiTable) -> Decomposition:
-    """The rounds of decompose, for the rows 0..2 (a canonical table) of a
-    table already known to be a member."""
-    cap = 3 * len(v.support()) + 3
+    """The rounds of decompose on the rows 0..2 of a known member, with the
+    residual as one dict throughout: a round reads d0 and d1 off one pass over
+    its keys, runs the ratio test over the breakpoints, and subtracts c*pi_d in
+    place on the 1-3 keys of pi_d, deleting those that reach 0.  The pivot
+    rule takes those keys from the residual's, so the support never grows."""
+    res = {ij: val for ij, val in v._entries.items() if ij[0] <= 2}
     terms: list[tuple[DegreeSequence, Fraction]] = []
-    for _ in range(cap):
-        if v.is_zero:
-            return Decomposition(tuple(terms))
-        d = _pivot(v)
-        pi = make_pure_diagram(d).table
-        c = _max_step(v, pi)
+    for _ in range(3 * len(res) + 3):
+        if not res:
+            break
+        low = {}  # the least degree of each row
+        for i, j in res:
+            if i not in low or j < low[i]:
+                low[i] = j
+        d0, d1 = low.get(0), low.get(1)
+        # in a member gamma at d1 - 1 puts row 0 mass below d1, so d0 exists
+        if d0 is None:
+            raise AssertionError(f"cone member without row 0 mass: {BettiTable(res)!r}")
+        if d1 is None:
+            d = DegreeSequence.free(d0)
+        elif (2, d1 + 1) in res:
+            d = DegreeSequence.tail(d0, d1)
+        else:
+            d = DegreeSequence.two_step(d0, d1)
+        pi = make_pure_diagram(d).table._entries
+        c = _max_step(res, pi)
         if c <= 0:
-            raise DecompositionLoopError(v, tuple(terms))
+            break
         terms.append((d, c))
-        v = table_arith(1, v, -c, pi)
-    if v.is_zero:
-        return Decomposition(tuple(terms))
-    raise DecompositionLoopError(v, tuple(terms))
+        for ij, pval in pi.items():
+            res[ij] -= c * pval
+            if not res[ij]:
+                del res[ij]
+    if res:
+        raise DecompositionLoopError(BettiTable(res), tuple(terms))
+    return Decomposition(tuple(terms))
 
 
 def degseq_leq(d: DegreeSequence, e: DegreeSequence) -> bool:

@@ -137,10 +137,6 @@ class BettiTable:
     def items(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
         return tuple(sorted(self._entries.items()))
 
-    def row_degrees(self, i: int) -> tuple[int, ...]:
-        """Degrees j with a stored nonzero entry in row i, sorted."""
-        return tuple(sorted(j for (r, j) in self._entries if r == i))
-
     def row_total(self, i: int) -> Fraction:
         """Sum of the stored entries in row i."""
         return sum((v for (r, _), v in self._entries.items() if r == i), Fraction(0))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betticone import QQ, BettiTable, check_graded, cli
+from betticone import QQ, BettiTable, check_graded, cli, cone
 from betticone.cli import ModuleFormatError, format_table_text, parse_module_text, parse_table_text, run
 from betticone.resolve import BUILTIN_NAMES, MAX_HOM_BOUND, GradedModuleB
 
@@ -138,6 +138,16 @@ def test_check_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(TAIL_TABLE))
     code, out, _ = invoke(capsys, "check")
     assert code == 0 and "member: yes" in out
+
+
+def test_check_reports_a_greedy_without_progress(capsys, monkeypatch):
+    monkeypatch.setattr(cone, "_max_step", lambda v, pi: Fraction(0))
+    monkeypatch.setattr("sys.stdin", io.StringIO(OMEGA_TABLE))
+    code, out, err = invoke(capsys, "check", "-")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: no progress after 0 subtractions; ")
 
 
 def test_decompose_output(capsys, tmp_path):

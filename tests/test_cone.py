@@ -12,6 +12,7 @@ from betticone import (
     EXPLICIT,
     BettiSequence,
     BettiTable,
+    DecompositionLoopError,
     DegreeSequence,
     Functional,
     LocalDecomposition,
@@ -29,7 +30,7 @@ from betticone import (
     table_arith,
 )
 from betticone import cone
-from betticone.tables import MAX_COEFFICIENT_BITS, _doubling_equalities
+from betticone.tables import MAX_COEFFICIENT_BITS, _cone_functionals, _doubling_equalities
 
 OMEGA_TABLE = BettiTable({(0, 0): 2, (1, 1): 3, (2, 2): 6})
 
@@ -163,6 +164,125 @@ def test_members_spread_over_a_million_degrees_decompose_exactly():
     )
 
 
+# -- the greedy rounds against a reference that rebuilds the residual ---------
+#
+# reference_greedy is the greedy as it was written on whole tables: each round
+# sorts rows 0 and 1 for the pivot and rebuilds the residual with table_arith.
+# cone._greedy must give the same terms, coefficient for coefficient, and so
+# must any later decomposition that replaces it.
+
+
+def row_degrees(v, i):
+    """Degrees j with a stored nonzero entry in row i, sorted."""
+    return tuple(sorted(j for (r, j) in v._entries if r == i))
+
+
+def reference_pivot(v: BettiTable) -> DegreeSequence:
+    row0 = row_degrees(v, 0)
+    row1 = row_degrees(v, 1)
+    # For a cone member with row 1 mass, row 0 must start strictly below it
+    # (gamma at d1 - 1 forces it), so the pivot below is always well formed.
+    if not row0:
+        raise AssertionError(f"cone member without row 0 mass: {v!r}")
+    d0 = row0[0]
+    if not row1:
+        return DegreeSequence.free(d0)
+    d1 = row1[0]
+    if v.entry(2, d1 + 1) != 0:
+        return DegreeSequence.tail(d0, d1)
+    return DegreeSequence.two_step(d0, d1)
+
+
+def reference_max_step(v: BettiTable, pi: BettiTable) -> Fraction:
+    """Largest c with v - c*pi still in the cone, by an exact ratio test over
+    every functional that is positive on pi."""
+    best = min(v.entry(i, j) / pval for (i, j), pval in pi._entries.items())
+    for _, _, (val, pval) in _cone_functionals(v._entries, pi._entries):
+        if pval > 0 and val / pval < best:
+            best = val / pval
+    return best
+
+
+def reference_greedy(v: BettiTable) -> cone.Decomposition:
+    """The rounds of decompose, for the rows 0..2 (a canonical table) of a
+    table already known to be a member."""
+    cap = 3 * len(v.support()) + 3
+    terms: list[tuple[DegreeSequence, Fraction]] = []
+    for _ in range(cap):
+        if v.is_zero:
+            return cone.Decomposition(tuple(terms))
+        d = reference_pivot(v)
+        pi = make_pure_diagram(d).table
+        c = reference_max_step(v, pi)
+        if c <= 0:
+            raise DecompositionLoopError(v, tuple(terms))
+        terms.append((d, c))
+        v = table_arith(1, v, -c, pi)
+    if v.is_zero:
+        return cone.Decomposition(tuple(terms))
+    raise DecompositionLoopError(v, tuple(terms))
+
+
+def spread_sequences(lo, hi, gap):
+    """Degree sequences of all three shapes with d0 in [lo, hi] and d1 - d0 in [1, gap]."""
+    return st.one_of(
+        st.integers(lo, hi).map(DegreeSequence.free),
+        st.tuples(st.integers(lo, hi), st.integers(1, gap)).map(
+            lambda t: DegreeSequence.two_step(t[0], t[0] + t[1])
+        ),
+        st.tuples(st.integers(lo, hi), st.integers(1, gap)).map(
+            lambda t: DegreeSequence.tail(t[0], t[0] + t[1])
+        ),
+    )
+
+
+many_term_members = st.lists(
+    st.tuples(spread_sequences(-30, 30, 8), st.fractions(min_value=Fraction(1, 6), max_value=9, max_denominator=6)),
+    min_size=1,
+    max_size=60,
+).map(lambda terms: combo(*terms))
+far_members = st.lists(
+    st.tuples(spread_sequences(-(10**6), 10**6, 10**6), st.integers(1, 5)), min_size=1, max_size=8
+).map(lambda terms: combo(*terms))
+greedy_inputs = st.one_of(
+    cone_points,
+    st.tuples(cone_points, st.integers(2, 6)).map(lambda t: expand_tail(t[0], max_row=t[1])),
+    many_term_members,
+    far_members,
+)
+
+
+@given(greedy_inputs)
+@settings(max_examples=150, deadline=None)
+def test_greedy_matches_the_reference_greedy(v):
+    expected = reference_greedy(collapse_tail(v)).terms
+    for terms in (decompose(v).terms, check_graded(v).decomposition.terms):
+        assert terms == expected
+        assert all(type(d) is DegreeSequence and type(c) is Fraction for d, c in terms)
+
+
+@given(greedy_inputs)
+@settings(max_examples=100, deadline=None)
+def test_each_pure_diagram_lies_in_the_support_of_its_residual(v):
+    # so the support never grows, and every round zeroes at least one entry
+    residual = collapse_tail(v)
+    terms = decompose(v).terms
+    assert len(terms) <= len(residual.support())
+    for d, c in terms:
+        pi = make_pure_diagram(d).table
+        assert set(pi.support()) <= set(residual.support()), (d, residual)
+        residual = table_arith(1, residual, -c, pi)
+    assert residual.is_zero
+
+
+def test_a_greedy_without_progress_raises_with_the_residual(monkeypatch):
+    monkeypatch.setattr(cone, "_max_step", lambda v, pi: Fraction(0))
+    with pytest.raises(DecompositionLoopError, match=r"^no progress after 0 subtractions; ") as exc:
+        decompose(OMEGA_TABLE)
+    assert exc.value.residual == OMEGA_TABLE
+    assert exc.value.terms == ()
+
+
 # -- the breakpoint scan against a walk over every degree of the span ----------
 
 
@@ -201,7 +321,7 @@ def full_span_decomposition(v):
     for _ in range(3 * len(v.support()) + 3):
         if v.is_zero:
             break
-        d = cone._pivot(v)
+        d = reference_pivot(v)
         pi = make_pure_diagram(d).table
         entries = [Functional.epsilon(i, j) for (i, j) in pi.support()]
         c = min(
@@ -502,7 +622,7 @@ def test_guards_fire_past_the_membership_scan():
     # the pivot and the local coefficients trust the scan; called without it
     # on a non-member they raise, under python -O too
     with pytest.raises(AssertionError, match="without row 0 mass"):
-        cone._pivot(BettiTable({(1, 1): 1}))
+        cone._greedy(BettiTable({(1, 1): 1}))
     with pytest.raises(AssertionError, match="contradict the membership scan"):
         cone._local_coefficients(BettiSequence.of(0, 1, 0), finite_length=False)
     with pytest.raises(AssertionError, match="contradict the membership scan"):
