@@ -61,8 +61,7 @@ from .tables import (
     MAX_COEFFICIENT_BITS,
     BettiTable,
     DegreeSequence,
-    Functional,
-    eval_functional,
+    _cone_functionals,
     make_pure_diagram,
 )
 from .window import Window, cross_check
@@ -248,7 +247,10 @@ def cmd_resolve(args) -> int:
     print(f"tail_consistent: {'yes' if res.tail_consistent else 'no'}")
     rows = " ".join(str(i) for i in res.truncated_rows) if res.truncated_rows else "none"
     print(f"truncated_rows: {rows}")
-    print(f"gamma_inf: {eval_functional(Functional.gamma_inf(), res.betti)}")
+    gamma_inf = 0
+    for _, _, (val,) in _cone_functionals(res.betti._entries):
+        gamma_inf = val  # the last value yielded is gamma_inf
+    print(f"gamma_inf: {gamma_inf}")
     code = 0
     try:
         hd = hilbert_data(M, args.deg_bound)

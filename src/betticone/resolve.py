@@ -24,19 +24,21 @@ works in branch coordinates:
   form the kernel vector of a free column of degree b uses only that column
   and earlier ones, so it is a minimal generator of degree b + 1 living in
   branch v alone.  One elimination per branch finds them all;
-* only steps 2 and 3 are eliminated.  A step 2 generator lives in one branch,
-  so in every other branch its column at step 3 is zero and its kernel vector
-  is the unit vector there, of degree one more.  The nonzero columns of branch
-  w are the step 2 kernel vectors of branch w, independent as they come from
-  one reduced echelon form, so they add no kernel.  Row 3 is therefore row 2
-  doubled and shifted up one degree (entries past deg_bound dropped), and a
-  kernel vector other than a zero column's would show as an excess there:
-  that comparison is the certificate, and it raises AssertionError if it
+* only step 2 is eliminated.  A step 2 generator lives in one branch, so in
+  every other branch its column at step 3 is zero and its kernel vector is
+  the unit vector there, of degree one more.  The nonzero columns of branch w
+  are the step 2 kernel vectors of branch w, each ending at its own free
+  column, so they are triangular, hence independent, and add no kernel.  Row
+  3 is therefore row 2 doubled and shifted up one degree (entries past
+  deg_bound dropped).  Step 3 is certified, not eliminated: every step 2 row
+  must be nonzero in exactly one branch block, and the rows of one branch
+  must end at pairwise distinct coordinates.  That check is one pass over the
+  step 2 rows, linear in their size, and it raises AssertionError if it
   fails.  Every step 3 generator is then a unit vector in one branch, and the
   same argument carries on by induction: a generator of degree b in branch v
   gives one generator of degree b + 1 in each of the two other branches.  So
   row i is row i - 1 doubled and shifted for every i >= 3, and each step past
-  3 costs O(entries in row 2), with no elimination.  The cost follows
+  2 costs O(entries in row 2), with no elimination.  The cost follows
   hom_bound, not deg_bound.
 
 Each branch elimination takes only its live columns, those with a nonzero v
@@ -46,9 +48,8 @@ form of the live columns is that of the whole branch matrix with the zero
 columns left out, so their kernel vectors are the same vectors without the
 dead coordinates.  The engine writes the unit vectors down and eliminates the
 live columns alone, and the output is the list a full elimination gives, in
-the same order.  At step 3 every column lives in one branch, so each branch
-matrix keeps about a third of its columns: for omega the six eliminations go
-from 2 x 3 and 3 x 6 to 2 x 1 and 3 x 2.
+the same order.  For omega each relation lives in one branch, so its three
+eliminations are 2 x 1, where the whole branch matrices are 2 x 3.
 
 Presentations are kept minimal by construction, so the Betti numbers are
 literal generator counts and every reported entry with degree <= deg_bound is
@@ -532,6 +533,19 @@ def _branch_syzygies(gens, r: int, deg_bound: int, field):
     return [(d, row) for d, _, _, row in born]
 
 
+def _certify_doubling(gens, r: int) -> None:
+    """Raise AssertionError unless each step 2 generator in gens, a (degree,
+    branch row over the r generators of F_1), is nonzero in one branch block
+    only and those of a branch end at pairwise distinct coordinates.  Then
+    each branch's rows are triangular, so row 3 is row 2 doubled (module doc)."""
+    free = set()
+    for _, row in gens:
+        nonzero = [c for c, a in enumerate(row) if a]
+        if not nonzero or nonzero[0] // r != nonzero[-1] // r or nonzero[-1] in free:
+            raise AssertionError(f"row 3 is not row 2 doubled: step 2 row {row} is not triangular in one branch")
+        free.add(nonzero[-1])
+
+
 def _tally(keys) -> dict:
     """How often each key occurs."""
     counts = {}
@@ -549,8 +563,8 @@ MAX_HOM_BOUND = 1000
 class ResolutionResult(NamedTuple):
     """A Betti table on the window, with its bounds.  tail_consistent, the
     doubling 2 beta_{i,j} = beta_{i+1,j+1} for i >= 2 inside the window, is
-    always True: min_free_resolution proves it at step 3 and builds the later
-    rows from it.  The field stays for the callers that report it."""
+    always True: min_free_resolution certifies it on the step 2 generators and
+    builds rows 3 on from it."""
 
     betti: BettiTable
     deg_bound: int
@@ -565,9 +579,10 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
     rows that may continue past deg_bound: a row with mass at deg_bound, row 1
     when a relation lies past it, and every row after such a row up to
     hom_bound.
-    Steps 2 and 3 are eliminations; step 3 certifies that every later row is
-    the one before doubled and shifted (module doc), and raises AssertionError
-    if it does not."""
+    Step 2 is the only elimination.  At step 3 a linear-time check of the
+    step 2 generators certifies that every later row is the one before
+    doubled and shifted (module doc), and raises AssertionError if it does
+    not."""
     if not 2 <= hom_bound <= MAX_HOM_BOUND:
         raise ValueError(f"hom_bound must be at least 2 and at most {MAX_HOM_BOUND}")
     maxgen = max(M.gen_degrees, default=0)
@@ -583,15 +598,14 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
     rank = len(M.gen_degrees)  # of F_{i-2} at step i
     row = {}  # number of generators of F_step in each degree
     for step in range(1, hom_bound + 1):
-        doubled = {d + 1: 2 * n for d, n in row.items() if d < deg_bound}
-        if step > 3:
-            row = doubled
-        else:
-            if step > 1:
-                gens, rank = _branch_syzygies(gens, rank, deg_bound, M.field), len(gens)
+        if step == 2:
+            gens, rank = _branch_syzygies(gens, rank, deg_bound, M.field), len(gens)
+        elif step == 3:
+            _certify_doubling(gens, rank)
+        if step < 3:
             row = _tally(d for d, _ in gens)
-            if step == 3 and row != doubled:
-                raise AssertionError(f"row 3 {row} is not row 2 doubled and shifted {doubled}")
+        else:
+            row = {d + 1: 2 * n for d, n in row.items() if d < deg_bound}
         if not row:
             break
         betti.update({(step, d): n for d, n in row.items()})

@@ -5,7 +5,8 @@ name and no read of sys.flags.optimize behaves the same under -O: the AST
 check below proves that for every line of the source, not only for the lines
 the tests happen to run.  The guards that raise AssertionError (the
 decomposition pivot, the local coefficients, the window cross check, the
-step 3 certificate) are explicit raises and are tested in the normal run.
+linear-time step 3 certificate on the step 2 generators) are explicit raises
+and are tested in the normal run.
 The acceptance suite still runs once under -O, end to end.
 Pytest rewrites the asserts of test modules into explicit checks, so the
 tests themselves keep checking."""

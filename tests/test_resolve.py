@@ -590,7 +590,7 @@ def test_certified_tail_matches_every_step_oracle(case):
     assert res.truncated_rows == truncated
 
 
-def test_six_eliminations_at_hom_7_and_14_and_deg_bound_17_and_40(monkeypatch):
+def test_three_eliminations_at_hom_7_and_14_and_deg_bound_17_and_40(monkeypatch):
     calls = []
 
     def counting_kernel_basis(rows, ncols, field):
@@ -606,29 +606,49 @@ def test_six_eliminations_at_hom_7_and_14_and_deg_bound_17_and_40(monkeypatch):
         counts[hom, 40], calls[:] = list(calls), []
         assert {ij: v for ij, v in far.betti.items() if ij[1] <= 17} == dict(near.betti.items())
         assert near.truncated_rows == far.truncated_rows == ()
-    # one per branch at steps 2 and 3; every later row is certified doubling.
-    # Only the live columns are eliminated: one relation per branch at step 2,
-    # and at step 3 the two step 2 generators of the branch, not all six
+    # one per branch at step 2 and none later: rows 3 on are certified
+    # doubling.  Only the live columns are eliminated, one relation per branch
     assert all(c == counts[7, 17] for c in counts.values())
-    assert counts[7, 17] == [(2, 1)] * 3 + [(3, 2)] * 3
+    assert counts[7, 17] == [(2, 1)] * 3
 
 
-@pytest.mark.parametrize("change", ["gains", "loses"])
-def test_step_3_certificate_fires(monkeypatch, change):
-    steps = []
+def _duplicated(born):
+    return born + born[-1:]
 
-    def altered_branch_syzygies(gens, r, deg_bound, field):
-        born = branch_syzygies(gens, r, deg_bound, field)
-        steps.append(born)
-        if len(steps) == 2:  # step 3 gains or loses one generator
-            born = born + born[-1:] if change == "gains" else born[:-1]
+
+def _spread(born):
+    d, row = born[-1]
+    row = list(row)
+    last = max(c for c, a in enumerate(row) if a)
+    row[(last + len(row) // 3) % len(row)] = 1  # the same column one branch on
+    return born[:-1] + [(d, row)]
+
+
+def _zero(born):
+    d, row = born[-1]
+    return born + [(d, [0] * len(row))]
+
+
+@pytest.mark.parametrize("tamper", [_duplicated, _spread, _zero], ids=["duplicated", "spread", "zero"])
+def test_step_3_certificate_fires(monkeypatch, tamper):
+    steps, calls = [], []
+
+    def counting_kernel_basis(rows, ncols, field):
+        calls.append((len(rows), ncols))
+        return kernel_basis(rows, ncols, field)
+
+    def tampered_branch_syzygies(gens, r, deg_bound, field):
+        born = tamper(branch_syzygies(gens, r, deg_bound, field))
+        steps.append(len(calls))
         return born
 
     branch_syzygies = resolve_module._branch_syzygies
-    monkeypatch.setattr(resolve_module, "_branch_syzygies", altered_branch_syzygies)
-    with pytest.raises(AssertionError, match="row 3"):
+    monkeypatch.setattr(resolve_module, "kernel_basis", counting_kernel_basis)
+    monkeypatch.setattr(resolve_module, "_branch_syzygies", tampered_branch_syzygies)
+    with pytest.raises(AssertionError, match="row 3 is not row 2 doubled"):
         min_free_resolution(builtin("omega"), deg_bound=9, hom_bound=4)
-    assert len(steps) == 2  # no elimination past step 3
+    # step 2 is the only elimination step, and no kernel_basis call follows it
+    assert steps == [3] and len(calls) == 3
 
 
 @pytest.mark.parametrize("field", [QQ, FP_DEFAULT], ids=["QQ", "F32003"])
