@@ -27,7 +27,6 @@ from .cone import (
 )
 from .linalg import FP_DEFAULT, QQ, PrimeField
 from .resolve import (
-    BoundsError,
     BPolynomial,
     BUILTIN_NAMES,
     GradedModuleB,
@@ -37,10 +36,8 @@ from .resolve import (
     builtin,
     hilbert_data,
     min_free_resolution,
-    mult_identity_check,
     parse_poly,
     quotient_module,
-    syzygy_multiplicity,
 )
 from .tables import (
     CANONICAL,
@@ -78,7 +75,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BettiSequence",
     "BettiTable",
-    "BoundsError",
     "BPolynomial",
     "BUILTIN_NAMES",
     "CANONICAL",
@@ -122,11 +118,9 @@ __all__ = [
     "hk_relations_check",
     "make_pure_diagram",
     "min_free_resolution",
-    "mult_identity_check",
     "normalize_ray",
     "parse_poly",
     "quotient_module",
-    "syzygy_multiplicity",
     "syzygy_of_indecomposable",
     "table_vector",
     "window_facets",

@@ -41,6 +41,7 @@ from pathlib import Path
 from .cone import (
     BettiSequence,
     DecompositionLoopError,
+    _scaled,
     check_finite_length,
     check_graded,
     check_local,
@@ -81,15 +82,19 @@ class ModuleFormatError(ValueError):
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(text: str) -> Fraction | int:
     """Fraction(text), refused with a ValueError when its numerator or its
     denominator would pass MAX_COEFFICIENT_BITS bits, the bound parse_poly
-    keeps on coefficients."""
-    exp = _EXPONENT.search(text)
-    try:
-        q = None if exp and abs(int(exp[1])) > MAX_COEFFICIENT_BITS else Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in {text!r}") from exc
+    keeps on coefficients.  A plain ASCII digit string, such as every entry
+    resolve prints, is read by int() and returned as the int of that value."""
+    if text.isascii() and text.isdigit():
+        q = int(text)
+    else:
+        exp = _EXPONENT.search(text)
+        try:
+            q = None if exp and abs(int(exp[1])) > MAX_COEFFICIENT_BITS else Fraction(text)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {text!r}") from exc
     if q is None or max(abs(q.numerator), q.denominator).bit_length() - 1 > MAX_COEFFICIENT_BITS:
         raise ValueError(f"{text!r} needs a numerator or denominator above {MAX_COEFFICIENT_BITS} bits")
     return q
@@ -247,10 +252,11 @@ def cmd_resolve(args) -> int:
     print(f"tail_consistent: {'yes' if res.tail_consistent else 'no'}")
     rows = " ".join(str(i) for i in res.truncated_rows) if res.truncated_rows else "none"
     print(f"truncated_rows: {rows}")
+    entries, scale = _scaled(res.betti)
     gamma_inf = 0
-    for _, _, (val,) in _cone_functionals(res.betti._entries):
+    for _, _, (val,) in _cone_functionals(entries):
         gamma_inf = val  # the last value yielded is gamma_inf
-    print(f"gamma_inf: {gamma_inf}")
+    print(f"gamma_inf: {Fraction(gamma_inf, scale)}")
     code = 0
     try:
         hd = hilbert_data(M, args.deg_bound)

@@ -54,7 +54,10 @@ class Field(_Checked, namedtuple("Field", "p")):
 
     def int_row(self, row) -> list[int]:
         """A row of rationals as an int row spanning the same line: over Q the
-        row times the lcm of its denominators, over F_p its residues mod p."""
+        row times the lcm of its denominators, over F_p its residues mod p.  A
+        row of ints is that row, over F_p reduced mod p, with no Fraction built."""
+        if all(type(q) is int for q in row):
+            return [q % self.p for q in row] if self.p else list(row)
         row = [Fraction(q) for q in row]
         if not self.p:
             scale = lcm(*(q.denominator for q in row))

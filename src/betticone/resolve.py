@@ -65,7 +65,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .linalg import FP_DEFAULT, SpanTracker, kernel_basis
-from .tables import EXPLICIT, MAX_COEFFICIENT_BITS, BettiTable, Functional, _Checked, eval_functional
+from .tables import EXPLICIT, MAX_COEFFICIENT_BITS, BettiTable, _Checked
 
 _VARS = ("x", "y", "z")
 _UNIT = ("1", 0)
@@ -84,12 +84,13 @@ def _mono_mul(m1, m2):
 
 
 class BPolynomial:
-    """Element of B on the monomial basis {1} + {x^e, y^e, z^e : e >= 1}."""
+    """Element of B on the monomial basis {1} + {x^e, y^e, z^e : e >= 1}.
+    A coefficient is an int when it is integral and a Fraction otherwise."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=()):
-        items: dict[tuple[str, int], Fraction] = {}
+        items: dict[tuple[str, int], int | Fraction] = {}
         pairs = coeffs.items() if hasattr(coeffs, "items") else coeffs
         for mono, value in pairs:
             var, exp = mono
@@ -99,11 +100,11 @@ class BPolynomial:
                 mono = _UNIT
             elif var not in _VARS or exp < 0:
                 raise ValueError(f"bad monomial {mono!r}")
-            q = Fraction(value)
+            q = value if type(value) is int else Fraction(value)
             if mono in items:
                 q += items[mono]
             if q:
-                items[mono] = q
+                items[mono] = q if type(q) is int or q.denominator != 1 else q.numerator
             else:
                 items.pop(mono, None)
         self._coeffs = items
@@ -114,7 +115,7 @@ class BPolynomial:
 
     @classmethod
     def constant(cls, q) -> "BPolynomial":
-        return cls({_UNIT: Fraction(q)})
+        return cls({_UNIT: q})
 
     @classmethod
     def variable(cls, var: str) -> "BPolynomial":
@@ -151,7 +152,7 @@ class BPolynomial:
             return NotImplemented
         out = dict(self._coeffs)
         for mono, q in other._coeffs.items():
-            out[mono] = out.get(mono, Fraction(0)) + q
+            out[mono] = out.get(mono, 0) + q
         return BPolynomial(out)
 
     def __neg__(self):
@@ -177,13 +178,13 @@ class BPolynomial:
             return BPolynomial({m: q * other for m, q in self._coeffs.items()})
         if not isinstance(other, BPolynomial):
             return NotImplemented
-        out: dict[tuple[str, int], Fraction] = {}
+        out: dict[tuple[str, int], int | Fraction] = {}
         for m1, q1 in self._coeffs.items():
             for m2, q2 in other._coeffs.items():
                 m = _mono_mul(m1, m2)
                 if m is None:
                     continue
-                out[m] = out.get(m, Fraction(0)) + q1 * q2
+                out[m] = out.get(m, 0) + q1 * q2
         return BPolynomial(out)
 
     __rmul__ = __mul__
@@ -249,12 +250,12 @@ MAX_NESTING = 50
 
 
 def _top_degree(p: BPolynomial) -> int:
-    return max((exp for (_, exp), _ in p.items()), default=0)
+    return max((exp for _, exp in p._coeffs), default=0)
 
 
 def _coefficient_bits(p: BPolynomial) -> int:
     """floor(log2) of the largest numerator or denominator of p, 0 for +-1."""
-    return max((max(abs(q.numerator), q.denominator).bit_length() - 1 for _, q in p.items()), default=0)
+    return max((max(abs(q.numerator), q.denominator).bit_length() - 1 for q in p._coeffs.values()), default=0)
 
 
 def parse_poly(text: str) -> BPolynomial:
@@ -393,10 +394,6 @@ class StabilizationError(RuntimeError):
     function is proved constant."""
 
 
-class BoundsError(RuntimeError):
-    """Bounds too small to certify the rows a computation depends on."""
-
-
 class GradedModuleB(_Checked, namedtuple("GradedModuleB", "gen_degrees relations field")):
     """Finitely presented graded B-module: generator degrees plus homogeneous
     relation rows.  Every relation entry must have positive degree, so the
@@ -421,10 +418,11 @@ class GradedModuleB(_Checked, namedtuple("GradedModuleB", "gen_degrees relations
                     continue
                 if not p.is_homogeneous:
                     raise ValueError(f"inhomogeneous relation entry: {p}")
-                if p.degree() < 1:
+                e = p.degree()
+                if e < 1:
                     raise ValueError(f"relation entry {p} is a unit, which makes the presentation non-minimal")
-                degs.add(p.degree() + a)
-                for (var, _), q in p.items():
+                degs.add(e + a)
+                for (var, _), q in p._coeffs.items():
                     coords[_VARS.index(var) * r + k] = q
             if not degs:
                 raise ValueError("zero relation row")
@@ -635,7 +633,9 @@ def hilbert_data(M: GradedModuleB, deg_bound: int) -> HilbertData:
     They are constant from flat, one past the top generator and relation
     degree, on: there every generator has its three branches and every
     relation block is in the span.  deg_bound must reach flat, or
-    StabilizationError is raised, as a dimension past it could still change."""
+    StabilizationError is raised, as a dimension past it could still change.
+    Cost: the relation walk's, plus one tally of the generator degrees and
+    O(1) per degree of the walk: O(generators + degrees), not their product."""
     if not M.gen_degrees:
         return HilbertData(0, (), 0)
     flat = max(M.gen_degrees + M.relation_degrees()) + 1
@@ -643,31 +643,14 @@ def hilbert_data(M: GradedModuleB, deg_bound: int) -> HilbertData:
         raise StabilizationError(
             f"deg_bound {deg_bound} is below {flat}, one past the top generator and relation degree"
         )
-    dims = [
-        sum(a == d for a in M.gen_degrees) + 3 * sum(a < d for a in M.gen_degrees) - rank
-        for d, rank, _ in _relation_walk(M, flat)
-    ]
+    at = _tally(M.gen_degrees)
+    below = 0  # generators of degree < d, each with three branches in degree d
+    dims = []
+    for d, rank, _ in _relation_walk(M, flat):
+        dims.append(at.get(d, 0) + 3 * below - rank)
+        below += at.get(d, 0)
     diffs = [dims[0]] + [dims[n] - dims[n - 1] for n in range(1, len(dims))]
     while diffs and diffs[-1] == 0:
         diffs.pop()
     return HilbertData(min(M.gen_degrees), tuple(diffs), dims[-1])
 
-
-def syzygy_multiplicity(betti: BettiTable) -> Fraction:
-    """Multiplicity of the first syzygy module read off a Betti table, namely
-    3 * (sum of row 1) - (sum of row 2)."""
-    return 3 * betti.row_total(1) - betti.row_total(2)
-
-
-def mult_identity_check(M: GradedModuleB, deg_bound: int, hom_bound: int) -> bool:
-    """Whether gamma_inf of the resolved table equals the multiplicity e from
-    the Hilbert function.  The relation walk gives both row 1 and the span
-    ranks, but the two sides stay independent where it counts: row 2 comes
-    from the branch kernels of the step 2 eliminations, and e from the rank of
-    the relation span alone."""
-    res = min_free_resolution(M, deg_bound, hom_bound)
-    low_truncated = [i for i in res.truncated_rows if i <= 2]
-    if low_truncated:
-        raise BoundsError(f"rows {low_truncated} not complete within deg_bound {deg_bound}")
-    hd = hilbert_data(M, deg_bound)
-    return eval_functional(Functional.gamma_inf(), res.betti) == hd.e

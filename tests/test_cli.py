@@ -1,6 +1,7 @@
 """End to end exercises of the command line interface via run(argv)."""
 
 import io
+import random
 import shlex
 import subprocess
 import sys
@@ -10,12 +11,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from betticone import QQ, BettiTable, check_graded, cli, cone
-from betticone.cli import ModuleFormatError, format_table_text, parse_module_text, parse_table_text, run
+from betticone import QQ, BettiTable, Functional, check_graded, cli, cone, eval_functional, hilbert_data
+from betticone.cli import (
+    ModuleFormatError,
+    _parse_rational,
+    format_table_text,
+    parse_module_text,
+    parse_table_text,
+    run,
+)
 from betticone.resolve import BUILTIN_NAMES, MAX_HOM_BOUND, GradedModuleB
+from betticone.tables import MAX_COEFFICIENT_BITS
 
 
 def invoke(capsys, *argv):
@@ -357,6 +366,51 @@ def test_resolve_prints_no_e_below_the_flat_degree(capsys, tmp_path):
     assert code == 0 and "e: 2" in out
 
 
+def pipeline_modules(seed, count):
+    """Module texts of the five kinds the README pipeline meets: monomial
+    quotients, powers of linear forms, partial monomial quotients, direct sums
+    of two cyclic pieces, and twisted omega, every other one over QQ."""
+    rng = random.Random(seed)
+
+    def cyclic(kind):
+        if kind == "linear":
+            coeffs = [rng.choice((-3, -2, -1, 0, 1, 2, 3)) for _ in "xyz"]
+            coeffs[rng.randrange(3)] = rng.choice((-2, 1, 3))
+            form = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*{v}" for c, v in zip(coeffs, "xyz") if c)
+            return [f"({form})^{rng.randint(1, 4)}"]
+        names = rng.sample("xyz", 3 if kind == "mono" else rng.randint(1, 2))
+        return [f"{v}^{rng.randint(1, 5)}" for v in names]
+
+    for n in range(count):
+        kind = ("mono", "linear", "partial", "sum", "omega")[n % 5]
+        lines = ["field QQ"] if n % 2 else []
+        if kind == "omega":
+            x, y, z = rng.sample("xyz", 3)
+            t = rng.randint(0, 2)
+            lines += [f"gens {t} {t}", f"rel -{z}, 0", f"rel {y}, -{y}", f"rel 0, {x}"]
+        elif kind == "sum":
+            first, second = cyclic(rng.choice(("mono", "partial"))), cyclic("linear")
+            lines.append(f"gens {rng.randint(0, 2)} {rng.randint(0, 2)}")
+            lines += [f"rel {g}, 0" for g in first] + [f"rel 0, {g}" for g in second]
+        else:
+            lines += ["gens 0"] + [f"rel {g}" for g in cyclic(kind)]
+        yield "\n".join(lines) + "\n"
+
+
+def test_resolve_gamma_inf_and_e_lines_match_their_definitions():
+    # gamma_inf by the functional evaluator, e by hilbert_data, on every
+    # builtin over both fields and on forty seeded modules
+    texts = [f"{field}builtin {name}\n" for name in BUILTIN_NAMES for field in ("", "field QQ\n")]
+    texts += pipeline_modules(seed=20260419, count=40)
+    for text in texts:
+        code, out, err = run_quietly(["resolve", "-", "--deg-bound", "12", "--hom-bound", "4"], text)
+        assert code == 0, (text, err)
+        lines = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+        table = parse_table_text(out)
+        assert lines["gamma_inf"] == str(eval_functional(Functional.gamma_inf(), table)), text
+        assert lines["e"] == str(hilbert_data(parse_module_text(text), 12).e), text
+
+
 # -- fuzzing resolve and hilbert ------------------------------------------------------
 
 ints = st.one_of(st.integers(-3, 12), st.integers(-10 ** 20, 10 ** 20))
@@ -512,6 +566,64 @@ def test_table_commands_survive_fuzzing(text, table, command, finite_length, mod
         assert code in (0, 1, 2)
         if code == 2:
             assert err.startswith("error:") and err.count("\n") == 1
+
+
+# -- entry parsing: plain ASCII digit strings take int() ------------------------------
+
+# ASCII, Arabic-Indic, Devanagari and fullwidth digits: int() and Fraction read all four
+DIGITS = "0123456789" + "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669" \
+    + "\u0966\u0967\u0968\u0969\u096a\u096b\u096c\u096d\u096e\u096f" \
+    + "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19"
+
+
+@st.composite
+def digit_texts(draw):
+    """Digit strings, ASCII or not, of a few digits, around the 4096-bit
+    bound (values near 2^4097, 1,234 digits) or around Python's 4,300-digit
+    limit on int(str) (leading zeros), with or without a sign, _ separators
+    (where int() takes them and where it does not) and surrounding space."""
+    body = draw(st.one_of(
+        st.text(DIGITS, min_size=1, max_size=12),
+        st.integers(2 ** 4097 - 2 ** 12, 2 ** 4097 + 2 ** 12).map(str),
+        st.builds("{}{}".format, st.integers(4290, 4310).map("0".__mul__), st.text(DIGITS, min_size=1, max_size=3)),
+    ))
+    if draw(st.booleans()):
+        return body
+    for at in sorted(draw(st.lists(st.integers(0, len(body)), max_size=3)), reverse=True):
+        body = body[:at] + "_" + body[at:]
+    pad = st.sampled_from(["", " ", "\t", "\n "])
+    return draw(pad) + draw(st.sampled_from(["", "+", "-"])) + body + draw(pad)
+
+
+def fraction_or_refusal(text):
+    """Fraction(text) under the bit bound _parse_rational keeps, or None."""
+    try:
+        q = Fraction(text)
+    except ValueError:
+        return None
+    return None if max(abs(q.numerator), q.denominator).bit_length() - 1 > MAX_COEFFICIENT_BITS else q
+
+
+@given(digit_texts())
+@example("0" * 4300 + "7")
+@example("0" * 4301 + "7")
+@example(str(2 ** 4097 - 1))
+@example(str(2 ** 4097))
+@example("0012")
+@settings(max_examples=300, deadline=None)
+def test_parse_rational_agrees_with_fraction_on_digit_strings(text):
+    try:
+        got = _parse_rational(text)
+    except ValueError:
+        got = None
+    expected = fraction_or_refusal(text)
+    assert got == expected
+    # in a table the entry is the text between spaces; a refusal exits 2
+    code, out, err = run_quietly(["check", "-"], f"betti v1\nmode canonical\nentry 0 0 {text.strip()}\n")
+    if expected is None:
+        assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert code in (0, 1)
 
 
 # -- verify-window and local ----------------------------------------------------------

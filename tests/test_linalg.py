@@ -51,6 +51,16 @@ def test_rational_field_basics():
     assert QQ.int_row([]) == []
 
 
+@given(st.lists(st.one_of(st.integers(-40000, 40000), st.integers(-2 ** 200, 2 ** 200)), max_size=9))
+@settings(max_examples=300, deadline=None)
+def test_int_row_of_ints_matches_the_same_row_as_fractions(row):
+    # a row of ints skips the Fraction path; it must give what that path gives
+    for field in (QQ, FP_DEFAULT):
+        got = field.int_row(row)
+        assert got == field.int_row([Fraction(a) for a in row]) and all(type(a) is int for a in got)
+        assert got is not row
+
+
 def test_span_tracker_membership():
     for field in (QQ, PrimeField(7)):
         t = SpanTracker(field, 3)

@@ -12,21 +12,20 @@ from betticone import (
     QQ,
     PrimeField,
     BPolynomial,
-    BoundsError,
     GradedModuleB,
     HilbertData,
     StabilizationError,
     BettiTable,
+    Functional,
     builtin,
     check_finite_length,
     check_graded,
     collapse_tail,
+    eval_functional,
     hilbert_data,
     min_free_resolution,
-    mult_identity_check,
     parse_poly,
     quotient_module,
-    syzygy_multiplicity,
     syzygy_of_indecomposable,
 )
 import betticone.resolve as resolve_module
@@ -185,6 +184,23 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
     assert p * q == q * p
     assert (p * q) * r == p * (q * r)
+
+
+def exact_coefficients(p):
+    """Whether every coefficient of p is an int when integral, a Fraction otherwise."""
+    return all(type(q) is (int if q.denominator == 1 else Fraction) for _, q in p.items())
+
+
+@given(st.dictionaries(mono_keys, st.one_of(st.integers(-10 ** 30, 10 ** 30), st.fractions(max_denominator=6)),
+                       max_size=5), polys, st.integers(0, 4))
+@settings(max_examples=300, deadline=None)
+def test_integral_coefficients_are_ints(terms, q, n):
+    # ints and Fractions of the same values give the same polynomial, and
+    # sums, products, powers and parsing keep an integral coefficient an int
+    p = BPolynomial(terms)
+    assert dict(p.items()) == {m: Fraction(c) for m, c in terms.items() if c}
+    for r in (p, -p, p + q, p - q, p * q, p * Fraction(1, 2), p ** n, parse_poly(str(p))):
+        assert exact_coefficients(r)
 
 
 # -- presentations ------------------------------------------------------------
@@ -735,6 +751,35 @@ def test_relation_walk_visits_each_degree_and_relation_once():
     assert len(hd.numerator) == 8004
 
 
+def test_hilbert_count_matches_every_degree_oracle_on_many_generators():
+    # 120 generators over 1,200 degrees, some sharing a degree, most degrees
+    # holding none; relations on a middle, a shared and the top generators
+    gens = tuple(k * k % 1200 for k in range(120))
+    top = gens.index(max(gens))
+    middle = min(range(len(gens)), key=lambda k: abs(gens[k] - 600))
+    shared = next(k for k, a in enumerate(gens) if gens.count(a) > 1 and a > 0)
+    rows = []
+    for k, poly in ((middle, "x^3"), (middle, "y^2 - 2*z^2"), (shared, "z^4"), (top, "x + y"), (top, "y^2")):
+        rows.append(tuple(parse_poly(poly) if n == k else BPolynomial.zero() for n in range(len(gens))))
+    for field in (QQ, FP_DEFAULT):
+        M = GradedModuleB(gens, tuple(rows), field)
+        flat = max(gens + M.relation_degrees()) + 1
+        assert flat - min(gens) > 1000 and len(set(gens)) < len(gens)
+        assert hilbert_data(M, flat) == every_degree_hilbert(M, flat)
+
+
+def test_hilbert_count_is_linear_in_generators_plus_degrees():
+    # 400 generators over 8,000 degrees: one tally of the generator degrees
+    # takes about 0.01 s on a 2-vCPU Xeon, where a sum over the generators
+    # at every degree of the walk took about 0.37 s
+    M = GradedModuleB(tuple(20 * k for k in range(400)), (), FP_DEFAULT)
+    start = time.perf_counter()
+    hd = hilbert_data(M, 8000)
+    assert time.perf_counter() - start < 0.1
+    # each generator adds 1 in its own degree and 2 more one degree up
+    assert hd == HilbertData(0, ((1, 2) + (0,) * 18) * 399 + (1, 2), 3 * 400)
+
+
 def test_finite_length_witnesses_have_e_zero():
     for d1 in (1, 2, 3):
         hd = hilbert_data(quotient_module([f"(x+y+z)^{d1}"], field=QQ), d1 + 6)
@@ -742,6 +787,29 @@ def test_finite_length_witnesses_have_e_zero():
 
 
 # -- multiplicity identities -----------------------------------------------------
+
+
+class BoundsError(RuntimeError):
+    """Bounds too small to certify the rows a computation depends on."""
+
+
+def syzygy_multiplicity(betti):
+    """Multiplicity of the first syzygy module read off a Betti table, namely
+    3 * (sum of row 1) - (sum of row 2)."""
+    return 3 * betti.row_total(1) - betti.row_total(2)
+
+
+def mult_identity_check(M, deg_bound, hom_bound):
+    """Whether gamma_inf of the resolved table equals the multiplicity e from
+    the Hilbert function.  The relation walk gives both row 1 and the span
+    ranks, but the two sides stay independent where it counts: row 2 comes
+    from the branch kernels of the step 2 eliminations, and e from the rank of
+    the relation span alone."""
+    res = min_free_resolution(M, deg_bound, hom_bound)
+    low_truncated = [i for i in res.truncated_rows if i <= 2]
+    if low_truncated:
+        raise BoundsError(f"rows {low_truncated} not complete within deg_bound {deg_bound}")
+    return eval_functional(Functional.gamma_inf(), res.betti) == hilbert_data(M, deg_bound).e
 
 
 def test_mult_identity_on_builtins():

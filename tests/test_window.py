@@ -236,6 +236,17 @@ def test_cross_check_zero_three_is_thirteen():
     assert report.equal
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_ray_count_on_zero_to_n_is_closed_form(n):
+    # on [0, n]: n + 1 free, n(n + 1)/2 two-step and n(n - 1)/2 tail
+    # diagrams; the finite length cone keeps the last two kinds.  n = 5 is
+    # the widest window under the dimension cap
+    report = cross_check(Window(0, n))
+    assert report.equal and report.n_rays == n * n + n + 1
+    report = cross_check(Window(0, n), finite_length=True)
+    assert report.equal and report.n_rays == n * n
+
+
 def test_cross_check_finite_length_drops_free_generators():
     report = cross_check(Window(0, 3), finite_length=True)
     assert report.n_generators == 9
