@@ -50,13 +50,10 @@ from .tables import (
     HKRay,
     PureDiagram,
     collapse_tail,
-    eval_functional,
     expand_tail,
     hk_ray,
-    hk_relations_check,
     make_pure_diagram,
     syzygy_of_indecomposable,
-    table_arith,
 )
 from .window import (
     Window,
@@ -110,12 +107,10 @@ __all__ = [
     "decompose",
     "decompose_local",
     "degseq_leq",
-    "eval_functional",
     "expand_tail",
     "extreme_rays",
     "hilbert_data",
     "hk_ray",
-    "hk_relations_check",
     "make_pure_diagram",
     "min_free_resolution",
     "normalize_ray",

@@ -137,10 +137,6 @@ class BettiTable:
     def items(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
         return tuple(sorted(self._entries.items()))
 
-    def row_total(self, i: int) -> Fraction:
-        """Sum of the stored entries in row i."""
-        return sum((v for (r, _), v in self._entries.items() if r == i), Fraction(0))
-
     @property
     def is_zero(self) -> bool:
         return not self._entries
@@ -164,20 +160,6 @@ class BettiTable:
     def __repr__(self):
         body = ", ".join(f"({i}, {j}): {v}" for (i, j), v in self.items())
         return f"BettiTable({{{body}}}, tail_mode={self.tail_mode!r})"
-
-
-def table_arith(a: RationalLike, u: BettiTable, b: RationalLike, v: BettiTable) -> BettiTable:
-    """Exact linear combination a*u + b*v of two tables in the same tail mode."""
-    if u.tail_mode != v.tail_mode:
-        raise ValueError("cannot combine tables with mixed tail modes")
-    a = Fraction(a)
-    b = Fraction(b)
-    out: dict[tuple[int, int], Fraction] = {}
-    for (ij, val) in u.items():
-        out[ij] = a * val
-    for (ij, val) in v.items():
-        out[ij] = out.get(ij, Fraction(0)) + b * val
-    return BettiTable(out, tail_mode=u.tail_mode)
 
 
 def expand_tail(table: BettiTable, max_row: int, max_degree: int | None = None) -> BettiTable:
@@ -361,29 +343,6 @@ class Functional(NamedTuple):
         return f"doubling_eq({self.i},{self.j})"
 
 
-def eval_functional(f: Functional, v: BettiTable) -> Fraction:
-    """Evaluate a functional on a table, honoring the table's tail mode."""
-    if f.kind == EPSILON:
-        return v.entry(f.i, f.j)
-    if f.kind == ALPHA:
-        return 2 * v.entry(1, f.k) - v.entry(2, f.k + 1)
-    if f.kind == GAMMA:
-        total = Fraction(0)
-        for (i, j), val in v.items():
-            if i == 0 and j <= f.k:
-                total += 3 * val
-            elif i == 1 and j <= f.k + 1:
-                total -= 3 * val
-            elif i == 2 and j <= f.k + 2:
-                total += val
-        return total
-    if f.kind == GAMMA_INF:
-        return 3 * v.row_total(0) - 3 * v.row_total(1) + v.row_total(2)
-    if f.kind == DOUBLING_EQ:
-        return 2 * v.entry(f.i, f.j) - v.entry(f.i + 1, f.j + 1)
-    raise ValueError(f"unknown functional kind: {f.kind!r}")
-
-
 def _doubling_equalities(
     entries: Mapping[tuple[int, int], RationalLike],
 ) -> Iterator[tuple[int, int, RationalLike]]:
@@ -473,17 +432,6 @@ def hk_ray(c: RationalLike) -> HKRay:
         raise ValueError(f"no ray with c = {c}; admitted values are 0, 1, 3/2, 2")
     name, vec = _HK_RAYS[c]
     return HKRay(c, name, vec)
-
-
-def hk_relations_check(n_entries: int = 8) -> bool:
-    """Check 2*v3 = v1 + v4 and 2*v2 = 3*v1 + v4 on the first n_entries entries."""
-    v1 = hk_ray(0).entries(n_entries)
-    v2 = hk_ray(1).entries(n_entries)
-    v3 = hk_ray(Fraction(3, 2)).entries(n_entries)
-    v4 = hk_ray(2).entries(n_entries)
-    first = all(2 * a == b + c for a, b, c in zip(v3, v1, v4))
-    second = all(2 * a == 3 * b + c for a, b, c in zip(v2, v1, v4))
-    return first and second
 
 
 # First syzygy of each indecomposable maximal Cohen-Macaulay module, as a

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from betticone import QQ, BettiTable, Functional, check_graded, cli, cone, eval_functional, hilbert_data
+from betticone import QQ, BettiTable, Functional, check_graded, cli, cone, hilbert_data
 from betticone.cli import (
     ModuleFormatError,
     _parse_rational,
@@ -25,6 +25,7 @@ from betticone.cli import (
 )
 from betticone.resolve import BUILTIN_NAMES, MAX_HOM_BOUND, GradedModuleB
 from betticone.tables import MAX_COEFFICIENT_BITS
+from oracles import functional_value
 
 
 def invoke(capsys, *argv):
@@ -398,7 +399,7 @@ def pipeline_modules(seed, count):
 
 
 def test_resolve_gamma_inf_and_e_lines_match_their_definitions():
-    # gamma_inf by the functional evaluator, e by hilbert_data, on every
+    # gamma_inf by the tests' functional oracle, e by hilbert_data, on every
     # builtin over both fields and on forty seeded modules
     texts = [f"{field}builtin {name}\n" for name in BUILTIN_NAMES for field in ("", "field QQ\n")]
     texts += pipeline_modules(seed=20260419, count=40)
@@ -407,7 +408,7 @@ def test_resolve_gamma_inf_and_e_lines_match_their_definitions():
         assert code == 0, (text, err)
         lines = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
         table = parse_table_text(out)
-        assert lines["gamma_inf"] == str(eval_functional(Functional.gamma_inf(), table)), text
+        assert lines["gamma_inf"] == str(functional_value(Functional.gamma_inf(), table)), text
         assert lines["e"] == str(hilbert_data(parse_module_text(text), 12).e), text
 
 
@@ -780,3 +781,16 @@ def test_readme_cli_block_runs(capsys, tmp_path, monkeypatch):
     assert [code for _, code in ran] == expected
     # ten lines, one of them a two-command pipe
     assert len(ran) == 11 and expected.count(1) == 1
+
+
+# -- the README's Library block ------------------------------------------------------
+
+
+def test_readme_library_block_prints_what_its_comments_say(capsys):
+    # a print line's comment gives the lines it prints, separated by "  /  "
+    block = README.read_text().split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    comments = [line.split("#", 1)[1] for line in block.splitlines() if line.lstrip().startswith("print(")]
+    expected = [part.strip() for comment in comments for part in comment.split("  /  ")]
+    assert expected == ["(0, 1, 2, ...) 1", "(0, inf) 1", "True"]
+    assert capsys.readouterr().out.splitlines() == expected

@@ -1,14 +1,17 @@
 """The record types: value equality and hashing, read-only fields, their
-printed forms, and the constructor checks of the four that validate."""
+printed forms, and the constructor checks of the four that validate; and the
+package's list of public names."""
 
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+import betticone
 from betticone import FP_DEFAULT, QQ, DegreeSequence, Functional, hk_ray, make_pure_diagram
 from betticone import cone, linalg, resolve, tables, window
 from betticone.cone import (
@@ -165,3 +168,13 @@ def test_importing_the_cli_loads_no_code_generation():
         capture_output=True, text=True, timeout=60, env=env,
     )
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_all_lists_exactly_the_public_names():
+    # each listed name resolves, once, and each public name the package
+    # binds, its submodules aside, is listed
+    listed = betticone.__all__
+    assert len(set(listed)) == len(listed)
+    assert [name for name in listed if not hasattr(betticone, name)] == []
+    assert [name for name, value in vars(betticone).items()
+            if not name.startswith("_") and not isinstance(value, ModuleType) and name not in listed] == []

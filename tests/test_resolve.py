@@ -21,7 +21,6 @@ from betticone import (
     check_finite_length,
     check_graded,
     collapse_tail,
-    eval_functional,
     hilbert_data,
     min_free_resolution,
     parse_poly,
@@ -40,6 +39,7 @@ from betticone.resolve import (
     PolyParseError,
 )
 from betticone.tables import INDECOMPOSABLE_NAMES
+from oracles import functional_value, row_sum
 
 X = BPolynomial.variable("x")
 Y = BPolynomial.variable("y")
@@ -796,7 +796,7 @@ class BoundsError(RuntimeError):
 def syzygy_multiplicity(betti):
     """Multiplicity of the first syzygy module read off a Betti table, namely
     3 * (sum of row 1) - (sum of row 2)."""
-    return 3 * betti.row_total(1) - betti.row_total(2)
+    return 3 * row_sum(betti, 1) - row_sum(betti, 2)
 
 
 def mult_identity_check(M, deg_bound, hom_bound):
@@ -809,7 +809,7 @@ def mult_identity_check(M, deg_bound, hom_bound):
     low_truncated = [i for i in res.truncated_rows if i <= 2]
     if low_truncated:
         raise BoundsError(f"rows {low_truncated} not complete within deg_bound {deg_bound}")
-    return eval_functional(Functional.gamma_inf(), res.betti) == hilbert_data(M, deg_bound).e
+    return functional_value(Functional.gamma_inf(), res.betti) == hilbert_data(M, deg_bound).e
 
 
 def test_mult_identity_on_builtins():

@@ -15,19 +15,17 @@ from betticone import (
     DegreeSequence,
     Functional,
     collapse_tail,
-    eval_functional,
     expand_tail,
     hk_ray,
-    hk_relations_check,
     make_pure_diagram,
     syzygy_of_indecomposable,
-    table_arith,
 )
-from betticone.tables import ALPHA, GAMMA, _cone_functionals
+from betticone.tables import ALPHA, GAMMA, _cone_functionals, _doubling_equalities
+from oracles import combine, functional_value
 
 
 def gamma_by_definition(v: BettiTable, k: int) -> Fraction:
-    # independent of eval_functional: the literal truncated sum over j <= k
+    # independent of the enumerator: the literal truncated sum over j <= k
     if v.is_zero:
         return Fraction(0)
     total = Fraction(0)
@@ -153,25 +151,21 @@ def test_expand_collapse_round_trip(t, max_row):
 # -- arithmetic --------------------------------------------------------------
 
 
-def test_table_arith_combines_exactly():
+# combine, the tests' a*u + b*v on entry dicts, builds the inputs of many tests
+
+
+def test_combine_combines_exactly():
     u = BettiTable({(0, 0): 1, (1, 1): 2})
     v = BettiTable({(1, 1): Fraction(1, 3)})
-    w = table_arith(2, u, -3, v)
+    w = BettiTable(combine(2, u, -3, v))
     assert w.entry(0, 0) == 2
     assert w.entry(1, 1) == 3
 
 
-def test_table_arith_rejects_mixed_modes():
-    u = BettiTable({(0, 0): 1})
-    v = BettiTable({(0, 0): 1}, tail_mode=EXPLICIT)
-    with pytest.raises(ValueError, match="mixed"):
-        table_arith(1, u, 1, v)
-
-
 @given(canonical_tables, canonical_tables, small_fractions, small_fractions)
 @settings(max_examples=60, deadline=None)
-def test_table_arith_is_entrywise(u, v, a, b):
-    w = table_arith(a, u, b, v)
+def test_combine_is_entrywise(u, v, a, b):
+    w = BettiTable(combine(a, u, b, v))
     probe = set(u.support()) | set(v.support())
     for (i, j) in probe:
         assert w.entry(i, j) == a * u.entry(i, j) + b * v.entry(i, j)
@@ -248,50 +242,70 @@ def test_functional_validation():
         Functional.doubling_eq(1, 1)
 
 
+# alpha_k and gamma_k read off _cone_functionals, which yields them only at
+# the keys where they can change
+
+
+def alpha_at(v: BettiTable, k: int):
+    """alpha_k: the alpha yielded at key k, or 0 where none is."""
+    return {key: val for kind, key, (val,) in _cone_functionals(v) if kind == ALPHA}.get(k, 0)
+
+
+def gamma_at(v: BettiTable, k: int):
+    """gamma_k: the last gamma yielded at a key <= k, or 0 below them all."""
+    value = 0
+    for kind, key, (val,) in _cone_functionals(v):
+        if kind == GAMMA and key <= k:
+            value = val
+    return value
+
+
 def test_alpha_by_hand():
     v = BettiTable({(1, 2): 5, (2, 3): 4})
-    assert eval_functional(Functional.alpha(2), v) == 2 * 5 - 4
-    assert eval_functional(Functional.alpha(1), v) == 0
-    assert eval_functional(Functional.alpha(3), v) == 0
+    assert alpha_at(v, 2) == 2 * 5 - 4
+    assert alpha_at(v, 1) == 0
+    assert alpha_at(v, 3) == 0
 
 
 def test_gamma_by_hand():
     v = BettiTable({(0, 0): 2, (1, 1): 3, (2, 2): 6})
     # j = 0 slice: 3*2 - 3*3 + 6 = 3, later slices add nothing
-    assert eval_functional(Functional.gamma(0), v) == 3
-    assert eval_functional(Functional.gamma(5), v) == 3
+    assert gamma_at(v, 0) == 3
+    assert gamma_at(v, 5) == 3
     # below the support nothing has accumulated yet
-    assert eval_functional(Functional.gamma(-1), v) == 0
-    assert eval_functional(Functional.gamma(-2), v) == 0
+    assert gamma_at(v, -1) == 0
+    assert gamma_at(v, -2) == 0
     w = BettiTable({(1, 0): 1, (2, 0): 5})
-    assert eval_functional(Functional.gamma(-1), w) == -3 * 1 + 5
+    assert gamma_at(w, -1) == -3 * 1 + 5
 
 
 @given(canonical_tables, st.integers(-6, 9))
 @settings(max_examples=80, deadline=None)
 def test_gamma_matches_definition(v, k):
-    assert eval_functional(Functional.gamma(k), v) == gamma_by_definition(v, k)
+    assert gamma_at(v, k) == gamma_by_definition(v, k)
 
 
 @given(canonical_tables)
 @settings(max_examples=60, deadline=None)
 def test_gamma_stabilizes_to_gamma_inf(v):
     k = (v.max_degree if not v.is_zero else 0) + 2
-    assert eval_functional(Functional.gamma(k), v) == eval_functional(Functional.gamma_inf(), v)
+    assert gamma_at(v, k) == functional_value(Functional.gamma_inf(), v)
 
 
 @given(canonical_tables, st.integers(-5, 7))
 @settings(max_examples=60, deadline=None)
 def test_gamma_increments_by_slices(v, k):
-    lhs = eval_functional(Functional.gamma(k), v) - eval_functional(Functional.gamma(k - 1), v)
+    lhs = gamma_at(v, k) - gamma_at(v, k - 1)
     rhs = 3 * v.entry(0, k) - 3 * v.entry(1, k + 1) + v.entry(2, k + 2)
     assert lhs == rhs
 
 
 def test_doubling_eq_holds_on_canonical_tail():
     v = BettiTable({(2, 3): 6})
-    assert eval_functional(Functional.doubling_eq(2, 3), v) == 2 * 6 - v.entry(3, 4)
-    assert eval_functional(Functional.doubling_eq(2, 3), v) == 0
+    # rows 2 and 3 of the canonical tail, the window the equalities read
+    window = dict(expand_tail(v, max_row=3).items())
+    assert window == {(2, 3): 6, (3, 4): v.entry(3, 4)}
+    assert list(_doubling_equalities(window)) == [(2, 3, 0)]
 
 
 def reference_cone_functionals(*tables):
@@ -382,8 +396,12 @@ def test_hk_slope_equation():
 
 
 def test_hk_relations_hold_on_eight_entries():
-    assert hk_relations_check(8)
-    assert hk_relations_check(12)
+    # 2*v3 = v1 + v4 and 2*v2 = 3*v1 + v4, entry by entry, and on to twelve
+    for n in (8, 12):
+        v1, v2, v3, v4 = (hk_ray(c).entries(n) for c in (0, 1, Fraction(3, 2), 2))
+        assert len(v1) == len(v2) == len(v3) == len(v4) == n
+        assert all(2 * a == b + c for a, b, c in zip(v3, v1, v4))
+        assert all(2 * a == 3 * b + c for a, b, c in zip(v2, v1, v4))
 
 
 # -- syzygies of the indecomposables ------------------------------------------

@@ -13,13 +13,13 @@ from betticone import (
     Window,
     WindowCapError,
     cross_check,
-    eval_functional,
     extreme_rays,
     normalize_ray,
     table_vector,
     window_facets,
     window_generators,
 )
+from oracles import functional_value
 
 
 def generator_count(width: int, finite_length: bool) -> int:
@@ -118,7 +118,7 @@ def test_facet_vectors_agree_with_functionals(v):
     ineqs, eqs = window_facets(w, finite_length=True)
     for fun, a in ineqs + eqs:
         dotted = sum(c * x for c, x in zip(a, vec))
-        assert dotted == eval_functional(fun, v), fun.label()
+        assert dotted == functional_value(fun, v), fun.label()
 
 
 # -- double description -----------------------------------------------------------
