@@ -51,9 +51,11 @@ from .resolve import (
     GradedModuleB,
     PolyParseError,
     StabilizationError,
+    _hilbert,
+    _relation_walk,
+    _resolution,
     builtin,
     hilbert_data,
-    min_free_resolution,
     parse_poly,
 )
 from .tables import (
@@ -247,7 +249,8 @@ def cmd_check(args) -> int:
 
 def cmd_resolve(args) -> int:
     M = parse_module_text(_read_text(args.file), field=args.field)
-    res = min_free_resolution(M, args.deg_bound, args.hom_bound)
+    walk = list(_relation_walk(M, args.deg_bound))  # row 1 and the Hilbert data read one walk
+    res = _resolution(M, args.deg_bound, args.hom_bound, walk)
     print(format_table_text(res.betti))
     print(f"tail_consistent: {'yes' if res.tail_consistent else 'no'}")
     rows = " ".join(str(i) for i in res.truncated_rows) if res.truncated_rows else "none"
@@ -259,7 +262,7 @@ def cmd_resolve(args) -> int:
     print(f"gamma_inf: {Fraction(gamma_inf, scale)}")
     code = 0
     try:
-        hd = hilbert_data(M, args.deg_bound)
+        hd = _hilbert(M, args.deg_bound, walk)
         print(f"e: {hd.e}")
     except StabilizationError as exc:
         print(f"warning: {exc}", file=sys.stderr)

@@ -15,8 +15,8 @@ alpha_k and gamma_k change only at the shifted degrees j - i of stored entries,
 so the membership scan and the decomposition's ratio test visit just those
 breakpoints (tables._cone_functionals): their cost follows the number of stored
 entries, not the span of degrees between them.  A greedy round, on a residual
-dict of Fractions, costs one pass over its keys for the pivot, the ratio test
-over the breakpoints, and an update of pi_d's 1-3 entries.
+dict of Fractions, builds no table: one pass over its keys for the pivot, the
+ratio test over the breakpoints, and an update of pi_d's 1-3 int entries.
 
 The membership scan runs on ints: it multiplies the entries once by L, the
 lcm of their denominators, and reports a violated value as value / L.  A table
@@ -50,7 +50,6 @@ from .tables import (
     _cone_functionals,
     _doubling_equalities,
     _exact,
-    make_pure_diagram,
 )
 
 
@@ -90,7 +89,7 @@ class Decomposition(NamedTuple):
     def recombine(self) -> BettiTable:
         total: dict[tuple[int, int], Fraction] = {}
         for d, coeff in self.terms:
-            for ij, pval in make_pure_diagram(d).table._entries.items():
+            for ij, pval in d._pure_entries().items():
                 total[ij] = total.get(ij, 0) + coeff * pval
         return BettiTable(total)
 
@@ -196,9 +195,9 @@ def decompose(v: BettiTable) -> Decomposition:
 def _greedy(v: BettiTable) -> Decomposition:
     """The rounds of decompose on the rows 0..2 of a known member, with the
     residual as one dict throughout: a round reads d0 and d1 off one pass over
-    its keys, runs the ratio test over the breakpoints, and subtracts c*pi_d in
-    place on the 1-3 keys of pi_d, deleting those that reach 0.  The pivot
-    rule takes those keys from the residual's, so the support never grows."""
+    its keys, pi_d's 1-3 int entries off d._pure_entries() with no table built,
+    runs the ratio test, and subtracts c*pi_d in place, deleting keys at 0.
+    The pivot rule takes pi_d's keys from the residual's: the support never grows."""
     res = {ij: val for ij, val in v._entries.items() if ij[0] <= 2}
     terms: list[tuple[DegreeSequence, Fraction]] = []
     for _ in range(3 * len(res) + 3):
@@ -218,7 +217,7 @@ def _greedy(v: BettiTable) -> Decomposition:
             d = DegreeSequence.tail(d0, d1)
         else:
             d = DegreeSequence.two_step(d0, d1)
-        pi = make_pure_diagram(d).table._entries
+        pi = d._pure_entries()  # ints: a Fraction over an int stays one, so c is a Fraction
         c = _max_step(res, pi)
         if c <= 0:
             break

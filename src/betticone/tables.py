@@ -252,6 +252,14 @@ class DegreeSequence(_Checked, namedtuple("DegreeSequence", "shape d0 d1")):
             return INF
         return self.d1 + (n - 1)
 
+    def _pure_entries(self) -> dict[tuple[int, int], int]:
+        """The 1-3 stored entries of pi_d (see make_pure_diagram), as ints."""
+        if self.shape == FREE:
+            return {(0, self.d0): 1}
+        if self.shape == TWO_STEP:
+            return {(0, self.d0): 1, (1, self.d1): 1}
+        return {(0, self.d0): 1, (1, self.d1): 3, (2, self.d1 + 1): 6}
+
     def __str__(self):
         if self.shape == FREE:
             return f"({self.d0}, inf)"
@@ -276,13 +284,7 @@ def make_pure_diagram(d: DegreeSequence) -> PureDiagram:
               doubled rows beyond are implied by canonical mode, so the stored
               value at (i, d1 + i - 1) reads 3 * 2^(i-1) for every i >= 1.
     """
-    if d.shape == FREE:
-        entries = {(0, d.d0): 1}
-    elif d.shape == TWO_STEP:
-        entries = {(0, d.d0): 1, (1, d.d1): 1}
-    else:
-        entries = {(0, d.d0): 1, (1, d.d1): 3, (2, d.d1 + 1): 6}
-    return PureDiagram(d, BettiTable(entries, tail_mode=CANONICAL))
+    return PureDiagram(d, BettiTable(d._pure_entries(), tail_mode=CANONICAL))
 
 
 EPSILON = "epsilon"

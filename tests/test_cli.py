@@ -1,6 +1,7 @@
 """End to end exercises of the command line interface via run(argv)."""
 
 import io
+import os
 import random
 import shlex
 import subprocess
@@ -14,7 +15,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from betticone import QQ, BettiTable, Functional, check_graded, cli, cone, hilbert_data
+from betticone import (
+    QQ,
+    BettiTable,
+    DegreeSequence,
+    Functional,
+    check_graded,
+    cli,
+    collapse_tail,
+    cone,
+    hilbert_data,
+    make_pure_diagram,
+)
+from betticone import resolve as resolve_module
 from betticone.cli import (
     ModuleFormatError,
     _parse_rational,
@@ -23,9 +36,10 @@ from betticone.cli import (
     parse_table_text,
     run,
 )
+from betticone.linalg import SpanTracker
 from betticone.resolve import BUILTIN_NAMES, MAX_HOM_BOUND, GradedModuleB
 from betticone.tables import MAX_COEFFICIENT_BITS
-from oracles import functional_value
+from oracles import combine, functional_value
 
 
 def invoke(capsys, *argv):
@@ -367,6 +381,28 @@ def test_resolve_prints_no_e_below_the_flat_degree(capsys, tmp_path):
     assert code == 0 and "e: 2" in out
 
 
+@pytest.mark.parametrize("text, deg_bound, hom_bound, code", [
+    ("builtin omega\n", "8", "4", 0),
+    ("gens 0 1\nrel x^2, 0\nrel y^3, 0\nrel 0, (x + 2*y)^2\n", "9", "4", 0),
+    ("gens 0\nrel x^5\n", "4", "2", 1),  # below the flat degree 6
+], ids=["omega", "direct-sum", "below-flat"])
+def test_resolve_walks_the_relations_once(capsys, tmp_path, monkeypatch, text, deg_bound, hom_bound, code):
+    # the relation walk is the only span tracker resolve.py builds, so one
+    # construction is one walk, shared by row 1 and the e line
+    walks = []
+
+    class Counting(SpanTracker):
+        def __init__(self, *args):
+            walks.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(resolve_module, "SpanTracker", Counting)
+    path = write(tmp_path, "m.mod", text)
+    got, out, _ = invoke(capsys, "resolve", path, "--deg-bound", deg_bound, "--hom-bound", hom_bound)
+    assert (got, len(walks)) == (code, 1)
+    assert any(line.startswith("e: ") for line in out.splitlines()) == (code == 0)
+
+
 def pipeline_modules(seed, count):
     """Module texts of the five kinds the README pipeline meets: monomial
     quotients, powers of linear forms, partial monomial quotients, direct sums
@@ -410,6 +446,34 @@ def test_resolve_gamma_inf_and_e_lines_match_their_definitions():
         table = parse_table_text(out)
         assert lines["gamma_inf"] == str(functional_value(Functional.gamma_inf(), table)), text
         assert lines["e"] == str(hilbert_data(parse_module_text(text), 12).e), text
+
+
+def test_decomposition_coefficients_stay_fractions():
+    # Fraction(1, 2) == 0.5, so comparing terms with the reference greedy
+    # would let a float coefficient through: the type is asserted here, on
+    # seeded members, on sparse members spread over 10^4 degrees, and on the
+    # tables resolve prints for the README pipeline's modules
+    rng = random.Random(20261019)
+    tables = []
+    for spread, gap in ((6, 3), (10 ** 4, 10 ** 4)):
+        for _ in range(60):
+            entries = {}
+            for _ in range(rng.randint(1, 8)):
+                d0 = rng.randint(-spread, spread)
+                d1 = d0 + rng.randint(1, gap)
+                d = rng.choice((DegreeSequence.free(d0), DegreeSequence.two_step(d0, d1),
+                                DegreeSequence.tail(d0, d1)))
+                entries = combine(1, entries, Fraction(rng.randint(1, 8), rng.randint(1, 4)),
+                                  make_pure_diagram(d).table)
+            tables.append(BettiTable(entries))
+    for text in pipeline_modules(seed=20261019, count=40):
+        code, out, _ = run_quietly(["resolve", "-", "--deg-bound", "12", "--hom-bound", "4"], text)
+        assert code == 0, text
+        tables.append(parse_table_text(out))
+    for v in tables:
+        verdict = check_graded(v)
+        assert verdict.member and verdict.decomposition.recombine() == collapse_tail(v)
+        assert all(type(c) is Fraction for _, c in verdict.decomposition.terms), v
 
 
 # -- fuzzing resolve and hilbert ------------------------------------------------------
@@ -733,9 +797,12 @@ def test_the_shared_parser_answers_as_a_fresh_one(tmp_path, monkeypatch):
 
 
 def test_importing_the_cli_builds_no_parser():
+    # the child imports the package under test, installed or not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-c", "import betticone.cli as c; print(c._build_parser.cache_info().misses)"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 

@@ -497,10 +497,7 @@ def every_step_resolution(M, deg_bound, hom_bound):
     betti = {}
     for a in M.gen_degrees:
         betti[(0, a)] = betti.get((0, a), 0) + 1
-    gens = []
-    if M.relations:
-        top = min(max(M.relation_degrees()), deg_bound)
-        gens = [(d, row) for d, _, born in resolve_module._relation_walk(M, top) for row in born]
+    gens = [(d, row) for d, _, born in resolve_module._relation_walk(M, deg_bound) for row in born]
     rank = len(M.gen_degrees)
     for step in range(1, hom_bound + 1):
         if step > 1:
@@ -518,6 +515,27 @@ def every_step_resolution(M, deg_bound, hom_bound):
     return betti, tail_ok, truncated_rows(M, betti, deg_bound, hom_bound)
 
 
+def fresh_tracker_ranks(M, dstop):
+    """Oracle: (d, size, rank) for every degree d from the lowest generator
+    degree to dstop: the dimension of the degree d piece of the free module
+    and that of the relation submodule in it, with a fresh tracker in every
+    degree that takes all three shifts of every lower relation."""
+    relations = _labelled_relations(M)
+    out = []
+    for d in range(min(M.gen_degrees), dstop + 1):
+        labels = _basis(M.gen_degrees, d)
+        index = {lab: n for n, lab in enumerate(labels)}
+        tracker = SpanTracker(M.field, len(labels))
+        for rdeg, rlabels, coords in relations:
+            if rdeg == d:
+                tracker.add(coords)
+            elif rdeg < d:
+                for var in "xyz":
+                    tracker.add(_shift(rlabels, coords, var, index, len(labels)))
+        out.append((d, len(labels), tracker.rank))
+    return out
+
+
 def every_degree_hilbert(M, deg_bound):
     """Oracle: hilbert_data with a fresh tracker in every degree.  The
     dimensions are computed up to max(deg_bound, flat + 2), where flat is one
@@ -528,19 +546,7 @@ def every_degree_hilbert(M, deg_bound):
         return HilbertData(0, (), 0)
     dmin = min(M.gen_degrees)
     flat = max(M.gen_degrees + M.relation_degrees()) + 1
-    relations = _labelled_relations(M)
-    dims = []
-    for d in range(dmin, max(deg_bound, flat + 2) + 1):
-        labels = _basis(M.gen_degrees, d)
-        index = {lab: n for n, lab in enumerate(labels)}
-        tracker = SpanTracker(M.field, len(labels))
-        for rdeg, rlabels, coords in relations:
-            if rdeg == d:
-                tracker.add(coords)
-            elif rdeg < d:
-                for var in "xyz":
-                    tracker.add(_shift(rlabels, coords, var, index, len(labels)))
-        dims.append(len(labels) - tracker.rank)
+    dims = [size - rank for _, size, rank in fresh_tracker_ranks(M, max(deg_bound, flat + 2))]
     assert len(set(dims[flat - dmin:])) == 1, (flat, dims)
     if deg_bound < flat:
         return StabilizationError
@@ -749,6 +755,30 @@ def test_relation_walk_visits_each_degree_and_relation_once():
                                                       for n in range(3)}}
     assert hd.e == 0 and hd.numerator[:2] == (1, 2) and hd.numerator[-3:] == (-1, -1, -1)
     assert len(hd.numerator) == 8004
+
+
+@pytest.mark.parametrize("M", [
+    quotient_module(["x^2", "y^3", "z^4"]),
+    quotient_module(["x^3", "y"], QQ),
+    builtin("omega"),
+    builtin("omega", QQ),
+], ids=["monomial", "monomial-qq", "omega", "omega-qq"])
+def test_relation_walk_adds_no_zero_vector(M, monkeypatch):
+    # each relation of these modules is zero in two branch blocks of three,
+    # and a zero vector never grows a span, so the walk skips those blocks
+    added = []
+
+    class Recording(SpanTracker):
+        def add(self, vec):
+            added.append(list(vec))
+            return super().add(vec)
+
+    monkeypatch.setattr(resolve_module, "SpanTracker", Recording)
+    walk = list(resolve_module._relation_walk(M, 10 ** 6))
+    assert added and all(any(vec) for vec in added)
+    flat = max(M.gen_degrees + M.relation_degrees()) + 1
+    assert walk[-1][0] == flat  # the walk stops at flat, however far dstop lies
+    assert [(d, rank) for d, rank, _ in walk] == [(d, rank) for d, _, rank in fresh_tracker_ranks(M, flat)]
 
 
 def test_hilbert_count_matches_every_degree_oracle_on_many_generators():
