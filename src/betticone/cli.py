@@ -13,9 +13,10 @@ Tables travel in a small line format:
     entry 1 2 3
     entry 2 3 13/2
 
-Blank lines and # comments are skipped; parsing stops at the first line that
-is not an entry, so the stat lines `resolve` appends after a table are
-harmless and its output pipes straight into `check -`.
+Blank lines and # comments are skipped.  After the entries only report lines
+may follow, those whose first word ends in `:`, so the lines `resolve` and
+`rays` print after a table are skipped and their output pipes straight into
+`check -`; any other line is malformed.
 
 Modules for `resolve` and `hilbert` are described either by a builtin name or
 by generator degrees plus relation rows:
@@ -51,11 +52,9 @@ from .resolve import (
     GradedModuleB,
     PolyParseError,
     StabilizationError,
-    _hilbert,
-    _relation_walk,
-    _resolution,
     builtin,
     hilbert_data,
+    min_free_resolution,
     parse_poly,
 )
 from .tables import (
@@ -114,10 +113,14 @@ def parse_table_text(text: str) -> BettiTable:
         raise TableFormatError("second line must be: mode canonical|explicit")
     mode = CANONICAL if lines[1].endswith("canonical") else EXPLICIT
     entries = []
-    for line in lines[2:]:
+    for n, line in enumerate(lines[2:], 2):
         parts = line.split()
         if parts[0] != "entry":
-            break  # trailing stat lines are not part of the table
+            # only report lines, whose first word ends in ':', may follow the entries
+            bad = [rest for rest in lines[n:] if not rest.split()[0].endswith(":")]
+            if bad:
+                raise TableFormatError(f"not an entry or a report line: {bad[0]!r}")
+            break
         if len(parts) != 4:
             raise TableFormatError(f"bad entry line: {line!r}")
         try:
@@ -249,8 +252,7 @@ def cmd_check(args) -> int:
 
 def cmd_resolve(args) -> int:
     M = parse_module_text(_read_text(args.file), field=args.field)
-    walk = list(_relation_walk(M, args.deg_bound))  # row 1 and the Hilbert data read one walk
-    res = _resolution(M, args.deg_bound, args.hom_bound, walk)
+    res = min_free_resolution(M, args.deg_bound, args.hom_bound)
     print(format_table_text(res.betti))
     print(f"tail_consistent: {'yes' if res.tail_consistent else 'no'}")
     rows = " ".join(str(i) for i in res.truncated_rows) if res.truncated_rows else "none"
@@ -262,7 +264,7 @@ def cmd_resolve(args) -> int:
     print(f"gamma_inf: {Fraction(gamma_inf, scale)}")
     code = 0
     try:
-        hd = _hilbert(M, args.deg_bound, walk)
+        hd = hilbert_data(M, args.deg_bound)
         print(f"e: {hd.e}")
     except StabilizationError as exc:
         print(f"warning: {exc}", file=sys.stderr)

@@ -401,7 +401,8 @@ class GradedModuleB(_Checked, namedtuple("GradedModuleB", "gen_degrees relations
     Each relation is also kept as (degree, int row over the field in branch
     coordinates, see the module doc), so a coefficient the field cannot hold
     is rejected when the module is built, and so is a module whose degrees
-    span more than MAX_DEGREE_SPAN."""
+    span more than MAX_DEGREE_SPAN.  Its relation walk (_relation_walk), to
+    flat, is taken once here, and row 1 and the Hilbert data both read it."""
 
     def __new__(cls, gen_degrees, relations=(), field=FP_DEFAULT):
         gen_degrees = tuple(int(a) for a in gen_degrees)
@@ -435,6 +436,7 @@ class GradedModuleB(_Checked, namedtuple("GradedModuleB", "gen_degrees relations
         self = super().__new__(cls, gen_degrees, relations, field)
         self._branch_rows = tuple(branch_rows)
         self._flat = max(degrees, default=-1) + 1  # from here on the Hilbert function is constant
+        self._walk = tuple(_relation_walk(self))
         return self
 
     def relation_degrees(self) -> tuple[int, ...]:
@@ -474,22 +476,23 @@ def builtin(name: str, field=FP_DEFAULT) -> GradedModuleB:
 # The engine, in branch coordinates (see the module doc).
 
 
-def _relation_walk(M: GradedModuleB, dstop: int):
+def _relation_walk(M: GradedModuleB):
     """Walk the relation submodule of M up the degrees, from the lowest
-    generator degree to dstop or to flat, one past the top generator and
-    relation degree, if lower.  Yields (d, rank, born): the dimension of the
-    submodule in degree d and the relation rows of degree d that are minimal
-    generators.  The v multiple of a relation of degree e < d is its v block,
-    whatever d is, so one tracker over the branch coordinates serves every
-    degree: at d it takes the nonzero blocks of the degree d - 1 relations,
-    then the degree d relations, and those that grow the span are the minimal
-    ones.  With the relations grouped by degree it costs O(degrees + relations)."""
+    generator degree to flat, one past the top generator and relation degree.
+    Yields (d, rank, born): the dimension of the submodule in degree d and the
+    relation rows of degree d that are minimal generators.  The v multiple of
+    a relation of degree e < d is its v block, whatever d is, so one tracker
+    over the branch coordinates serves every degree: at d it takes the nonzero
+    blocks of the degree d - 1 relations, then the degree d relations, and
+    those that grow the span are the minimal ones.  With the relations grouped
+    by degree it costs O(degrees + relations).  GradedModuleB takes it once,
+    as M._walk."""
     r = len(M.gen_degrees)
     by_degree: dict[int, list] = {}
     for e, row in M._branch_rows:
         by_degree.setdefault(e, []).append(row)
     tracker = SpanTracker(M.field, 3 * r)
-    for d in range(min(M.gen_degrees, default=0), min(dstop, M._flat) + 1):
+    for d in range(min(M.gen_degrees, default=0), M._flat + 1):
         for row in by_degree.get(d - 1, ()):
             for at in range(0, 3 * r, r):
                 if any(row[at:at + r]):
@@ -583,12 +586,6 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
     step 2 generators certifies that every later row is the one before
     doubled and shifted (module doc), and raises AssertionError if it does
     not."""
-    walk = _relation_walk(M, min(max(M.relation_degrees()), deg_bound)) if M.relations else ()
-    return _resolution(M, deg_bound, hom_bound, walk)
-
-
-def _resolution(M: GradedModuleB, deg_bound: int, hom_bound: int, walk) -> ResolutionResult:
-    """min_free_resolution of M on a relation walk to deg_bound or the top relation degree, if lower."""
     if not 2 <= hom_bound <= MAX_HOM_BOUND:
         raise ValueError(f"hom_bound must be at least 2 and at most {MAX_HOM_BOUND}")
     maxgen = max(M.gen_degrees, default=0)
@@ -597,7 +594,7 @@ def _resolution(M: GradedModuleB, deg_bound: int, hom_bound: int, walk) -> Resol
     betti = _tally((0, a) for a in M.gen_degrees)
 
     # generators of F_{i-1} as (degree, branch row of the image), sorted by degree
-    gens = [(d, row) for d, _, born in walk if d <= deg_bound for row in born]
+    gens = [(d, row) for d, _, born in M._walk if d <= deg_bound for row in born]
     rank = len(M.gen_degrees)  # of F_{i-2} at step i
     row = {}  # number of generators of F_step in each degree
     for step in range(1, hom_bound + 1):
@@ -639,13 +636,9 @@ def hilbert_data(M: GradedModuleB, deg_bound: int) -> HilbertData:
     degree, on: there every generator has its three branches and every
     relation block is in the span.  deg_bound must reach flat, or
     StabilizationError is raised, as a dimension past it could still change.
-    Cost: the relation walk's, plus one tally of the generator degrees and
-    O(1) per degree of the walk: O(generators + degrees), not their product."""
-    return _hilbert(M, deg_bound, _relation_walk(M, deg_bound))
-
-
-def _hilbert(M: GradedModuleB, deg_bound: int, walk) -> HilbertData:
-    """hilbert_data of M on its relation walk to deg_bound (_relation_walk)."""
+    Cost: one tally of the generator degrees and O(1) per degree of the
+    module's relation walk, taken when M was built: O(generators + degrees),
+    not their product."""
     if not M.gen_degrees:
         return HilbertData(0, (), 0)
     flat = M._flat
@@ -656,7 +649,7 @@ def _hilbert(M: GradedModuleB, deg_bound: int, walk) -> HilbertData:
     at = _tally(M.gen_degrees)
     below = 0  # generators of degree < d, each with three branches in degree d
     dims = []
-    for d, rank, _ in walk:
+    for d, rank, _ in M._walk:
         dims.append(at.get(d, 0) + 3 * below - rank)
         below += at.get(d, 0)
     diffs = [dims[0]] + [dims[n] - dims[n - 1] for n in range(1, len(dims))]

@@ -79,6 +79,10 @@ def test_table_parse_ignores_trailing_report_lines():
     "betti v1\nmode canonical\nentry 0 0 one\n",
     "betti v1\nmode canonical\nentry 0 0 1\nentry 0 0 2\n",
     "betti v1\nmode canonical\nentry 3 3 1\n",  # derived row in canonical mode
+    # after the entries only report lines, first word ending in ':', may follow
+    "betti v1\nmode canonical\nentry 0 0 1\nentyr 1 1 1\nentry 1 2 -5\n",
+    "betti v1\nmode canonical\nmode explicit\nentry 0 0 -1\n",
+    "betti v1\nmode canonical\nentry 0 0 1\ngamma_inf: 1\nentry 1 2 -5\n",
 ])
 def test_table_parse_rejects(text):
     from betticone.cli import TableFormatError

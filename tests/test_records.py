@@ -103,6 +103,7 @@ X7 = BPolynomial.monomial("x", 1, Fraction(1, 7))
 
 
 X = BPolynomial.variable("x")
+Y = BPolynomial.variable("y")
 
 
 @pytest.mark.parametrize("build, message", [
@@ -144,6 +145,16 @@ def test_with_field_rederives_the_branch_rows():
     for moved in (omega.with_field(FP_DEFAULT), omega._replace(field=FP_DEFAULT)):
         assert moved == builtin("omega", FP_DEFAULT)
         assert moved._branch_rows == builtin("omega", FP_DEFAULT)._branch_rows != omega._branch_rows
+    # (x, y) and (x, -y) span two dimensions in degree 1 over QQ and one over
+    # F_2, so the relation walk, taken when the module is built, sees the field
+    rows = ((X, Y), (X, -Y))
+    over_q, over_2 = GradedModuleB((0, 0), rows, QQ), GradedModuleB((0, 0), rows, Field(2))
+    assert [rank for _, rank, _ in over_q._walk] == [0, 2, 2]
+    assert [rank for _, rank, _ in over_2._walk] == [0, 1, 2]
+    for moved in (over_q.with_field(Field(2)), over_q._replace(field=Field(2)),
+                  GradedModuleB._make(((0, 0), rows, Field(2)))):
+        assert moved._walk == over_2._walk
+    assert over_2.with_field(QQ)._walk == over_q._walk
 
 
 def test_make_and_replace_keep_the_namedtuple_contract():

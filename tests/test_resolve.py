@@ -497,7 +497,7 @@ def every_step_resolution(M, deg_bound, hom_bound):
     betti = {}
     for a in M.gen_degrees:
         betti[(0, a)] = betti.get((0, a), 0) + 1
-    gens = [(d, row) for d, _, born in resolve_module._relation_walk(M, deg_bound) for row in born]
+    gens = [(d, row) for d, _, born in resolve_module._relation_walk(M) if d <= deg_bound for row in born]
     rank = len(M.gen_degrees)
     for step in range(1, hom_bound + 1):
         if step > 1:
@@ -741,10 +741,10 @@ def test_hilbert_needs_one_past_the_top_relation_degree():
 
 
 def test_relation_walk_visits_each_degree_and_relation_once():
-    # 2,000 relations spread over 10,000 degrees.  The module is built outside
-    # the clock, so the clock sees the relation walk and what follows it.
-    M = GradedModuleB((0,), tuple((BPolynomial.monomial("xyz"[k % 3], k),) for k in range(8001, 10001)))
+    # 2,000 relations spread over 10,000 degrees.  The module takes its
+    # relation walk when it is built, so the clock starts before that.
     start = time.perf_counter()
+    M = GradedModuleB((0,), tuple((BPolynomial.monomial("xyz"[k % 3], k),) for k in range(8001, 10001)))
     res = min_free_resolution(M, 10 ** 9, 3)
     assert time.perf_counter() - start < 0.25
     start = time.perf_counter()
@@ -774,11 +774,34 @@ def test_relation_walk_adds_no_zero_vector(M, monkeypatch):
             return super().add(vec)
 
     monkeypatch.setattr(resolve_module, "SpanTracker", Recording)
-    walk = list(resolve_module._relation_walk(M, 10 ** 6))
+    walk = list(resolve_module._relation_walk(M))
     assert added and all(any(vec) for vec in added)
     flat = max(M.gen_degrees + M.relation_degrees()) + 1
-    assert walk[-1][0] == flat  # the walk stops at flat, however far dstop lies
+    assert walk[-1][0] == flat  # the walk stops at flat
     assert [(d, rank) for d, rank, _ in walk] == [(d, rank) for d, _, rank in fresh_tracker_ranks(M, flat)]
+
+
+def test_library_calls_read_the_walk_taken_at_construction(monkeypatch):
+    # the relation walk is the only span tracker resolve.py builds, and a
+    # module takes it once, when it is built
+    modules = [builtin("omega"), builtin("omega", QQ), builtin("B"), quotient_module(["x^5"]),
+               GradedModuleB((0, 1), ((X ** 2, BPolynomial.zero()), (BPolynomial.zero(), Y ** 3)))]
+    built = []
+
+    class Counting(SpanTracker):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(resolve_module, "SpanTracker", Counting)
+    for M in modules:
+        min_free_resolution(M, 9, 4)
+        hilbert_data(M, 9)
+        with pytest.raises(StabilizationError):
+            hilbert_data(M, M._flat - 1)
+    assert built == []
+    quotient_module(["x^5"])
+    assert len(built) == 1
 
 
 def test_hilbert_count_matches_every_degree_oracle_on_many_generators():
