@@ -29,8 +29,9 @@ and one lcm per distinct denominator, no sort of the entries (the first
 negative entry is the least (i, j) among the negative ones), and then one
 sort of the alpha and of the gamma breakpoints.
 
-The local (single column) cone over Betti sequences (b0, b1, b2) is handled at
-the end of the module, with rays (1,0,0), (1,1,0), (1,3,6).
+The local cone over Betti sequences (b0, b1, b2) is the graded cone on the
+diagonal table {(0, 0): b0, (1, 1): b1, (2, 2): b2}; its rays (1,0,0), (1,1,0)
+and (1,3,6) are rows 0..2 of the free, two-step and tail pure diagrams.
 """
 
 from __future__ import annotations
@@ -42,7 +43,10 @@ from typing import NamedTuple
 
 from .tables import (
     EXPLICIT,
+    FREE,
     MAX_COEFFICIENT_BITS,
+    TAIL,
+    TWO_STEP,
     BettiTable,
     DegreeSequence,
     Functional,
@@ -278,46 +282,35 @@ class LocalDecomposition(NamedTuple):
         return tuple(zip(self.RAYS, (self.a, self.b, self.c)))
 
 
-_LOCAL_EQ_LABEL = "3b0+b2-3b1 == 0"
-
-
-def _local_violation(s: BettiSequence, finite_length: bool) -> Violation | None:
-    for name, val in (("b0", s.b0), ("b1", s.b1), ("b2", s.b2)):
-        if val < 0:
-            return Violation(name, val)
-    hk = 3 * s.b0 + s.b2 - 3 * s.b1
-    if hk < 0:
-        return Violation("3b0+b2-3b1", hk)
-    split = 2 * s.b1 - s.b2
-    if split < 0:
-        return Violation("2b1-b2", split)
-    if finite_length and hk != 0:
-        return Violation(_LOCAL_EQ_LABEL, hk)
-    return None
+_LOCAL_LABEL = {
+    "epsilon(0,0)": "b0",
+    "epsilon(1,1)": "b1",
+    "epsilon(2,2)": "b2",
+    "alpha(1)": "2b1-b2",
+    "gamma(0)": "3b0+b2-3b1",
+    "gamma_inf": "3b0+b2-3b1 == 0",
+}
 
 
 def check_local(s: BettiSequence, finite_length: bool = False) -> MembershipVerdict:
-    """Membership of a Betti sequence in the local cone (graded by default)."""
-    viol = _local_violation(s, finite_length)
-    if viol is not None:
-        return MembershipVerdict(False, violation=viol)
-    return MembershipVerdict(True, decomposition=_local_coefficients(s, finite_length))
+    """Membership of a Betti sequence in the local cone (graded by default):
+    the graded verdict on the diagonal table, its violation renamed.  The scan
+    order is b0, b1, b2, 2b1-b2, 3b0+b2-3b1, then, with finite_length, the
+    equation 3b0+b2-3b1 == 0.  Raises ValueError as check_graded does."""
+    verdict = _check(BettiTable({(0, 0): s.b0, (1, 1): s.b1, (2, 2): s.b2}), finite_length)
+    if not verdict.member:
+        viol = verdict.violation
+        return verdict._replace(violation=viol._replace(label=_LOCAL_LABEL[viol.label]))
+    coeff = dict.fromkeys((FREE, TWO_STEP, TAIL), Fraction(0))  # a, b, c
+    for d, c in verdict.decomposition.terms:
+        coeff[d.shape] += c
+    return verdict._replace(decomposition=LocalDecomposition(*coeff.values()))
 
 
 def decompose_local(s: BettiSequence, finite_length: bool = False) -> LocalDecomposition:
     """Unique coefficients over the local rays; the membership inequalities are
     exactly the statements a >= 0, b >= 0, c >= 0."""
-    viol = _local_violation(s, finite_length)
-    if viol is not None:
-        raise NotInConeError(viol)
-    return _local_coefficients(s, finite_length)
-
-
-def _local_coefficients(s: BettiSequence, finite_length: bool) -> LocalDecomposition:
-    """The coefficients of decompose_local, for a sequence already known to be a member."""
-    c = s.b2 / 6
-    b = s.b1 - 3 * c
-    a = s.b0 - b - c
-    if a < 0 or b < 0 or c < 0 or (finite_length and a != 0):
-        raise AssertionError(f"local coefficients ({a}, {b}, {c}) contradict the membership scan")
-    return LocalDecomposition(a, b, c)
+    verdict = check_local(s, finite_length)
+    if not verdict.member:
+        raise NotInConeError(verdict.violation)
+    return verdict.decomposition

@@ -276,11 +276,15 @@ def parse_poly(text: str) -> BPolynomial:
     def peek():
         return tokens[pos]
 
+    def ended():
+        empty = not text.strip()
+        return PolyParseError("empty entry, no polynomial given" if empty else f"input ends early in {text!r}")
+
     def take(kind=None):
         nonlocal pos
         tok = tokens[pos]
         if kind is not None and tok[0] != kind:
-            raise PolyParseError(f"expected {kind}, got {tok[1]!r} in {text!r}")
+            raise ended() if tok[0] == "end" else PolyParseError(f"expected {kind}, got {tok[1]!r} in {text!r}")
         pos += 1
         return tok
 
@@ -310,6 +314,8 @@ def parse_poly(text: str) -> BPolynomial:
             take()
             depth -= 1
             return inner
+        if kind == "end":
+            raise ended()
         raise PolyParseError(f"unexpected {val!r} in {text!r}")
 
     def factor():

@@ -17,7 +17,9 @@ from betticone import (
     NotInConeError,
     QQ,
     FP_DEFAULT,
+    GradedModuleB,
     Window,
+    check_finite_length,
     check_graded,
     check_local,
     cross_check,
@@ -26,10 +28,12 @@ from betticone import (
     degseq_leq,
     expand_tail,
     builtin,
+    collapse_tail,
     hilbert_data,
     hk_ray,
     make_pure_diagram,
     min_free_resolution,
+    parse_poly,
     quotient_module,
 )
 
@@ -187,6 +191,48 @@ def test_criterion_05_random_quotients_land_in_the_cone():
         passed += 1
     assert passed == 50
     print("criterion 5 (50 random monomial quotients resolve into the cone): PASS")
+
+
+def random_presentation(rng):
+    """1-4 generators in degrees 0-2 and 0-5 relations over F_32003, each 1-5
+    degrees above the lowest generator, with entries (c1)*x^e + (c2)*y^e +
+    (c3)*z^e, c in [-3, 3] and e the relation degree less the generator's,
+    or 0 where e < 1."""
+    gens = [next(rng) % 3 for _ in range(1 + next(rng) % 4)]
+    rels = []
+    for _ in range(next(rng) % 6):
+        degree = min(gens) + 1 + next(rng) % 5
+        row = []
+        for a in gens:
+            coeffs = [next(rng) % 7 - 3 for _ in "xyz"]
+            e = degree - a
+            row.append(" + ".join(f"({c})*{v}^{e}" for c, v in zip(coeffs, "xyz")) if e >= 1 else "0")
+        rels.append(tuple(map(parse_poly, row)))
+    return GradedModuleB(gens, rels, FP_DEFAULT)
+
+
+def test_criterion_05_random_presentations_land_in_the_cone():
+    rng = lcg(32003)
+    valid = finite = 0
+    for _ in range(1000):
+        try:
+            M = random_presentation(rng)
+        except ValueError:  # a zero relation row
+            continue
+        top = max(M.gen_degrees + M.relation_degrees())
+        t = min_free_resolution(M, deg_bound=top + 4, hom_bound=4).betti
+        verdict = check_graded(t)
+        assert verdict.member, M
+        assert verdict.decomposition.recombine() == collapse_tail(t), M
+        row = [sum(x for (r, _), x in t.items() if r == i) for i in range(3)]
+        e = hilbert_data(M, deg_bound=top + 4).e
+        assert 3 * row[0] - 3 * row[1] + row[2] == e, M
+        if e == 0:
+            assert check_finite_length(t).member, M
+            finite += 1
+        valid += 1
+    assert valid > 900 and finite > 100, (valid, finite)
+    print(f"criterion 5 ({valid} random presentations resolve into the cone, {finite} of finite length): PASS")
 
 
 def test_criterion_06_decomposition_round_trips():

@@ -203,10 +203,13 @@ def test_values_past_the_coefficient_bound_are_refused_promptly(capsys, tmp_path
 def test_a_verdict_past_the_int_to_text_limit_prints_nothing(capsys, tmp_path):
     # each entry is within the coefficient bound, but the violated gamma would
     # sum them over pairwise coprime denominators, past Python's 4,300 digits:
-    # the lcm of the denominators passes the bound, so check refuses the table
-    entries = "".join(f"entry 0 {n} 1/{2 ** 4096 - k}\n" for n, k in enumerate((1, 3, 5, 7, 9)))
+    # the lcm of the denominators passes the bound, so check refuses the table,
+    # and local a triple of such values
+    values = [f"1/{2 ** 4096 - k}" for k in (1, 3, 5, 7, 9)]
+    entries = "".join(f"entry 0 {n} {value}\n" for n, value in enumerate(values))
     path = write(tmp_path, "t.betti", f"betti v1\nmode canonical\n{entries}entry 1 9 1\n")
-    for argv in (["check", path], ["check", path, "--finite-length"], ["decompose", path]):
+    for argv in (["check", path], ["check", path, "--finite-length"], ["decompose", path],
+                 ["local", "check", *values[:3]], ["local", "decompose", *values[:3], "--finite-length"]):
         code, out, err = invoke(capsys, *argv)
         assert code == 2 and out == ""
         assert err == "error: the lcm of the entry denominators passes 4096 bits\n"
@@ -295,6 +298,16 @@ def test_a_repeated_module_keyword_is_refused(capsys, tmp_path, text):
     code, out, err = invoke(capsys, "resolve", path, "--deg-bound", "6", "--hom-bound", "2")
     assert code == 2 and out == ""
     assert err.startswith("error: repeated ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("gens 0 0\nrel x,\n", "empty entry, no polynomial given"),
+    ("gens 0\nrel x +\n", "input ends early in 'x +'"),
+])
+def test_a_relation_that_ends_early_says_so(capsys, tmp_path, text, message):
+    path = write(tmp_path, "m.mod", text)
+    code, out, err = invoke(capsys, "resolve", path, "--deg-bound", "6", "--hom-bound", "2")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_huge_prime_is_refused_promptly(capsys, tmp_path):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betticone import (
@@ -422,10 +422,12 @@ def test_coprime_denominators_are_refused_promptly():
     dens = coprime_denominators(100)
     table = BettiTable({(0, m): Fraction(1, d) for m, d in enumerate(dens)})
     assert len(table.support()) == 100
-    for call in (check_graded, check_finite_length, decompose):
+    local = BettiSequence.of(*(Fraction(1, d) for d in dens[:3]))  # the local cone shares the bound
+    for call, arg in ((check_graded, table), (check_finite_length, table), (decompose, table),
+                      (check_local, local), (decompose_local, local)):
         start = time.perf_counter()
         with pytest.raises(ValueError, match=f"lcm of the entry denominators passes {MAX_COEFFICIENT_BITS} bits"):
-            call(table)
+            call(arg)
         assert time.perf_counter() - start < 0.1
 
 
@@ -544,6 +546,19 @@ def test_degseq_leq_incomparable_pair():
 # -- local cone ---------------------------------------------------------------
 
 
+def local_first_violation(b0, b1, b2, finite_length=False):
+    """(label, value) of the first violated of the six local functionals, in
+    the scan order check_local keeps, written out from scratch; None for a
+    member."""
+    hk = 3 * b0 + b2 - 3 * b1
+    for label, val in (("b0", b0), ("b1", b1), ("b2", b2), ("2b1-b2", 2 * b1 - b2), ("3b0+b2-3b1", hk)):
+        if val < 0:
+            return label, val
+    if finite_length and hk != 0:
+        return "3b0+b2-3b1 == 0", hk
+    return None
+
+
 def local_member_oracle(b0, b1, b2, finite_length=False) -> bool:
     # the halfspace description, written out from scratch
     if b0 < 0 or b1 < 0 or b2 < 0:
@@ -576,6 +591,9 @@ def test_local_check_scan_order():
     assert check_local(BettiSequence.of(1, 1, 1), finite_length=True).violation.label == (
         "3b0+b2-3b1 == 0"
     )
+    # 2b1-b2 and 3b0+b2-3b1 both negative: the graded scan names alpha(1) first
+    viol = check_local(BettiSequence.of(0, Fraction(1, 2), Fraction(4, 3))).violation
+    assert viol == ("2b1-b2", Fraction(-1, 3), Functional.alpha(1))
 
 
 @given(
@@ -597,6 +615,7 @@ def test_local_recombination_identity(a, b, c):
     st.fractions(min_value=-3, max_value=6, max_denominator=3),
     st.booleans(),
 )
+@example(0, Fraction(1, 2), Fraction(4, 3), False)  # 2b1-b2 and 3b0+b2-3b1 both negative
 @settings(max_examples=150, deadline=None)
 def test_local_check_matches_oracle(b0, b1, b2, finite_length):
     s = BettiSequence.of(b0, b1, b2)
@@ -610,6 +629,8 @@ def test_local_check_matches_oracle(b0, b1, b2, finite_length):
         if finite_length:
             assert deco.a == 0
     else:
+        viol = verdict.violation
+        assert (viol.label, viol.value) == local_first_violation(b0, b1, b2, finite_length)
         with pytest.raises(NotInConeError):
             decompose_local(s, finite_length=finite_length)
 
@@ -618,11 +639,7 @@ def test_local_check_matches_oracle(b0, b1, b2, finite_length):
 
 
 def test_guards_fire_past_the_membership_scan():
-    # the pivot and the local coefficients trust the scan; called without it
-    # on a non-member they raise, under python -O too
+    # the pivot trusts the scan; called without it on a non-member it
+    # raises, under python -O too
     with pytest.raises(AssertionError, match="without row 0 mass"):
         cone._greedy(BettiTable({(1, 1): 1}))
-    with pytest.raises(AssertionError, match="contradict the membership scan"):
-        cone._local_coefficients(BettiSequence.of(0, 1, 0), finite_length=False)
-    with pytest.raises(AssertionError, match="contradict the membership scan"):
-        cone._local_coefficients(BettiSequence.of(1, 0, 0), finite_length=True)

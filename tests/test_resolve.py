@@ -1,5 +1,6 @@
 """Ring elements, module presentations, resolutions, and Hilbert data."""
 
+import re
 import time
 from fractions import Fraction
 
@@ -163,6 +164,14 @@ def test_power_and_scalar_product_edge_cases():
 def test_parse_poly_rejects(bad):
     with pytest.raises(PolyParseError):
         parse_poly(bad)
+
+
+@pytest.mark.parametrize("text, message", [("x +", "input ends early in 'x +'"), ("x^", "input ends early in 'x^'"),
+                                           ("1/", "input ends early in '1/'"), ("", "empty entry"),
+                                           (" ", "empty entry")])
+def test_parse_poly_names_an_early_end(text, message):
+    with pytest.raises(PolyParseError, match=re.escape(message)):
+        parse_poly(text)
 
 
 mono_keys = st.one_of(
