@@ -100,11 +100,13 @@ def _normalize(row: list[int], p: int):
 
 
 class SpanTracker:
-    """Row space in reduced echelon form, grown one vector at a time.
+    """Row space in echelon form, grown one vector at a time.
 
     Supports exact membership reduction, which is what both the rank counts
     and the minimal generator extraction need.  Rows are normalised int lists
-    and each stored row is zero on every other row's pivot.
+    kept sorted by pivot, each zero before its own pivot.  reduce walks them
+    in that order, so its residual is zero on every pivot and stays canonical
+    without reducing the stored rows against each other.
     """
 
     def __init__(self, field, ncols: int):
@@ -131,12 +133,6 @@ class SpanTracker:
         piv, res = self.reduce(vec)
         if piv is None:
             return None
-        # keep full reduction so later residuals are canonical
-        lead = res[piv]
-        for n, row in enumerate(self.rows):
-            c = row[piv]
-            if c:
-                self.rows[n] = _normalize([lead * a - c * b for a, b in zip(row, res)], self.p)[1]
         at = bisect(self.pivots, piv)
         self.rows.insert(at, res)
         self.pivots.insert(at, piv)
@@ -145,23 +141,3 @@ class SpanTracker:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-
-def kernel_basis(rows: list[list], ncols: int, field) -> list[list]:
-    """Basis of the right kernel of a matrix given as a list of int rows."""
-    tracker = SpanTracker(field, ncols)
-    for row in rows:
-        tracker.add(row)
-    pivot_set = set(tracker.pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        # row . vec = 0 needs lead * vec[piv] = -row[free] * vec[free]
-        scale = lcm(*(row[piv] for row, piv in zip(tracker.rows, tracker.pivots) if row[free]))
-        vec = [0] * ncols
-        vec[free] = scale
-        for row, piv in zip(tracker.rows, tracker.pivots):
-            vec[piv] = -row[free] * scale // row[piv]
-        basis.append(_normalize(vec, tracker.p)[1])
-    return basis

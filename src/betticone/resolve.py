@@ -12,44 +12,38 @@ works in branch coordinates:
   other two.  Relations are such elements, as every relation entry has
   positive degree, and so are minimal syzygies, as a syzygy with a degree 0
   entry would contradict minimality;
-* step 1 is one walk up the degrees with a span tracker on the 3r
-  coordinates: in degree d it holds the blocks of the lower relations and the
-  relations of degree d, the relations that grow it are the minimal ones,
-  and its rank gives the Hilbert function too;
-* at step i >= 2 the degree d kernel of F_{i-1} -> F_{i-2} has no entry of
-  degree 0, as the generators of F_{i-1} map to minimal generators, so it
-  splits into three branch kernels.  The branch v matrix has the v blocks of
-  the images of the generators as columns, sorted by degree, and does not
-  depend on d: degree d sees the columns of degree < d.  In reduced echelon
-  form the kernel vector of a free column of degree b uses only that column
-  and earlier ones, so it is a minimal generator of degree b + 1 living in
-  branch v alone.  One elimination per branch finds them all;
-* only step 2 is eliminated.  A step 2 generator lives in one branch, so in
-  every other branch its column at step 3 is zero and its kernel vector is
-  the unit vector there, of degree one more.  The nonzero columns of branch w
-  are the step 2 kernel vectors of branch w, each ending at its own free
-  column, so they are triangular, hence independent, and add no kernel.  Row
-  3 is therefore row 2 doubled and shifted up one degree (entries past
-  deg_bound dropped).  Step 3 is certified, not eliminated: every step 2 row
-  must be nonzero in exactly one branch block, and the rows of one branch
-  must end at pairwise distinct coordinates.  That check is one pass over the
-  step 2 rows, linear in their size, and it raises AssertionError if it
-  fails.  Every step 3 generator is then a unit vector in one branch, and the
-  same argument carries on by induction: a generator of degree b in branch v
-  gives one generator of degree b + 1 in each of the two other branches.  So
-  row i is row i - 1 doubled and shifted for every i >= 3, and each step past
-  2 costs O(entries in row 2), with no elimination.  The cost follows
-  hom_bound, not deg_bound.
-
-Each branch elimination takes only its live columns, those with a nonzero v
-block.  A dead column is zero, so it is never a pivot: its kernel vector is
-its unit vector, of degree one more than its generator.  The reduced echelon
-form of the live columns is that of the whole branch matrix with the zero
-columns left out, so their kernel vectors are the same vectors without the
-dead coordinates.  The engine writes the unit vectors down and eliminates the
-live columns alone, and the output is the list a full elimination gives, in
-the same order.  For omega each relation lives in one branch, so its three
-eliminations are 2 x 1, where the whole branch matrices are 2 x 3.
+* rows 1 and 2 come from one walk up the degrees.  In degree d the relation
+  submodule is W_d plus the span of the relations of degree d, where W_d is
+  the span of the branch blocks of the minimal relations of degree < d: the v
+  multiple of a relation of degree e < d is its v block, whatever d is, and
+  the blocks of a relation that is not minimal lie in the span of those of
+  the minimal ones.  One span tracker on the 3r coordinates holds W, and in
+  each degree that has relations a fresh tracker takes their residuals
+  modulo W: the relations that grow it are the minimal ones, born in degree
+  d, and W's rank plus their number is the rank of the submodule, which
+  gives the Hilbert function too.  Every row of W is zero outside one block,
+  so W reduces a whole relation row at one common scale;
+* at step 2 the degree d kernel of F_1 -> F_0 has no entry of degree 0, as
+  the generators of F_1 map to minimal generators, so it splits into three
+  branch kernels: the branch v kernel is the space of linear relations among
+  the v blocks of the minimal relations of degree < d.  The walk feeds W the
+  blocks of the relations born in degree d - 1 when it reaches d, and each
+  block that does not grow W, a zero block included, is one new relation
+  among v blocks: a minimal generator of degree d that lies in branch v alone
+  and ends at the column of its own relation.  So row 2 is the count of the
+  blocks that do not grow W, and no elimination finds it;
+* rows 3 on are row 2 doubled, by construction.  A step 2 generator lies in
+  one branch, so in every other branch its column at step 3 is zero and its
+  kernel vector is the unit vector there, of degree one more.  The nonzero
+  columns of branch w are the step 2 generators of branch w, each ending at
+  its own column, so they are triangular, hence independent, and add no
+  kernel.  Row 3 is therefore row 2 doubled and shifted up one degree
+  (entries past deg_bound dropped).  Every step 3 generator is then a unit
+  vector in one branch, and the same argument carries on by induction: a
+  generator of degree b in branch v gives one generator of degree b + 1 in
+  each of the two other branches.  So row i is row i - 1 doubled and shifted
+  for every i >= 3, and each step past 2 costs O(entries in row 2), with no
+  elimination.  The cost follows hom_bound, not deg_bound.
 
 Presentations are kept minimal by construction, so the Betti numbers are
 literal generator counts and every reported entry with degree <= deg_bound is
@@ -64,7 +58,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import FP_DEFAULT, SpanTracker, kernel_basis
+from .linalg import FP_DEFAULT, SpanTracker
 from .tables import EXPLICIT, MAX_COEFFICIENT_BITS, BettiTable, _Checked
 
 _VARS = ("x", "y", "z")
@@ -408,7 +402,7 @@ class GradedModuleB(_Checked, namedtuple("GradedModuleB", "gen_degrees relations
     coordinates, see the module doc), so a coefficient the field cannot hold
     is rejected when the module is built, and so is a module whose degrees
     span more than MAX_DEGREE_SPAN.  Its relation walk (_relation_walk), to
-    flat, is taken once here, and row 1 and the Hilbert data both read it."""
+    flat, is taken once here, and rows 1 and 2 and the Hilbert data read it."""
 
     def __new__(cls, gen_degrees, relations=(), field=FP_DEFAULT):
         gen_degrees = tuple(int(a) for a in gen_degrees)
@@ -485,74 +479,35 @@ def builtin(name: str, field=FP_DEFAULT) -> GradedModuleB:
 def _relation_walk(M: GradedModuleB):
     """Walk the relation submodule of M up the degrees, from the lowest
     generator degree to flat, one past the top generator and relation degree.
-    Yields (d, rank, born): the dimension of the submodule in degree d and the
-    relation rows of degree d that are minimal generators.  The v multiple of
-    a relation of degree e < d is its v block, whatever d is, so one tracker
-    over the branch coordinates serves every degree: at d it takes the nonzero
-    blocks of the degree d - 1 relations, then the degree d relations, and
-    those that grow the span are the minimal ones.  With the relations grouped
-    by degree it costs O(degrees + relations).  GradedModuleB takes it once,
-    as M._walk."""
+    Yields (d, rank, born, row2): the dimension of the submodule in degree d,
+    the relation rows of degree d that are minimal generators, and the number
+    of minimal step 2 generators of degree d (module doc).  W takes the
+    blocks of the relations born in degree d - 1; a block that does not grow
+    it counts in row2, and a zero block counts without entering it.  A fresh
+    tracker per degree with relations takes their residuals modulo W.  With
+    the relations grouped by degree it costs O(degrees + relations) span
+    operations.  GradedModuleB takes it once, as M._walk."""
     r = len(M.gen_degrees)
     by_degree: dict[int, list] = {}
     for e, row in M._branch_rows:
         by_degree.setdefault(e, []).append(row)
-    tracker = SpanTracker(M.field, 3 * r)
-    for d in range(min(M.gen_degrees, default=0), M._flat + 1):
-        for row in by_degree.get(d - 1, ()):
-            for at in range(0, 3 * r, r):
-                if any(row[at:at + r]):
-                    tracker.add([0] * at + row[at:at + r] + [0] * (2 * r - at))
-        born = [row for row in by_degree.get(d, ()) if tracker.add(row) is not None]
-        yield d, tracker.rank, born
-
-
-def _branch_syzygies(gens, r: int, deg_bound: int, field):
-    """Minimal generators of degree <= deg_bound of the kernel of F_{i-1} -> F_{i-2},
-    as (degree, branch row over F_{i-1}) sorted by degree, and by branch and
-    free column within a degree.  gens are the generators of F_{i-1} as
-    (degree, branch row of the image over the r generators of F_{i-2}),
-    sorted by degree."""
-    s = len(gens)
+    W = SpanTracker(M.field, 3 * r)
     born = []
-    for v in range(3):
-        live, columns = [], []
-        for k, (d, image) in enumerate(gens):
-            block = image[v * r:(v + 1) * r]
-            if any(block):
-                live.append(k)
-                columns.append(block)
-            elif d < deg_bound:
-                # a dead column is free, and its kernel vector is its unit vector
-                row = [0] * (3 * s)
-                row[v * s + k] = 1
-                born.append((d + 1, v, k, row))
-        if not live:
-            continue
-        for vec in kernel_basis(list(zip(*columns)), len(live), field):
-            # the kernel vector of a free column is nonzero there and zero past it
-            k = live[next(filter(vec.__getitem__, reversed(range(len(live)))))]
-            d = gens[k][0] + 1
-            if d <= deg_bound:
-                row = [0] * (3 * s)
-                for col, a in zip(live, vec):
-                    row[v * s + col] = a
-                born.append((d, v, k, row))
-    born.sort()  # (d, v, k) is unique, so rows are never compared
-    return [(d, row) for d, _, _, row in born]
-
-
-def _certify_doubling(gens, r: int) -> None:
-    """Raise AssertionError unless each step 2 generator in gens, a (degree,
-    branch row over the r generators of F_1), is nonzero in one branch block
-    only and those of a branch end at pairwise distinct coordinates.  Then
-    each branch's rows are triangular, so row 3 is row 2 doubled (module doc)."""
-    free = set()
-    for _, row in gens:
-        nonzero = [c for c, a in enumerate(row) if a]
-        if not nonzero or nonzero[0] // r != nonzero[-1] // r or nonzero[-1] in free:
-            raise AssertionError(f"row 3 is not row 2 doubled: step 2 row {row} is not triangular in one branch")
-        free.add(nonzero[-1])
+    for d in range(min(M.gen_degrees, default=0), M._flat + 1):
+        row2 = 0
+        for row in born:
+            for at in range(0, 3 * r, r):
+                block = row[at:at + r]
+                if not any(block) or W.add([0] * at + block + [0] * (2 * r - at)) is None:
+                    row2 += 1
+        born = []
+        if d in by_degree:
+            fresh = SpanTracker(M.field, 3 * r)
+            for row in by_degree[d]:
+                piv, res = W.reduce(row)
+                if piv is not None and fresh.add(res) is not None:
+                    born.append(row)
+        yield d, W.rank + len(born), born, row2
 
 
 def _tally(keys) -> dict:
@@ -572,8 +527,9 @@ MAX_HOM_BOUND = 1000
 class ResolutionResult(NamedTuple):
     """A Betti table on the window, with its bounds.  tail_consistent, the
     doubling 2 beta_{i,j} = beta_{i+1,j+1} for i >= 2 inside the window, is
-    always True: min_free_resolution certifies it on the step 2 generators and
-    builds rows 3 on from it."""
+    always True: the step 2 generators are triangular in one branch by
+    construction (module doc), and min_free_resolution builds rows 3 on from
+    the doubling."""
 
     betti: BettiTable
     deg_bound: int
@@ -588,33 +544,22 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
     rows that may continue past deg_bound: a row with mass at deg_bound, row 1
     when a relation lies past it, and every row after such a row up to
     hom_bound.
-    Step 2 is the only elimination.  At step 3 a linear-time check of the
-    step 2 generators certifies that every later row is the one before
-    doubled and shifted (module doc), and raises AssertionError if it does
-    not."""
+    Rows 1 and 2 are read off the module's relation walk, and every later row
+    is the one before doubled and shifted (module doc), so nothing is
+    eliminated here."""
     if not 2 <= hom_bound <= MAX_HOM_BOUND:
         raise ValueError(f"hom_bound must be at least 2 and at most {MAX_HOM_BOUND}")
     maxgen = max(M.gen_degrees, default=0)
     if deg_bound < maxgen + hom_bound:
         raise ValueError(f"deg_bound must be at least {maxgen + hom_bound} for this module")
     betti = _tally((0, a) for a in M.gen_degrees)
-
-    # generators of F_{i-1} as (degree, branch row of the image), sorted by degree
-    gens = [(d, row) for d, _, born in M._walk if d <= deg_bound for row in born]
-    rank = len(M.gen_degrees)  # of F_{i-2} at step i
-    row = {}  # number of generators of F_step in each degree
-    for step in range(1, hom_bound + 1):
-        if step == 2:
-            gens, rank = _branch_syzygies(gens, rank, deg_bound, M.field), len(gens)
-        elif step == 3:
-            _certify_doubling(gens, rank)
-        if step < 3:
-            row = _tally(d for d, _ in gens)
-        else:
-            row = {d + 1: 2 * n for d, n in row.items() if d < deg_bound}
+    betti.update({(1, d): len(born) for d, _, born, _ in M._walk if born and d <= deg_bound})
+    row = {d: n for d, _, _, n in M._walk if n and d <= deg_bound}  # row 2
+    for step in range(2, hom_bound + 1):
         if not row:
             break
         betti.update({(step, d): n for d, n in row.items()})
+        row = {d + 1: 2 * n for d, n in row.items() if d < deg_bound}
 
     table = BettiTable(betti, tail_mode=EXPLICIT)
     cut = [i for (i, j) in betti if j == deg_bound]
@@ -655,7 +600,7 @@ def hilbert_data(M: GradedModuleB, deg_bound: int) -> HilbertData:
     at = _tally(M.gen_degrees)
     below = 0  # generators of degree < d, each with three branches in degree d
     dims = []
-    for d, rank, _ in M._walk:
+    for d, rank, _, _ in M._walk:
         dims.append(at.get(d, 0) + 3 * below - rank)
         below += at.get(d, 0)
     diffs = [dims[0]] + [dims[n] - dims[n - 1] for n in range(1, len(dims))]

@@ -1,10 +1,13 @@
-"""Reference arithmetic on tables for the tests, written from the definitions
-in the Functional docstring and kept apart from the package's own evaluators
-(tables._cone_functionals and tables._doubling_equalities) that the tests
-judge.  Each helper takes a BettiTable or a plain dict of entries: anything
-whose items() gives ((i, j), value) pairs."""
+"""Reference arithmetic for the tests, kept apart from the package code the
+tests judge.  The table helpers are written from the definitions in the
+Functional docstring, not from the package's own evaluators
+(tables._cone_functionals and tables._doubling_equalities); each takes a
+BettiTable or a plain dict of entries: anything whose items() gives
+((i, j), value) pairs.  kernel_basis is a Gauss-Jordan elimination of its
+own, not linalg.SpanTracker."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from betticone.tables import ALPHA, DOUBLING_EQ, EPSILON, GAMMA, GAMMA_INF
 
@@ -45,3 +48,48 @@ def functional_value(f, v) -> Fraction:
     if f.kind == DOUBLING_EQ:
         return 2 * v.entry(f.i, f.j) - v.entry(f.i + 1, f.j + 1)
     raise ValueError(f"unknown functional kind: {f.kind!r}")
+
+
+def kernel_basis(rows, ncols: int, field) -> list[list[int]]:
+    """Basis of the right kernel of a matrix given as a list of int rows, over
+    field (Q for p = 0, F_p otherwise): one int vector per free column of the
+    reduced echelon form, nonzero at that column and zero past it.  Over F_p
+    the entries are residues mod p.  Column by column Gauss-Jordan on ints:
+    over Q fraction free, each row divided by its content."""
+    p = field.p
+    m = [row for row in ([a % p for a in row] if p else list(row) for row in rows) if any(row)]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        top, lead = m[r], m[r][c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and f:
+                row = [lead * a - f * b for a, b in zip(row, top)]
+                if p:
+                    row = [a % p for a in row]
+                elif any(row):
+                    g = gcd(*row)
+                    row = [a // g for a in row]
+                m[i] = row
+        pivots.append(c)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [0] * ncols
+        if p:
+            vec[free] = 1
+            for row, c in zip(m, pivots):
+                vec[c] = -row[free] * pow(row[c], -1, p) % p
+        else:
+            scale = lcm(*(row[c] for row, c in zip(m, pivots)))
+            vec[free] = scale
+            for row, c in zip(m, pivots):
+                vec[c] = -row[free] * scale // row[c]
+        basis.append(vec)
+    return basis

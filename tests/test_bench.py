@@ -25,11 +25,12 @@ def test_bench_harness_runs(workload):
     assert result["failed"] == 0
 
 
-# the package has no eval_functional or table_arith; the harness still lists
-# their six wrap sites, and nothing else may go missing
+# the package has no eval_functional, table_arith or kernel_basis; the harness
+# still lists their eight wrap sites, and nothing else may go missing
 STALE_SITES = {
     "betticone.eval_functional", "betticone.cone.eval_functional", "betticone.resolve.eval_functional",
     "betticone.cli.eval_functional", "betticone.table_arith", "betticone.cone.table_arith",
+    "betticone.resolve.kernel_basis", "betticone.linalg.kernel_basis",
 }
 
 

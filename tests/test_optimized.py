@@ -4,9 +4,8 @@ sys.flags.optimize.  So a package with no assert statement, no __debug__
 name and no read of sys.flags.optimize behaves the same under -O: the AST
 check below proves that for every line of the source, not only for the lines
 the tests happen to run.  The guards that raise AssertionError (the
-decomposition pivot, the window cross check, the linear-time step 3
-certificate on the step 2 generators) are explicit raises and are tested in
-the normal run.
+decomposition pivot and the window cross check) are explicit raises and are
+tested in the normal run.
 The acceptance suite still runs once under -O, end to end.
 Pytest rewrites the asserts of test modules into explicit checks, so the
 tests themselves keep checking."""

@@ -149,8 +149,8 @@ def test_with_field_rederives_the_branch_rows():
     # F_2, so the relation walk, taken when the module is built, sees the field
     rows = ((X, Y), (X, -Y))
     over_q, over_2 = GradedModuleB((0, 0), rows, QQ), GradedModuleB((0, 0), rows, Field(2))
-    assert [rank for _, rank, _ in over_q._walk] == [0, 2, 2]
-    assert [rank for _, rank, _ in over_2._walk] == [0, 1, 2]
+    assert [rank for _, rank, _, _ in over_q._walk] == [0, 2, 2]
+    assert [rank for _, rank, _, _ in over_2._walk] == [0, 1, 2]
     for moved in (over_q.with_field(Field(2)), over_q._replace(field=Field(2)),
                   GradedModuleB._make(((0, 0), rows, Field(2)))):
         assert moved._walk == over_2._walk
