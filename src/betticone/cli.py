@@ -13,10 +13,10 @@ Tables travel in a small line format:
     entry 1 2 3
     entry 2 3 13/2
 
-Blank lines and # comments are skipped.  After the entries only report lines
-may follow, those whose first word ends in `:`, so the lines `resolve` and
-`rays` print after a table are skipped and their output pipes straight into
-`check -`; any other line is malformed.
+Blank lines and # comments are skipped, and an (i, j) given twice is refused.
+After the entries only report lines may follow, those whose first word ends
+in `:`, so the lines `resolve` and `rays` print after a table are skipped and
+their output pipes straight into `check -`; any other line is malformed.
 
 Modules for `resolve` and `hilbert` are described either by a builtin name or
 by generator degrees plus relation rows:
@@ -112,7 +112,7 @@ def parse_table_text(text: str) -> BettiTable:
     if len(lines) < 2 or lines[1] not in ("mode canonical", "mode explicit"):
         raise TableFormatError("second line must be: mode canonical|explicit")
     mode = CANONICAL if lines[1].endswith("canonical") else EXPLICIT
-    entries = []
+    entries = {}
     for n, line in enumerate(lines[2:], 2):
         parts = line.split()
         if parts[0] != "entry":
@@ -127,7 +127,9 @@ def parse_table_text(text: str) -> BettiTable:
             i, j, val = int(parts[1]), int(parts[2]), _parse_rational(parts[3])
         except ValueError as exc:
             raise TableFormatError(f"bad entry line: {line!r}") from exc
-        entries.append(((i, j), val))
+        if (i, j) in entries:
+            raise TableFormatError(f"duplicate table entry at {(i, j)}")
+        entries[i, j] = val
     try:
         return BettiTable(entries, tail_mode=mode)
     except ValueError as exc:

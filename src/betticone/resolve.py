@@ -54,12 +54,13 @@ truncated, and so is every row after it, as its syzygies lie past the window.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
 from .linalg import FP_DEFAULT, SpanTracker
-from .tables import EXPLICIT, MAX_COEFFICIENT_BITS, BettiTable, _Checked
+from .tables import EXPLICIT, MAX_COEFFICIENT_BITS, MAX_HOM_BOUND, BettiTable, _Checked, _exact
 
 _VARS = ("x", "y", "z")
 _UNIT = ("1", 0)
@@ -78,29 +79,21 @@ def _mono_mul(m1, m2):
 
 
 class BPolynomial:
-    """Element of B on the monomial basis {1} + {x^e, y^e, z^e : e >= 1}.
-    A coefficient is an int when it is integral and a Fraction otherwise."""
+    """Element of B on the monomial basis {1} + {x^e, y^e, z^e : e >= 1}, from a
+    mapping of monomials, ("1", 0) or (var, e), to coefficients; a float is
+    refused.  A coefficient is an int when integral and a Fraction otherwise."""
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs=()):
+    def __init__(self, coeffs=None):
         items: dict[tuple[str, int], int | Fraction] = {}
-        pairs = coeffs.items() if hasattr(coeffs, "items") else coeffs
-        for mono, value in pairs:
+        for mono, q in (coeffs or {}).items():
             var, exp = mono
-            if exp == 0:
-                if var != "1":
-                    raise ValueError(f"bad monomial {mono!r}")
-                mono = _UNIT
-            elif var not in _VARS or exp < 0:
+            if mono != _UNIT and (var not in _VARS or exp < 1):
                 raise ValueError(f"bad monomial {mono!r}")
-            q = value if type(value) is int else Fraction(value)
-            if mono in items:
-                q += items[mono]
+            q = q if type(q) is int else _exact(q)
             if q:
                 items[mono] = q if type(q) is int or q.denominator != 1 else q.numerator
-            else:
-                items.pop(mono, None)
         self._coeffs = items
 
     @classmethod
@@ -359,27 +352,23 @@ def parse_poly(text: str) -> BPolynomial:
     return result
 
 
+# A token: an int (\d is a decimal digit, which int() reads), a variable, an
+# operator, or any other non-space character, which is refused.
+_TOKEN = re.compile(r"(\d+)|([xyz])|([-+*/^()])|(\S)")
+
+
 def _tokenize(text: str):
     tokens = []
-    n = 0
-    while n < len(text):
-        ch = text[n]
-        if ch.isspace():
-            n += 1
-        elif ch.isdigit():
-            m = n
-            while m < len(text) and text[m].isdigit():
-                m += 1
-            tokens.append(("int", int(text[n:m])))
-            n = m
-        elif ch in "xyz":
-            tokens.append(("var", ch))
-            n += 1
-        elif ch in "+-*/^()":
-            tokens.append(("op", ch))
-            n += 1
+    for digits, var, op, bad in _TOKEN.findall(text):
+        if bad:
+            raise PolyParseError(f"bad character {bad!r} in {text!r}")
+        if digits:
+            try:
+                tokens.append(("int", int(digits)))
+            except ValueError:  # a run past Python's limit on int-to-text digits
+                raise PolyParseError(f"integer of {len(digits)} digits is too long in {text!r}") from None
         else:
-            raise PolyParseError(f"bad character {ch!r} in {text!r}")
+            tokens.append(("var", var) if var else ("op", op))
     tokens.append(("end", ""))
     return tokens
 
@@ -405,7 +394,9 @@ class GradedModuleB(_Checked, namedtuple("GradedModuleB", "gen_degrees relations
     flat, is taken once here, and rows 1 and 2 and the Hilbert data read it."""
 
     def __new__(cls, gen_degrees, relations=(), field=FP_DEFAULT):
-        gen_degrees = tuple(int(a) for a in gen_degrees)
+        gen_degrees = tuple(gen_degrees)
+        if any(type(a) is not int for a in gen_degrees):
+            raise ValueError(f"generator degrees must be ints, got {gen_degrees!r}")
         relations = tuple(tuple(row) for row in relations)
         r = len(gen_degrees)
         branch_rows = []
@@ -516,12 +507,6 @@ def _tally(keys) -> dict:
     for key in keys:
         counts[key] = counts.get(key, 0) + 1
     return counts
-
-
-# Largest hom_bound min_free_resolution accepts.  Row i has entries near
-# 2^i, so the output grows as hom_bound^2 digits: about 166 KB for omega at
-# hom_bound 1000.
-MAX_HOM_BOUND = 1000
 
 
 class ResolutionResult(NamedTuple):

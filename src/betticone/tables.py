@@ -23,7 +23,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import total_ordering
 from itertools import accumulate, repeat
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 CANONICAL = "canonical"
 EXPLICIT = "explicit"
@@ -65,6 +65,12 @@ RationalLike = Union[int, Fraction]
 MAX_COEFFICIENT_BITS = 4096
 
 
+# Largest hom_bound min_free_resolution accepts, and largest max_row
+# expand_tail does.  Row i has entries near 2^i, so the output grows as
+# hom_bound^2 digits: about 166 KB for omega at hom_bound 1000.
+MAX_HOM_BOUND = 1000
+
+
 def _exact(value) -> Fraction:
     """value as a Fraction; a float is refused, its binary expansion would be
     taken for the number meant."""
@@ -86,7 +92,7 @@ class _Checked:
 
 
 class BettiTable:
-    """Sparse table of rational entries indexed by (homological index, degree)."""
+    """Sparse table of rational entries, from a mapping of (homological index, degree) to entry."""
 
     __slots__ = ("_entries", "tail_mode")
 
@@ -94,20 +100,9 @@ class BettiTable:
         if tail_mode not in (CANONICAL, EXPLICIT):
             raise ValueError(f"unknown tail mode: {tail_mode!r}")
         items: dict[tuple[int, int], Fraction] = {}
-        if entries is None:
-            pairs: Iterable = ()
-        elif isinstance(entries, Mapping):
-            pairs = entries.items()  # a Mapping cannot repeat a key
-        else:
-            seen: dict = {}
-            for (i, j), value in entries:
-                if (i, j) in seen:
-                    raise ValueError(f"duplicate table entry at {(i, j)}")
-                seen[i, j] = value
-            pairs = seen.items()
-        for key, value in pairs:
+        for key, value in (entries or {}).items():
             i, j = key
-            if not (isinstance(i, int) and isinstance(j, int)) or isinstance(i, bool) or isinstance(j, bool):
+            if type(i) is not int or type(j) is not int:  # a bool is refused too
                 raise ValueError(f"table index must be a pair of ints, got {key!r}")
             if i < 0:
                 raise ValueError(f"homological index must be >= 0, got {i}")
@@ -127,7 +122,7 @@ class BettiTable:
             raise ValueError(f"homological index must be >= 0, got {i}")
         if self.tail_mode == CANONICAL and i >= 3:
             base = self._entries.get((2, j - (i - 2)), Fraction(0))
-            return Fraction(2) ** (i - 2) * base
+            return Fraction(2) ** (i - 2) * base if base else base
         return self._entries.get((i, j), Fraction(0))
 
     def support(self) -> tuple[tuple[int, int], ...]:
@@ -170,6 +165,8 @@ def expand_tail(table: BettiTable, max_row: int, max_degree: int | None = None) 
     """
     if table.tail_mode != CANONICAL:
         raise ValueError("expand_tail expects a canonical table")
+    if max_row > MAX_HOM_BOUND:
+        raise ValueError(f"max_row must be at most {MAX_HOM_BOUND}")
     out = dict(table.items())
     for (i, j), val in table.items():
         if i != 2:
@@ -204,7 +201,7 @@ def _head(table: BettiTable) -> BettiTable:
 
 
 class DegreeSequence(_Checked, namedtuple("DegreeSequence", "shape d0 d1")):
-    """Strictly increasing degree sequence in one of the three admitted shapes.
+    """Strictly increasing sequence of int degrees in one of the three admitted shapes.
 
     free:     (d0, inf, inf, ...)
     two_step: (d0, d1, inf, ...)
@@ -216,6 +213,8 @@ class DegreeSequence(_Checked, namedtuple("DegreeSequence", "shape d0 d1")):
     def __new__(cls, shape: str, d0: int, d1: int | None = None):
         if shape not in (FREE, TWO_STEP, TAIL):
             raise ValueError(f"unknown shape: {shape!r}")
+        if type(d0) is not int or not (d1 is None or type(d1) is int):
+            raise ValueError(f"degrees must be ints, got ({d0!r}, {d1!r})")
         if shape == FREE:
             if d1 is not None:
                 raise ValueError("free shape takes d0 only")

@@ -49,6 +49,8 @@ class Window(_Checked, namedtuple("Window", "jmin jmax")):
     __slots__ = ()
 
     def __new__(cls, jmin: int, jmax: int):
+        if type(jmin) is not int or type(jmax) is not int:
+            raise ValueError(f"window bounds must be ints, got [{jmin!r}, {jmax!r}]")
         if jmin > jmax:
             raise ValueError(f"empty window [{jmin}, {jmax}]")
         return super().__new__(cls, jmin, jmax)

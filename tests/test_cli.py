@@ -310,6 +310,17 @@ def test_a_relation_that_ends_early_says_so(capsys, tmp_path, text, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("rel, message", [
+    pytest.param("x^²", "bad character '²' in 'x^²'", id="superscript"),
+    pytest.param("1" * 5000 + "*x", "integer of 5000 digits is too long", id="past-the-digit-limit"),
+])
+def test_a_digit_int_cannot_read_is_a_format_error(capsys, tmp_path, rel, message):
+    path = write(tmp_path, "m.mod", f"gens 0\nrel {rel}\n")
+    code, out, err = invoke(capsys, "resolve", path, "--deg-bound", "6", "--hom-bound", "2")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_huge_prime_is_refused_promptly(capsys, tmp_path):
     huge = "1000000000000000003"
     start = time.perf_counter()
@@ -545,6 +556,8 @@ def module_texts(draw):
 
 
 @given(text=module_texts(), field=st.sampled_from([None, QQ]))
+@example(text="gens 0\nrel x^²", field=None)
+@example(text="gens 0\nrel " + "1" * 5000 + "*x", field=None)
 @settings(max_examples=300, deadline=2000)
 def test_module_parsing_survives_fuzzing(text, field):
     try:

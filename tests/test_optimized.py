@@ -7,6 +7,8 @@ the tests happen to run.  The guards that raise AssertionError (the
 decomposition pivot and the window cross check) are explicit raises and are
 tested in the normal run.
 The acceptance suite still runs once under -O, end to end.
+The stdlib is the package's only runtime dependency (pyproject.toml lists
+none), and a second AST check keeps every absolute import inside it.
 Pytest rewrites the asserts of test modules into explicit checks, so the
 tests themselves keep checking."""
 
@@ -44,6 +46,26 @@ def test_the_check_sees_what_O_strips():
     text = "assert x\nif __debug__:\n    pass\nlevel = sys.flags.optimize\n"
     assert [what for _, what in _optimize_sensitive(ast.parse(text))] \
         == ["assert statement", "__debug__", "sys.flags.optimize"]
+
+
+def _absolute_imports(tree):
+    """The top-level module of each absolute import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_every_absolute_import_is_stdlib():
+    found = {name for path in SOURCES for name in _absolute_imports(ast.parse(path.read_text(), str(path)))}
+    assert {"fractions", "re"} <= found
+    assert found - sys.stdlib_module_names == set()
+
+
+def test_the_import_check_sees_every_absolute_import():
+    text = "import numpy.linalg, os\nfrom sympy import Rational\nfrom .tables import INF\n"
+    assert sorted(_absolute_imports(ast.parse(text))) == ["numpy", "os", "sympy"]
 
 
 @pytest.mark.skipif(bool(sys.flags.optimize), reason="already running under -O")

@@ -137,6 +137,19 @@ def test_constructors_still_refuse(build, message):
         build()
 
 
+@pytest.mark.parametrize("bad", [0.7, True, "1"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda a: GradedModuleB((0, a)), id="module"),
+    pytest.param(lambda a: DegreeSequence.free(a), id="free"),
+    pytest.param(lambda a: DegreeSequence.tail(-1, a), id="tail"),
+    pytest.param(lambda a: Window(a, 3), id="window"),
+])
+def test_degrees_are_ints_when_the_record_is_built(build, bad):
+    # the rule of a table index: 0.7 is not cut to 0, nor True read as 1
+    with pytest.raises(ValueError, match="must be ints"):
+        build(bad)
+
+
 def test_with_field_rederives_the_branch_rows():
     M = GradedModuleB((0,), ((X7,),), QQ)
     with pytest.raises(ValueError, match="divisible by 7"):

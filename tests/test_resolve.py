@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betticone import (
@@ -123,6 +123,8 @@ def test_parse_poly_grammar():
     assert parse_poly("-x + 2*z") == -X + 2 * Z
     assert parse_poly("3") == BPolynomial.constant(3)
     assert parse_poly("0").is_zero
+    # a decimal digit of any script is read as its value
+    assert parse_poly("١٢*y^٣") == 12 * Y ** 3
 
 
 homogeneous_bases = st.tuples(
@@ -175,6 +177,17 @@ def test_parse_poly_names_an_early_end(text, message):
         parse_poly(text)
 
 
+@given(st.text(st.sampled_from(list("0123456789xyz+-*/^() \t²٣a.,½")), max_size=40))
+@example("x^²")  # a digit to str.isdigit, not a decimal digit that int() reads
+@example("1" * 5000 + "*x")  # past Python's limit on int-to-text digits
+@settings(max_examples=300, deadline=None)
+def test_parse_poly_raises_only_poly_parse_error(text):
+    try:
+        parse_poly(text)
+    except PolyParseError:
+        pass
+
+
 mono_keys = st.one_of(
     st.just(("1", 0)), st.tuples(st.sampled_from(("x", "y", "z")), st.integers(1, 4))
 )
@@ -211,6 +224,15 @@ def test_integral_coefficients_are_ints(terms, q, n):
     assert dict(p.items()) == {m: Fraction(c) for m, c in terms.items() if c}
     for r in (p, -p, p + q, p - q, p * q, p * Fraction(1, 2), p ** n, parse_poly(str(p))):
         assert exact_coefficients(r)
+
+
+def test_float_coefficients_are_refused():
+    # 0.1 would be stored as 3602879701896397/36028797018963968
+    for build in (lambda: BPolynomial.monomial("x", 1, 0.1), lambda: BPolynomial.constant(0.5),
+                  lambda: BPolynomial({("y", 2): 2.0})):
+        with pytest.raises(ValueError, match="float"):
+            build()
+    assert BPolynomial.monomial("x", 1, Fraction(1, 10)) == parse_poly("1/10*x")
 
 
 # -- presentations ------------------------------------------------------------

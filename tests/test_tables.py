@@ -1,5 +1,6 @@
 """Tables, pure diagrams, functionals, HK rays, and the doubling tail rules."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,9 @@ from betticone import (
     make_pure_diagram,
     syzygy_of_indecomposable,
 )
-from betticone.tables import ALPHA, GAMMA, _cone_functionals, _doubling_equalities
+from betticone import resolve
+from betticone.cli import TableFormatError, parse_table_text
+from betticone.tables import ALPHA, GAMMA, MAX_HOM_BOUND, _cone_functionals, _doubling_equalities
 from oracles import combine, functional_value
 
 
@@ -51,12 +54,17 @@ def test_zero_entries_are_dropped():
 
 
 def test_duplicate_entry_rejected():
-    with pytest.raises(ValueError, match="duplicate"):
-        BettiTable([((0, 0), 1), ((0, 0), 2)])
+    # table text is the one input that can repeat an (i, j); a mapping cannot
+    def text(*entries):
+        return "betti v1\nmode canonical\n" + "".join(f"entry {i} {j} {v}\n" for i, j, v in entries)
+
+    with pytest.raises(TableFormatError, match=r"duplicate table entry at \(0, 0\)"):
+        parse_table_text(text((0, 0, 1), (0, 0, 2)))
     # a zero first value is dropped from the table, but its key was still given
-    for pairs in ([((0, 0), 0), ((0, 0), 1)], [((1, 2), 0), ((0, 0), 1), ((1, 2), 0)]):
-        with pytest.raises(ValueError, match="duplicate"):
-            BettiTable(pairs)
+    for entries in (((0, 0, 0), (0, 0, 1)), ((1, 2, 0), (0, 0, 1), (1, 2, 0))):
+        with pytest.raises(TableFormatError, match="duplicate"):
+            parse_table_text(text(*entries))
+    assert parse_table_text(text((1, 2, 0), (0, 0, 1))) == BettiTable({(0, 0): 1})
 
 
 def test_negative_row_rejected():
@@ -104,6 +112,15 @@ def test_canonical_tail_is_derived_from_row_two():
     assert t.entry(7, 10) == 2 ** 5 * 6
 
 
+def test_a_tail_entry_off_row_two_costs_no_power_of_two():
+    # 2^(i-2) times a missing row 2 entry is 0 without the power, which at
+    # i = 10^8 is a 12 MB int
+    t = BettiTable({(2, 5): 6})
+    start = time.perf_counter()
+    assert t.entry(10 ** 8, 5) == 0
+    assert time.perf_counter() - start < 0.05
+
+
 def test_explicit_mode_stores_literally():
     t = BettiTable({(2, 5): 6}, tail_mode=EXPLICIT)
     assert t.entry(3, 6) == 0
@@ -122,6 +139,15 @@ def test_expand_tail_respects_max_degree():
     e = expand_tail(t, max_row=6, max_degree=4)
     assert e.entry(3, 3) == 12 and e.entry(4, 4) == 24
     assert e.entry(5, 5) == 0
+
+
+def test_expand_tail_stops_at_max_hom_bound():
+    assert resolve.MAX_HOM_BOUND == MAX_HOM_BOUND
+    t = BettiTable({(2, 2): 6})
+    top = MAX_HOM_BOUND
+    assert expand_tail(t, max_row=top).entry(top, top) == 6 * 2 ** (top - 2)
+    with pytest.raises(ValueError, match=f"max_row must be at most {MAX_HOM_BOUND}"):
+        expand_tail(t, max_row=MAX_HOM_BOUND + 1)
 
 
 def test_collapse_tail_round_trip():
