@@ -108,7 +108,7 @@ def _scaled(v: BettiTable) -> tuple[dict, int]:
     """The entries of v times L, the lcm of their denominators, and L, in
     storage order.  Raises ValueError once L passes MAX_COEFFICIENT_BITS bits,
     which the lcm over the distinct denominators alone decides."""
-    ratios = list(map(Fraction.as_integer_ratio, v._entries.values()))
+    ratios = [q.as_integer_ratio() for q in v._entries.values()]
     nums, dens = zip(*ratios) if ratios else ((), ())
     factor = dict.fromkeys(dens)
     scale = 1
@@ -197,12 +197,12 @@ def decompose(v: BettiTable) -> Decomposition:
 
 
 def _greedy(v: BettiTable) -> Decomposition:
-    """The rounds of decompose on the rows 0..2 of a known member, with the
-    residual as one dict throughout: a round reads d0 and d1 off one pass over
-    its keys, pi_d's 1-3 int entries off d._pure_entries() with no table built,
+    """The rounds of decompose on the rows 0..2 of a known member, on one
+    residual dict of Fractions, so the ratio test is exact: a round reads d0 and
+    d1 off one pass over its keys, pi_d's 1-3 int entries off d._pure_entries(),
     runs the ratio test, and subtracts c*pi_d in place, deleting keys at 0.
     The pivot rule takes pi_d's keys from the residual's: the support never grows."""
-    res = {ij: val for ij, val in v._entries.items() if ij[0] <= 2}
+    res = {ij: q if type(q) is Fraction else Fraction(q) for ij, q in v._entries.items() if ij[0] <= 2}
     terms: list[tuple[DegreeSequence, Fraction]] = []
     for _ in range(3 * len(res) + 3):
         if not res:

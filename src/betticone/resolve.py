@@ -55,12 +55,12 @@ truncated, and so is every row after it, as its syzygies lie past the window.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
 from .linalg import FP_DEFAULT, SpanTracker
-from .tables import EXPLICIT, MAX_COEFFICIENT_BITS, MAX_HOM_BOUND, BettiTable, _Checked, _exact
+from .tables import EXPLICIT, MAX_COEFFICIENT_BITS, MAX_HOM_BOUND, BettiTable, _Checked, _rational
 
 _VARS = ("x", "y", "z")
 _UNIT = ("1", 0)
@@ -91,9 +91,9 @@ class BPolynomial:
             var, exp = mono
             if mono != _UNIT and (var not in _VARS or exp < 1):
                 raise ValueError(f"bad monomial {mono!r}")
-            q = q if type(q) is int else _exact(q)
+            q = q if type(q) is int else _rational(q)
             if q:
-                items[mono] = q if type(q) is int or q.denominator != 1 else q.numerator
+                items[mono] = q
         self._coeffs = items
 
     @classmethod
@@ -406,6 +406,8 @@ class GradedModuleB(_Checked, namedtuple("GradedModuleB", "gen_degrees relations
             degs = set()
             coords = [0] * (3 * r)
             for k, (a, p) in enumerate(zip(gen_degrees, row)):
+                if not isinstance(p, BPolynomial):
+                    raise ValueError(f"relation entry must be a BPolynomial, got {p!r}")
                 if p.is_zero:
                     continue
                 if not p.is_homogeneous:
@@ -501,14 +503,6 @@ def _relation_walk(M: GradedModuleB):
         yield d, W.rank + len(born), born, row2
 
 
-def _tally(keys) -> dict:
-    """How often each key occurs."""
-    counts = {}
-    for key in keys:
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 class ResolutionResult(NamedTuple):
     """A Betti table on the window, with its bounds.  tail_consistent, the
     doubling 2 beta_{i,j} = beta_{i+1,j+1} for i >= 2 inside the window, is
@@ -529,26 +523,28 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
     rows that may continue past deg_bound: a row with mass at deg_bound, row 1
     when a relation lies past it, and every row after such a row up to
     hom_bound.
-    Rows 1 and 2 are read off the module's relation walk, and every later row
-    is the one before doubled and shifted (module doc), so nothing is
-    eliminated here."""
+    Rows 1 and 2 are read off the module's relation walk, and one pass over
+    row 2 writes rows 2..hom_bound in closed form (module doc), with no
+    elimination: beta_{i, d+i-2} = 2^(i-2) beta_{2, d} while d + i - 2 <= deg_bound."""
     if not 2 <= hom_bound <= MAX_HOM_BOUND:
         raise ValueError(f"hom_bound must be at least 2 and at most {MAX_HOM_BOUND}")
     maxgen = max(M.gen_degrees, default=0)
     if deg_bound < maxgen + hom_bound:
         raise ValueError(f"deg_bound must be at least {maxgen + hom_bound} for this module")
-    betti = _tally((0, a) for a in M.gen_degrees)
-    betti.update({(1, d): len(born) for d, _, born, _ in M._walk if born and d <= deg_bound})
-    row = {d: n for d, _, _, n in M._walk if n and d <= deg_bound}  # row 2
-    for step in range(2, hom_bound + 1):
-        if not row:
+    betti = {}
+    for a in M.gen_degrees:
+        betti[0, a] = betti.get((0, a), 0) + 1
+    for d, _, born, n in M._walk:
+        if d > deg_bound:
             break
-        betti.update({(step, d): n for d, n in row.items()})
-        row = {d + 1: 2 * n for d, n in row.items() if d < deg_bound}
-
+        if born:
+            betti[1, d] = len(born)
+        if n:
+            for i in range(2, min(hom_bound, deg_bound - d + 2) + 1):
+                betti[i, d + i - 2] = n << (i - 2)
     table = BettiTable(betti, tail_mode=EXPLICIT)
     cut = [i for (i, j) in betti if j == deg_bound]
-    if M.relations and max(M.relation_degrees()) > deg_bound:
+    if M._flat > deg_bound + 1:  # a relation past deg_bound, as every generator is below it
         cut.append(1)
     truncated = tuple(range(min(cut), hom_bound + 1)) if cut else ()
     return ResolutionResult(table, deg_bound, hom_bound, True, truncated)
@@ -582,7 +578,7 @@ def hilbert_data(M: GradedModuleB, deg_bound: int) -> HilbertData:
         raise StabilizationError(
             f"deg_bound {deg_bound} is below {flat}, one past the top generator and relation degree"
         )
-    at = _tally(M.gen_degrees)
+    at = Counter(M.gen_degrees)
     below = 0  # generators of degree < d, each with three branches in degree d
     dims = []
     for d, rank, _, _ in M._walk:

@@ -13,8 +13,8 @@ first three rows, and this module stores tables in two modes:
   resolution engine needs when it reports a finite window of an infinite
   resolution.
 
-Entries are exact rationals (fractions.Fraction); a float entry is refused.
-Tables are treated as immutable values; all operations return new tables.
+Entries are exact: an int when integral, else a fractions.Fraction; a float
+entry is refused.  Tables are immutable values; all operations return new ones.
 """
 
 from __future__ import annotations
@@ -79,6 +79,12 @@ def _exact(value) -> Fraction:
     return Fraction(value)
 
 
+def _rational(value) -> RationalLike:
+    """A non-int value as an int when integral, else as a Fraction; a float is refused."""
+    q = value if type(value) is Fraction else _exact(value)
+    return q if q.denominator != 1 else q.numerator
+
+
 class _Checked:
     """First base of a namedtuple subclass whose __new__ checks its fields:
     _make, and _replace which calls it, go through that constructor, so they
@@ -99,14 +105,14 @@ class BettiTable:
     def __init__(self, entries=None, tail_mode: str = CANONICAL):
         if tail_mode not in (CANONICAL, EXPLICIT):
             raise ValueError(f"unknown tail mode: {tail_mode!r}")
-        items: dict[tuple[int, int], Fraction] = {}
+        items: dict[tuple[int, int], RationalLike] = {}
         for key, value in (entries or {}).items():
             i, j = key
             if type(i) is not int or type(j) is not int:  # a bool is refused too
                 raise ValueError(f"table index must be a pair of ints, got {key!r}")
             if i < 0:
                 raise ValueError(f"homological index must be >= 0, got {i}")
-            q = value if type(value) is Fraction else _exact(value)
+            q = value if type(value) is int else _rational(value)
             if q:
                 items[(i, j)] = q
         if tail_mode == CANONICAL:
@@ -116,20 +122,22 @@ class BettiTable:
         self._entries = items
         self.tail_mode = tail_mode
 
-    def entry(self, i: int, j: int) -> Fraction:
-        """Value at (i, j), deriving rows i >= 3 from row 2 in canonical mode."""
+    def entry(self, i: int, j: int) -> RationalLike:
+        """Value at (i, j), 0 if missing, deriving rows i >= 3 from row 2 in canonical mode."""
+        if type(i) is not int or type(j) is not int:
+            raise ValueError(f"table index must be a pair of ints, got {(i, j)!r}")
         if i < 0:
             raise ValueError(f"homological index must be >= 0, got {i}")
         if self.tail_mode == CANONICAL and i >= 3:
-            base = self._entries.get((2, j - (i - 2)), Fraction(0))
-            return Fraction(2) ** (i - 2) * base if base else base
-        return self._entries.get((i, j), Fraction(0))
+            base = self._entries.get((2, j - (i - 2)), 0)
+            return 2 ** (i - 2) * base if base else 0
+        return self._entries.get((i, j), 0)
 
     def support(self) -> tuple[tuple[int, int], ...]:
         """Stored nonzero positions, sorted."""
         return tuple(sorted(self._entries))
 
-    def items(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+    def items(self) -> tuple[tuple[tuple[int, int], RationalLike], ...]:
         return tuple(sorted(self._entries.items()))
 
     @property
@@ -165,6 +173,8 @@ def expand_tail(table: BettiTable, max_row: int, max_degree: int | None = None) 
     """
     if table.tail_mode != CANONICAL:
         raise ValueError("expand_tail expects a canonical table")
+    if type(max_row) is not int or not (max_degree is None or type(max_degree) is int):
+        raise ValueError(f"max_row and max_degree must be ints, got ({max_row!r}, {max_degree!r})")
     if max_row > MAX_HOM_BOUND:
         raise ValueError(f"max_row must be at most {MAX_HOM_BOUND}")
     out = dict(table.items())
@@ -175,7 +185,7 @@ def expand_tail(table: BettiTable, max_row: int, max_degree: int | None = None) 
             jj = j + (r - 2)
             if max_degree is not None and jj > max_degree:
                 break
-            out[(r, jj)] = Fraction(2) ** (r - 2) * val
+            out[(r, jj)] = 2 ** (r - 2) * val
     return BettiTable(out, tail_mode=EXPLICIT)
 
 

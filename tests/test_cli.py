@@ -16,16 +16,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betticone import (
+    FP_DEFAULT,
     QQ,
     BettiTable,
     DegreeSequence,
     Functional,
+    PrimeField,
     check_graded,
     cli,
     collapse_tail,
     cone,
+    expand_tail,
     hilbert_data,
     make_pure_diagram,
+    min_free_resolution,
 )
 from betticone import resolve as resolve_module
 from betticone.cli import (
@@ -482,7 +486,8 @@ def test_decomposition_coefficients_stay_fractions():
     # Fraction(1, 2) == 0.5, so comparing terms with the reference greedy
     # would let a float coefficient through: the type is asserted here, on
     # seeded members, on sparse members spread over 10^4 degrees, and on the
-    # tables resolve prints for the README pipeline's modules
+    # tables resolve prints for the README pipeline's modules, and with them
+    # the entry types of every kind of table the package builds
     rng = random.Random(20261019)
     tables = []
     for spread, gap in ((6, 3), (10 ** 4, 10 ** 4)):
@@ -500,10 +505,30 @@ def test_decomposition_coefficients_stay_fractions():
         code, out, _ = run_quietly(["resolve", "-", "--deg-bound", "12", "--hom-bound", "4"], text)
         assert code == 0, text
         tables.append(parse_table_text(out))
+    for name in BUILTIN_NAMES:
+        for field in (QQ, FP_DEFAULT, PrimeField(7)):
+            tables.append(min_free_resolution(resolve_module.builtin(name, field), 13, 10).betti)
+    tables.append(parse_table_text(
+        "betti v1\nmode explicit\nentry 0 0 4/2\nentry 1 1 -6/3\nentry 1 2 1e2\nentry 2 3 0.5\n"))
+    tables += [make_pure_diagram(d).table for d in (DegreeSequence.free(1), DegreeSequence.two_step(0, 2),
+                                                    DegreeSequence.tail(-1, 0))]
+    built = []
     for v in tables:
         verdict = check_graded(v)
-        assert verdict.member and verdict.decomposition.recombine() == collapse_tail(v)
-        assert all(type(c) is Fraction for _, c in verdict.decomposition.terms), v
+        if verdict.member:
+            assert verdict.decomposition.recombine() == collapse_tail(v)
+            assert all(type(c) is Fraction for _, c in verdict.decomposition.terms), v
+            built += [verdict.decomposition.recombine(), expand_tail(collapse_tail(v), 6, 40)]
+        else:
+            assert type(verdict.violation.value) is Fraction, v
+        # perturbed below the cone, each table must report an exact violation
+        viol = check_graded(BettiTable(combine(1, v, -1, {v.support()[0]: 10 ** 6}), v.tail_mode)).violation
+        assert type(viol.value) is Fraction, v
+    # every entry of every table the package built is an int when integral,
+    # a Fraction when not: never a float, a bool or a Fraction over 1
+    for v in tables + built:
+        values = [q for _, q in v.items()] + [v.entry(i, j) for i, j in v.support()]
+        assert all(type(q) is int or (type(q) is Fraction and q.denominator > 1) for q in values), v
 
 
 # -- fuzzing resolve and hilbert ------------------------------------------------------

@@ -195,10 +195,10 @@ def reference_pivot(v: BettiTable) -> DegreeSequence:
 def reference_max_step(v: BettiTable, pi: BettiTable) -> Fraction:
     """Largest c with v - c*pi still in the cone, by an exact ratio test over
     every functional that is positive on pi."""
-    best = min(v.entry(i, j) / pval for (i, j), pval in pi._entries.items())
+    best = min(Fraction(v.entry(i, j), pval) for (i, j), pval in pi._entries.items())
     for _, _, (val, pval) in _cone_functionals(v._entries, pi._entries):
-        if pval > 0 and val / pval < best:
-            best = val / pval
+        if pval > 0 and Fraction(val, pval) < best:
+            best = Fraction(val, pval)
     return best
 
 
@@ -324,7 +324,7 @@ def full_span_decomposition(v):
         pi = make_pure_diagram(d).table
         entries = [Functional.epsilon(i, j) for (i, j) in pi.support()]
         c = min(
-            functional_value(f, v) / functional_value(f, pi)
+            Fraction(functional_value(f, v), functional_value(f, pi))
             for f in entries + full_span_functionals(v)
             if functional_value(f, pi) > 0
         )

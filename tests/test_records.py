@@ -122,6 +122,8 @@ Y = BPolynomial.variable("y")
     pytest.param(lambda: GradedModuleB(gen_degrees=(0, 0), relations=((X,),)), "length 1 against 2",
                  id="ragged-kw"),
     pytest.param(lambda: GradedModuleB((0,), ((X7,),), Field(7)), "divisible by 7", id="denominator"),
+    pytest.param(lambda: GradedModuleB((0,), ((0,),)), "must be a BPolynomial", id="int-entry"),
+    pytest.param(lambda: GradedModuleB((0,), (("x",),)), "must be a BPolynomial", id="str-entry"),
     # _make, and _replace which calls it, go through the constructor
     pytest.param(lambda: Window(0, 3)._replace(jmin=5), "empty window", id="window-replace"),
     pytest.param(lambda: Window._make((3, 1)), "empty window", id="window-make"),

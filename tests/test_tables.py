@@ -75,6 +75,12 @@ def test_negative_row_rejected():
 def test_non_int_index_rejected():
     with pytest.raises(ValueError, match="pair of ints"):
         BettiTable({(0, Fraction(1, 2)): 1})
+    # entry reads with the rule construction uses: 3.0 would pass through
+    # 2 ** (i - 2) and return the float 6.0
+    t = BettiTable({(2, 0): 3})
+    for i, j in ((3.0, 1), (3, 1.0), (Fraction(3), 1), (2, "0")):
+        with pytest.raises(ValueError, match="pair of ints"):
+            t.entry(i, j)
 
 
 def test_float_entry_rejected():
@@ -88,6 +94,8 @@ def test_bool_index_rejected():
     for key in ((True, 0), (0, False)):
         with pytest.raises(ValueError, match="pair of ints"):
             BettiTable({key: 1})
+        with pytest.raises(ValueError, match="pair of ints"):
+            BettiTable({(0, 0): 1}).entry(*key)
 
 
 def test_canonical_mode_rejects_high_rows():
@@ -148,6 +156,9 @@ def test_expand_tail_stops_at_max_hom_bound():
     assert expand_tail(t, max_row=top).entry(top, top) == 6 * 2 ** (top - 2)
     with pytest.raises(ValueError, match=f"max_row must be at most {MAX_HOM_BOUND}"):
         expand_tail(t, max_row=MAX_HOM_BOUND + 1)
+    for max_row, max_degree in ((3.5, None), (3.0, None), (True, None), (4, 4.0), (4, "4")):
+        with pytest.raises(ValueError, match="must be ints"):
+            expand_tail(t, max_row, max_degree)
 
 
 def test_collapse_tail_round_trip():
