@@ -53,7 +53,7 @@ from .tables import (
     RationalLike,
     _cone_functionals,
     _doubling_equalities,
-    _exact,
+    _rational,
 )
 
 
@@ -260,13 +260,13 @@ def degseq_leq(d: DegreeSequence, e: DegreeSequence) -> bool:
 class BettiSequence(NamedTuple):
     """A total Betti sequence; signs are checked by check_local, not here."""
 
-    b0: Fraction
-    b1: Fraction
-    b2: Fraction
+    b0: RationalLike
+    b1: RationalLike
+    b2: RationalLike
 
     @classmethod
     def of(cls, b0: RationalLike, b1: RationalLike, b2: RationalLike) -> "BettiSequence":
-        return cls(_exact(b0), _exact(b1), _exact(b2))
+        return cls(_rational(b0), _rational(b1), _rational(b2))
 
 
 class LocalDecomposition(NamedTuple):

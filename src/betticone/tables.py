@@ -71,18 +71,14 @@ MAX_COEFFICIENT_BITS = 4096
 MAX_HOM_BOUND = 1000
 
 
-def _exact(value) -> Fraction:
-    """value as a Fraction; a float is refused, its binary expansion would be
-    taken for the number meant."""
-    if isinstance(value, float):
-        raise ValueError(f"float {value!r} is not an exact rational; pass an int, a Fraction or a string")
-    return Fraction(value)
-
-
 def _rational(value) -> RationalLike:
-    """A non-int value as an int when integral, else as a Fraction; a float is refused."""
-    q = value if type(value) is Fraction else _exact(value)
-    return q if q.denominator != 1 else q.numerator
+    """value as an int when integral, else as a Fraction; a float is refused,
+    its binary expansion would be taken for the number meant."""
+    if type(value) is not Fraction:
+        if isinstance(value, float):
+            raise ValueError(f"float {value!r} is not an exact rational; pass an int, a Fraction or a string")
+        value = Fraction(value)
+    return value if value.denominator != 1 else value.numerator
 
 
 class _Checked:

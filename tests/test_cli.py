@@ -508,19 +508,20 @@ def test_decomposition_coefficients_stay_fractions():
     for name in BUILTIN_NAMES:
         for field in (QQ, FP_DEFAULT, PrimeField(7)):
             tables.append(min_free_resolution(resolve_module.builtin(name, field), 13, 10).betti)
-    tables.append(parse_table_text(
-        "betti v1\nmode explicit\nentry 0 0 4/2\nentry 1 1 -6/3\nentry 1 2 1e2\nentry 2 3 0.5\n"))
     tables += [make_pure_diagram(d).table for d in (DegreeSequence.free(1), DegreeSequence.two_step(0, 2),
                                                     DegreeSequence.tail(-1, 0))]
     built = []
     for v in tables:
         verdict = check_graded(v)
-        if verdict.member:
-            assert verdict.decomposition.recombine() == collapse_tail(v)
-            assert all(type(c) is Fraction for _, c in verdict.decomposition.terms), v
-            built += [verdict.decomposition.recombine(), expand_tail(collapse_tail(v), 6, 40)]
-        else:
-            assert type(verdict.violation.value) is Fraction, v
+        assert verdict.member and verdict.decomposition.recombine() == collapse_tail(v)
+        assert all(type(c) is Fraction for _, c in verdict.decomposition.terms), v
+        built += [verdict.decomposition.recombine(), expand_tail(collapse_tail(v), 6, 40)]
+    parsed = parse_table_text(
+        "betti v1\nmode explicit\nentry 0 0 4/2\nentry 1 1 -6/3\nentry 1 2 1e2\nentry 2 3 0.5\n")
+    verdict = check_graded(parsed)
+    assert not verdict.member and type(verdict.violation.value) is Fraction
+    tables.append(parsed)
+    for v in tables:
         # perturbed below the cone, each table must report an exact violation
         viol = check_graded(BettiTable(combine(1, v, -1, {v.support()[0]: 10 ** 6}), v.tail_mode)).violation
         assert type(viol.value) is Fraction, v
