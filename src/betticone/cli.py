@@ -42,7 +42,6 @@ from pathlib import Path
 from .cone import (
     BettiSequence,
     DecompositionLoopError,
-    _scaled,
     check_finite_length,
     check_graded,
     check_local,
@@ -259,11 +258,8 @@ def cmd_resolve(args) -> int:
     print(f"tail_consistent: {'yes' if res.tail_consistent else 'no'}")
     rows = " ".join(str(i) for i in res.truncated_rows) if res.truncated_rows else "none"
     print(f"truncated_rows: {rows}")
-    entries, scale = _scaled(res.betti)
-    gamma_inf = 0
-    for _, _, (val,) in _cone_functionals(entries):
-        gamma_inf = val  # the last value yielded is gamma_inf
-    print(f"gamma_inf: {Fraction(gamma_inf, scale)}")
+    *_, (_, _, (gamma_inf,)) = _cone_functionals(res.betti)
+    print(f"gamma_inf: {gamma_inf}")
     code = 0
     try:
         hd = hilbert_data(M, args.deg_bound)

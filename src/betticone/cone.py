@@ -44,6 +44,7 @@ from typing import NamedTuple
 from .tables import (
     EXPLICIT,
     FREE,
+    GAMMA_INF,
     MAX_COEFFICIENT_BITS,
     TAIL,
     TWO_STEP,
@@ -137,13 +138,9 @@ def _first_violation(v: BettiTable, finite_length: bool = False) -> Violation | 
     if min(entries.values(), default=0) < 0:
         ij = min(ij for ij, val in entries.items() if val < 0)
         return _violation(Functional.epsilon(*ij), entries[ij], scale)
-    gamma_inf = 0
     for kind, k, (val,) in _cone_functionals(entries):
-        if val < 0:
+        if val < 0 or (finite_length and kind == GAMMA_INF and val != 0):
             return _violation(Functional(kind, k=k), val, scale)
-        gamma_inf = val  # the last value yielded is gamma_inf
-    if finite_length and gamma_inf != 0:
-        return _violation(Functional.gamma_inf(), gamma_inf, scale)
     return None
 
 

@@ -59,7 +59,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import FP_DEFAULT, SpanTracker
+from .linalg import FP_DEFAULT, Field, SpanTracker
 from .tables import EXPLICIT, MAX_COEFFICIENT_BITS, MAX_HOM_BOUND, BettiTable, _Checked, _rational
 
 _VARS = ("x", "y", "z")
@@ -397,6 +397,8 @@ class GradedModuleB(_Checked, namedtuple("GradedModuleB", "gen_degrees relations
         gen_degrees = tuple(gen_degrees)
         if any(type(a) is not int for a in gen_degrees):
             raise ValueError(f"generator degrees must be ints, got {gen_degrees!r}")
+        if not isinstance(field, Field):
+            raise ValueError(f"field must be a Field, such as QQ or PrimeField(p), got {field!r}")
         relations = tuple(tuple(row) for row in relations)
         r = len(gen_degrees)
         branch_rows = []
@@ -526,6 +528,8 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
     Rows 1 and 2 are read off the module's relation walk, and one pass over
     row 2 writes rows 2..hom_bound in closed form (module doc), with no
     elimination: beta_{i, d+i-2} = 2^(i-2) beta_{2, d} while d + i - 2 <= deg_bound."""
+    if type(deg_bound) is not int or type(hom_bound) is not int:
+        raise ValueError(f"deg_bound and hom_bound must be ints, got ({deg_bound!r}, {hom_bound!r})")
     if not 2 <= hom_bound <= MAX_HOM_BOUND:
         raise ValueError(f"hom_bound must be at least 2 and at most {MAX_HOM_BOUND}")
     maxgen = max(M.gen_degrees, default=0)
@@ -571,6 +575,8 @@ def hilbert_data(M: GradedModuleB, deg_bound: int) -> HilbertData:
     Cost: one tally of the generator degrees and O(1) per degree of the
     module's relation walk, taken when M was built: O(generators + degrees),
     not their product."""
+    if type(deg_bound) is not int:
+        raise ValueError(f"deg_bound must be an int, got {deg_bound!r}")
     if not M.gen_degrees:
         return HilbertData(0, (), 0)
     flat = M._flat

@@ -119,12 +119,15 @@ class BettiTable:
         self.tail_mode = tail_mode
 
     def entry(self, i: int, j: int) -> RationalLike:
-        """Value at (i, j), 0 if missing, deriving rows i >= 3 from row 2 in canonical mode."""
+        """Value at (i, j), 0 if missing, deriving rows i >= 3 from row 2 in
+        canonical mode, up to row MAX_HOM_BOUND."""
         if type(i) is not int or type(j) is not int:
             raise ValueError(f"table index must be a pair of ints, got {(i, j)!r}")
         if i < 0:
             raise ValueError(f"homological index must be >= 0, got {i}")
         if self.tail_mode == CANONICAL and i >= 3:
+            if i > MAX_HOM_BOUND:
+                raise ValueError(f"a canonical table's row must be at most {MAX_HOM_BOUND}, got {i}")
             base = self._entries.get((2, j - (i - 2)), 0)
             return 2 ** (i - 2) * base if base else 0
         return self._entries.get((i, j), 0)
@@ -367,18 +370,18 @@ def _doubling_equalities(
         yield i, j, 2 * entries.get((i, j), 0) - entries.get((i + 1, j + 1), 0)
 
 
-def _cone_functionals(*tables) -> Iterator[tuple[str, int, tuple[RationalLike, ...]]]:
+def _cone_functionals(*tables) -> Iterator[tuple[str, int | None, tuple[RationalLike, ...]]]:
     """(ALPHA, k, values) by increasing k, then (GAMMA, k, values) by
     increasing k, at every k where the value on one of the tables can change,
-    with the values on each table.  A table here is anything whose items()
-    gives ((i, j), value) pairs in any order, such as a dict or a BettiTable;
-    the values are plain arithmetic on its entries, so ints give ints and
-    Fractions give Fractions.
+    then (GAMMA_INF, None, values), with the values on each table.  A table
+    here is anything whose items() gives ((i, j), value) pairs in any order,
+    such as a dict or a BettiTable; the values are plain arithmetic on its
+    entries, so ints give ints and Fractions give Fractions.
 
     alpha_k vanishes unless (1, k) or (2, k + 1) is stored, and gamma_k is a
     step function jumping only at k = j - i for stored (i, j), i <= 2.  Every
     skipped k thus has alpha_k = 0 and the gamma of the last key below it,
-    and the last gamma yielded is gamma_inf.
+    and gamma_inf is the gamma of the last key, 0 when there is none.
 
     Cost: one pass over the entries of each table, unsorted, adds up its
     alpha values and gamma jumps by k; then one sort of the union of the keys
@@ -403,7 +406,9 @@ def _cone_functionals(*tables) -> Iterator[tuple[str, int, tuple[RationalLike, .
     ks = sorted(set().union(*alphas))
     yield from zip(repeat(ALPHA), ks, zip(*[map(a.get, ks, zero) for a in alphas]))
     ks = sorted(set().union(*jumps))
-    yield from zip(repeat(GAMMA), ks, zip(*[accumulate(map(g.get, ks, zero)) for g in jumps]))
+    gammas = list(zip(*[accumulate(map(g.get, ks, zero)) for g in jumps]))
+    yield from zip(repeat(GAMMA), ks, gammas)
+    yield GAMMA_INF, None, gammas[-1] if gammas else (0,) * len(tables)
 
 
 # The four ray classes of the Herzog-Kuhl locus, keyed by the slope invariant c.
@@ -433,8 +438,8 @@ class HKRay(NamedTuple):
 
 
 def hk_ray(c: RationalLike) -> HKRay:
-    """Ray data for slope invariant c in {0, 1, 3/2, 2}."""
-    c = Fraction(c)
+    """Ray data for slope invariant c in {0, 1, 3/2, 2}; a float is refused."""
+    c = Fraction(_rational(c))
     if c not in _HK_RAYS:
         raise ValueError(f"no ray with c = {c}; admitted values are 0, 1, 3/2, 2")
     name, vec = _HK_RAYS[c]

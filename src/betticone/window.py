@@ -101,15 +101,15 @@ def table_vector(table: BettiTable, w: Window) -> list[Fraction]:
 def window_facets(w: Window, finite_length: bool = False,
                   include_alpha: bool = True, include_gamma: bool = True):
     """(inequalities, equalities) as (Functional, coefficient vector) pairs.
-    A vector holds the functional's values on the window's unit tables, and
-    alpha and gamma run over the breakpoints of those unit tables."""
+    A vector holds the functional's values on the window's unit tables: alpha
+    and gamma at the breakpoints of those unit tables, and gamma_inf, the
+    finite length equality, from the last item of the same scan."""
     cells = [(i, j) for i in _ROWS for j in w.columns()]
     ineqs = [(Functional.epsilon(*ij), tuple(int(ij == other) for other in cells)) for ij in cells]
-    gamma_inf = ()
-    for kind, k, values in _cone_functionals(*({ij: 1} for ij in cells)):
+    *scan, (_, _, gamma_inf) = _cone_functionals(*({ij: 1} for ij in cells))
+    for kind, k, values in scan:
         if include_alpha if kind == ALPHA else include_gamma:
             ineqs.append((Functional(kind, k=k), values))
-        gamma_inf = values  # the last values yielded are gamma_inf's
     eqs = [(Functional.gamma_inf(), gamma_inf)] if finite_length else []
     return ineqs, eqs
 

@@ -8,12 +8,14 @@ decomposition pivot and the window cross check) are explicit raises and are
 tested in the normal run.
 The acceptance suite still runs once under -O, end to end.
 The stdlib is the package's only runtime dependency (pyproject.toml lists
-none), and a second AST check keeps every absolute import inside it.
+none), and a second AST check keeps every absolute import inside it.  A
+third parses every source file at the Python floor pyproject.toml declares.
 Pytest rewrites the asserts of test modules into explicit checks, so the
 tests themselves keep checking."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +68,27 @@ def test_every_absolute_import_is_stdlib():
 def test_the_import_check_sees_every_absolute_import():
     text = "import numpy.linalg, os\nfrom sympy import Rational\nfrom .tables import INF\n"
     assert sorted(_absolute_imports(ast.parse(text))) == ["numpy", "os", "sympy"]
+
+
+def _python_floor():
+    """The (major, minor) of requires-python, read with a regex: tomllib
+    exists only from Python 3.11 on."""
+    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text(), re.M)
+    return int(found[1]), int(found[2])
+
+
+def test_every_source_parses_at_the_declared_python_floor():
+    floor = _python_floor()
+    for path in SOURCES:
+        ast.parse(path.read_text(), str(path), feature_version=floor)
+
+
+def test_the_floor_check_sees_newer_syntax():
+    # except* arrived in Python 3.11
+    text = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(text, feature_version=(3, 11))
+    with pytest.raises(SyntaxError):
+        ast.parse(text, feature_version=(3, 10))
 
 
 @pytest.mark.skipif(bool(sys.flags.optimize), reason="already running under -O")

@@ -124,6 +124,10 @@ Y = BPolynomial.variable("y")
     pytest.param(lambda: GradedModuleB((0,), ((X7,),), Field(7)), "divisible by 7", id="denominator"),
     pytest.param(lambda: GradedModuleB((0,), ((0,),)), "must be a BPolynomial", id="int-entry"),
     pytest.param(lambda: GradedModuleB((0,), (("x",),)), "must be a BPolynomial", id="str-entry"),
+    pytest.param(lambda: GradedModuleB((0,), (), 3), "must be a Field", id="int-field"),
+    pytest.param(lambda: GradedModuleB((0,), (), "QQ"), "must be a Field", id="str-field"),
+    pytest.param(lambda: GradedModuleB((0,), (), None), "must be a Field", id="none-field"),
+    pytest.param(lambda: builtin("omega", 7), "must be a Field", id="builtin-field"),
     # _make, and _replace which calls it, go through the constructor
     pytest.param(lambda: Window(0, 3)._replace(jmin=5), "empty window", id="window-replace"),
     pytest.param(lambda: Window._make((3, 1)), "empty window", id="window-make"),

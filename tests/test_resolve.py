@@ -294,6 +294,14 @@ def test_bound_validation():
         min_free_resolution(M, deg_bound=MAX_HOM_BOUND + 5, hom_bound=MAX_HOM_BOUND + 1)
     top = min_free_resolution(builtin("omega"), deg_bound=MAX_HOM_BOUND + 5, hom_bound=MAX_HOM_BOUND)
     assert top.betti.entry(MAX_HOM_BOUND, MAX_HOM_BOUND) == 3 * 2 ** (MAX_HOM_BOUND - 1)
+    # the bounds are ints: 8.0 is not echoed back as deg_bound, nor 3.0 read as 3
+    for deg_bound, hom_bound in ((8, 3.0), (8.0, 3), ("8", 3), (8, True), (Fraction(8), 3)):
+        with pytest.raises(ValueError, match="must be ints"):
+            min_free_resolution(M, deg_bound, hom_bound)
+    for module in (M, GradedModuleB((), ())):
+        for deg_bound in (5.5, 5.0, "5", True):
+            with pytest.raises(ValueError, match="must be an int"):
+                hilbert_data(module, deg_bound)
 
 
 def test_ring_resolves_to_itself():

@@ -23,7 +23,7 @@ from betticone import (
 )
 from betticone import resolve
 from betticone.cli import TableFormatError, parse_table_text
-from betticone.tables import ALPHA, GAMMA, MAX_HOM_BOUND, _cone_functionals, _doubling_equalities
+from betticone.tables import ALPHA, GAMMA, GAMMA_INF, MAX_HOM_BOUND, _cone_functionals, _doubling_equalities
 from oracles import combine, functional_value
 
 
@@ -121,12 +121,17 @@ def test_canonical_tail_is_derived_from_row_two():
 
 
 def test_a_tail_entry_off_row_two_costs_no_power_of_two():
-    # 2^(i-2) times a missing row 2 entry is 0 without the power, which at
-    # i = 10^8 is a 12 MB int
-    t = BettiTable({(2, 5): 6})
-    start = time.perf_counter()
-    assert t.entry(10 ** 8, 5) == 0
-    assert time.perf_counter() - start < 0.05
+    # a canonical row past MAX_HOM_BOUND is refused before 2^(i-2) is built,
+    # which at i = 10^8 is a 12 MB int, whether the row 2 base is missing or
+    # present
+    t = BettiTable({(2, 5): 6, (2, 0): 3})
+    for i, j in ((10 ** 8, 5), (10 ** 7, 10 ** 7 - 2), (10 ** 8, 10 ** 8 - 2), (MAX_HOM_BOUND + 1, 5)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"at most {MAX_HOM_BOUND}"):
+            t.entry(i, j)
+        assert time.perf_counter() - start < 0.05
+    assert t.entry(MAX_HOM_BOUND, MAX_HOM_BOUND - 2) == 3 * 2 ** (MAX_HOM_BOUND - 2)
+    assert BettiTable({(2, 5): 6}, tail_mode=EXPLICIT).entry(10 ** 8, 5) == 0
 
 
 def test_explicit_mode_stores_literally():
@@ -364,6 +369,9 @@ def reference_cone_functionals(*tables):
     for k in sorted(gamma_jumps):
         gamma = tuple(g + dg for g, dg in zip(gamma, gamma_jumps[k]))
         yield GAMMA, k, gamma
+    # gamma_inf from its definition, the sum over all of rows 0..2
+    yield GAMMA_INF, None, tuple(sum(((3, -3, 1)[i] * val for (i, _), val in v.items() if i <= 2), 0)
+                                 for v in tables)
 
 
 int_or_fraction = st.one_of(st.integers(-6, 6), small_fractions)
@@ -418,6 +426,11 @@ def test_hk_ray_vectors_and_names():
 def test_hk_ray_rejects_other_slopes():
     with pytest.raises(ValueError, match="admitted"):
         hk_ray(Fraction(1, 2))
+    # 1.5 and 2.0 are not read as omega's and M_ij's slopes
+    for c in (1.5, 2.0, 0.0):
+        with pytest.raises(ValueError, match="float"):
+            hk_ray(c)
+    assert type(hk_ray(2).c) is Fraction and hk_ray("3/2") == hk_ray(Fraction(3, 2))
 
 
 def test_hk_entries_double_past_row_two():
