@@ -70,15 +70,10 @@ def test_the_import_check_sees_every_absolute_import():
     assert sorted(_absolute_imports(ast.parse(text))) == ["numpy", "os", "sympy"]
 
 
-def _python_floor():
-    """The (major, minor) of requires-python, read with a regex: tomllib
-    exists only from Python 3.11 on."""
-    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text(), re.M)
-    return int(found[1]), int(found[2])
-
-
 def test_every_source_parses_at_the_declared_python_floor():
-    floor = _python_floor()
+    # requires-python read with a regex: tomllib exists only from Python 3.11 on
+    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text(), re.M)
+    floor = int(found[1]), int(found[2])
     for path in SOURCES:
         ast.parse(path.read_text(), str(path), feature_version=floor)
 
