@@ -48,7 +48,6 @@ from .tables import (
     DegreeSequence,
     Functional,
     HKRay,
-    PureDiagram,
     collapse_tail,
     expand_tail,
     hk_ray,
@@ -90,7 +89,6 @@ __all__ = [
     "MembershipVerdict",
     "NotInConeError",
     "PrimeField",
-    "PureDiagram",
     "QQ",
     "ResolutionResult",
     "StabilizationError",

@@ -161,9 +161,9 @@ def parse_module_text(text: str, field=None) -> GradedModuleB:
                 file_field = QQ
             elif len(parts) == 2 and parts[0] == "Fp":
                 try:
-                    file_field = PrimeField(int(parts[1]))
+                    file_field = _prime_field(parts[1])
                 except ValueError as exc:
-                    raise ModuleFormatError(str(exc)) from exc
+                    raise ModuleFormatError(f"bad field line: {exc}") from exc
             else:
                 raise ModuleFormatError(f"bad field line: {line!r} (use: field QQ | field Fp P)")
         elif key == "gens":
@@ -202,14 +202,40 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
+def _prime_field(text: str):
+    """PrimeField of the int that text spells; the ValueError says what is
+    wrong, and gives a digit run too long for int() by its length."""
+    try:
+        p = int(text)
+    except ValueError:
+        if text.isascii() and text.isdigit():
+            raise ValueError(f"prime of {len(text)} digits is too large, F_p needs p < 2^31") from None
+        raise ValueError(f"prime {text!r} is not an int") from None
+    return PrimeField(p)
+
+
 def _parse_field(spec: str):
+    """--field: qq, fp, or fp:P."""
     if spec == "qq":
         return QQ
     if spec == "fp":
         return FP_DEFAULT
     if spec.startswith("fp:"):
-        return PrimeField(int(spec[3:]))
-    raise ValueError(f"bad field {spec!r} (use qq, fp, or fp:P)")
+        try:
+            return _prime_field(spec[3:])
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    raise argparse.ArgumentTypeError(f"bad field {spec!r} (use qq, fp, or fp:P)")
+
+
+def _int_or_inf(text: str):
+    """--d1: an int, or inf."""
+    if text == "inf":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r} (use an int or inf)") from None
 
 
 def _print_verdict(verdict, head=()) -> int:
@@ -236,10 +262,8 @@ def cmd_rays(args) -> int:
             return 2
         d = DegreeSequence.free(args.d0)
     else:
-        d1 = int(args.d1)
-        d = DegreeSequence.tail(args.d0, d1) if args.tail else DegreeSequence.two_step(args.d0, d1)
-    pd = make_pure_diagram(d)
-    print(format_table_text(pd.table))
+        d = (DegreeSequence.tail if args.tail else DegreeSequence.two_step)(args.d0, args.d1)
+    print(format_table_text(make_pure_diagram(d)))
     print(f"degree_sequence: {d}")
     return 0
 
@@ -327,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rays", help="print the pure diagram of a degree sequence")
     p.add_argument("--d0", type=int, required=True)
-    p.add_argument("--d1", default="inf", help="int or inf (default inf)")
+    p.add_argument("--d1", type=_int_or_inf, default="inf", help="int or inf (default inf)")
     p.add_argument("--tail", action="store_true", help="tail shape (d0, d1, d1+1, ...)")
     p.set_defaults(func=cmd_rays)
 

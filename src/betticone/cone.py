@@ -165,7 +165,19 @@ def check_finite_length(v: BettiTable) -> MembershipVerdict:
 
 def _max_step(v: dict, pi: dict) -> Fraction:
     """Largest c with v - c*pi still in the cone, by an exact ratio test over
-    every functional that is positive on pi, on entry dicts with pi's keys in v."""
+    every functional that is positive on pi, on entry dicts with pi's keys in v.
+
+    On the pivot _greedy picks, no functional binds below the bound from pi's
+    own entries, min v[ij] / pi[ij].  Let d0 and d1 be the lowest degrees of
+    rows 0 and 1 of the member v.  From alpha >= 0, v[2, m] <= 2 v[1, m - 1]
+    = 0 for every m <= d1, and row 1 is empty below d1.  So gamma_k =
+    3 * (sum over j <= k of v[0, j]) >= 3 v[0, d0] for d0 <= k < d1 - 1, and
+    for every k >= d0 when row 1 is empty.  Those are the only gammas that
+    are positive on pi (value 3); on the free shape gamma_inf, the same sum
+    over all j, is positive too.  The only positive alpha is alpha_{d1} = 2,
+    on the two-step shape, which the pivot picks only when v[2, d1 + 1] = 0,
+    so alpha_{d1}(v) / 2 = v[1, d1].  The scan stays as the cone's own ratio
+    test; test_each_greedy_step_is_the_entry_bound pins the equality."""
     best = min(v[ij] / pval for ij, pval in pi.items())
     for _, _, (val, pval) in _cone_functionals(v, pi):
         if pval > 0 and val / pval < best:

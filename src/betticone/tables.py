@@ -15,6 +15,10 @@ first three rows, and this module stores tables in two modes:
 
 Entries are exact: an int when integral, else a fractions.Fraction; a float
 entry is refused.  Tables are immutable values; all operations return new ones.
+
+A pure diagram pi_d is fixed by its degree sequence d alone, so no record
+pairs the two: make_pure_diagram(d) returns pi_d's canonical table, and
+DegreeSequence._pure_entries() is the one rule for its 1-3 stored entries.
 """
 
 from __future__ import annotations
@@ -276,15 +280,9 @@ class DegreeSequence(_Checked, namedtuple("DegreeSequence", "shape d0 d1")):
         return f"({self.d0}, {self.d1}, {self.d1 + 1}, ...)"
 
 
-class PureDiagram(NamedTuple):
-    """The canonical table attached to a degree sequence, with unit leading entry."""
-
-    degree_sequence: DegreeSequence
-    table: BettiTable
-
-
-def make_pure_diagram(d: DegreeSequence) -> PureDiagram:
-    """Pure diagram of a degree sequence.
+def make_pure_diagram(d: DegreeSequence) -> BettiTable:
+    """The pure diagram pi_d of a degree sequence, as its canonical table,
+    with unit leading entry: d alone fixes it.
 
     free:     a single entry 1 at (0, d0)
     two_step: entries 1 at (0, d0) and 1 at (1, d1)
@@ -292,7 +290,7 @@ def make_pure_diagram(d: DegreeSequence) -> PureDiagram:
               doubled rows beyond are implied by canonical mode, so the stored
               value at (i, d1 + i - 1) reads 3 * 2^(i-1) for every i >= 1.
     """
-    return PureDiagram(d, BettiTable(d._pure_entries(), tail_mode=CANONICAL))
+    return BettiTable(d._pure_entries(), tail_mode=CANONICAL)
 
 
 EPSILON = "epsilon"

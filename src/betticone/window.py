@@ -4,7 +4,8 @@ Restricting tables to rows 0..2 and a column range [jmin, jmax] (higher rows
 ride along through the doubling identities) makes the cone a polyhedral cone
 in 3 * width coordinates.  Both descriptions become finite:
 
-* generators: the pure diagrams whose support fits inside the window;
+* generators: the degree sequences d whose pure diagrams pi_d fit inside the
+  window, each pi_d read off d by make_pure_diagram;
 * facets: entrywise nonnegativity, the alpha functionals, and the cumulative
   gamma functionals, each truncated to the window coordinates.
 
@@ -27,7 +28,6 @@ from .tables import (
     BettiTable,
     DegreeSequence,
     Functional,
-    PureDiagram,
     _Checked,
     _cone_functionals,
     make_pure_diagram,
@@ -72,19 +72,14 @@ class Window(_Checked, namedtuple("Window", "jmin jmax")):
         return i * self.width + (j - self.jmin)
 
 
-def window_generators(w: Window, finite_length: bool = False):
-    """Pure diagrams supported inside the window, ordered free diagrams first,
-    then two step, then tails.  finite_length drops the free ones."""
-    gens: list[PureDiagram] = []
-    if not finite_length:
-        for d0 in w.columns():
-            gens.append(make_pure_diagram(DegreeSequence.free(d0)))
+def window_generators(w: Window, finite_length: bool = False) -> list[DegreeSequence]:
+    """Degree sequences whose pure diagrams lie inside the window, ordered free
+    first, then two step, then tails.  finite_length drops the free ones."""
+    gens = [] if finite_length else [DegreeSequence.free(d0) for d0 in w.columns()]
     for d0 in w.columns():
-        for d1 in range(d0 + 1, w.jmax + 1):
-            gens.append(make_pure_diagram(DegreeSequence.two_step(d0, d1)))
+        gens += (DegreeSequence.two_step(d0, d1) for d1 in range(d0 + 1, w.jmax + 1))
     for d0 in w.columns():
-        for d1 in range(d0 + 1, w.jmax):  # needs column d1 + 1 as well
-            gens.append(make_pure_diagram(DegreeSequence.tail(d0, d1)))
+        gens += (DegreeSequence.tail(d0, d1) for d1 in range(d0 + 1, w.jmax))  # d1 + 1 inside too
     return gens
 
 
@@ -186,14 +181,14 @@ def cross_check(w: Window, finite_length: bool = False, include_alpha: bool = Tr
     gens = window_generators(w, finite_length)
     ineqs, eqs = window_facets(w, finite_length, include_alpha, include_gamma)
     gen_norm = []
-    for pd in gens:
-        vec = table_vector(pd.table, w)
+    for d in gens:
+        vec = table_vector(make_pure_diagram(d), w)
         for fun, a in ineqs:
             if _dot(a, vec) < 0:
-                raise AssertionError(f"{pd.degree_sequence} violates {fun.label()}")
+                raise AssertionError(f"{d} violates {fun.label()}")
         for fun, b in eqs:
             if _dot(b, vec) != 0:
-                raise AssertionError(f"{pd.degree_sequence} violates {fun.label()} = 0")
+                raise AssertionError(f"{d} violates {fun.label()} = 0")
         gen_norm.append(normalize_ray(vec))
     rays = extreme_rays(w.dim, [a for _, a in ineqs], [b for _, b in eqs])
     gen_set = set(gen_norm)
@@ -202,9 +197,9 @@ def cross_check(w: Window, finite_length: bool = False, include_alpha: bool = Tr
     for r in rays:
         if r not in gen_set:
             witnesses.append(f"extreme ray {r} is not a pure diagram of the window")
-    for pd, gv in zip(gens, gen_norm):
+    for d, gv in zip(gens, gen_norm):
         if gv not in ray_set:
-            witnesses.append(f"pure diagram {pd.degree_sequence} is not an extreme ray")
+            witnesses.append(f"pure diagram {d} is not an extreme ray")
     return WindowReport(
         window=w,
         n_generators=len(gens),

@@ -4,7 +4,9 @@ Functional docstring, not from the package's own evaluators
 (tables._cone_functionals and tables._doubling_equalities); each takes a
 BettiTable or a plain dict of entries: anything whose items() gives
 ((i, j), value) pairs.  kernel_basis is a Gauss-Jordan elimination of its
-own, not linalg.SpanTracker."""
+own, not linalg.SpanTracker.  tor_betti computes Betti numbers as Tor
+against the Koszul resolution of k, with an echelon form of its own and no
+import from betticone.linalg."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -93,3 +95,124 @@ def kernel_basis(rows, ncols: int, field) -> list[list[int]]:
                 vec[c] = -row[free] * scale // row[c]
         basis.append(vec)
     return basis
+
+
+# -- Betti numbers from Tor ------------------------------------------------------
+#
+# B = k[x,y,z]/(xy,yz,xz) is a quadratic monomial ring, so it is Koszul, and
+# the minimal resolution of k is K_i = B (x) span(words of length i in x, y, z
+# with no letter twice in a row), generated in degree i, with
+# d(1 (x) v w') = v (x) w'; d^2 = 0 as uv = 0 in B for u != v.  So
+# beta_{i,j}(M) = dim H_i(M (x) K)_j, and (M (x) K)_{i,j} = M_{j-i} (x) words(i).
+
+
+def _scalar(q, p: int):
+    """The rational q in the field of characteristic p: a residue mod p, or
+    a Fraction for p = 0."""
+    q = Fraction(q)
+    return q.numerator * pow(q.denominator, -1, p) % p if p else q
+
+
+def _echelon_add(pivots: dict, row: dict, p: int) -> bool:
+    """Reduce row, a dict of column -> scalar, by the rows of pivots (lead
+    column -> row with entry 1 there and no smaller column) and keep the
+    residual as a new pivot row when it is nonzero.  True when it grew."""
+    row = {c: a for c, a in row.items() if a}
+    while row:
+        lead = min(row)
+        piv = pivots.get(lead)
+        if piv is None:
+            inv = pow(row[lead], -1, p) if p else 1 / row[lead]
+            pivots[lead] = {c: a * inv % p if p else a * inv for c, a in row.items()}
+            return True
+        f = row[lead]
+        for c, a in piv.items():
+            val = row.get(c, 0) - f * a
+            val = val % p if p else val
+            if val:
+                row[c] = val
+            else:
+                row.pop(c, None)
+    return False
+
+
+def _normal_form(vec: dict, pivots: dict, p: int) -> dict:
+    """vec reduced by every pivot row, so it is zero at each pivot column."""
+    vec = dict(vec)
+    for c in sorted(pivots):
+        f = vec.get(c)
+        if f:
+            for cc, a in pivots[c].items():
+                val = vec.get(cc, 0) - f * a
+                vec[cc] = val % p if p else val
+    return {c: a for c, a in vec.items() if a}
+
+
+def koszul_words(i: int) -> list[str]:
+    """The words of length i in x, y, z with no letter twice in a row."""
+    words = [""]
+    for _ in range(i):
+        words = [w + v for w in words for v in "xyz" if not w.endswith(v)]
+    return words
+
+
+def tor_betti(M, deg_bound: int, hom_bound: int) -> dict:
+    """{(i, j): beta_{i,j}} for i <= hom_bound and j <= deg_bound, the
+    nonzero ones, as dim H_i(M (x) K)_j over M.field.
+
+    M_t is F0_t / R_t: F0_t has the basis (k, "1") for a generator of degree
+    t and (k, v), meaning v^(t - a) g_k, for a generator of degree a < t; R_t
+    is spanned by the relations of degree t and the v^(t - e) multiples of
+    those of degree e < t.  The columns of R_t's echelon form are dropped,
+    and the others are the basis of M_t."""
+    p = M.field.p
+    relations = []
+    for row in M.relations:
+        vec, degrees = {}, set()
+        for k, (a, poly) in enumerate(zip(M.gen_degrees, row)):
+            for (var, e), q in poly.items():
+                degrees.add(a + e)
+                vec[k, var] = _scalar(q, p)
+        if degrees:
+            relations.append((degrees.pop(), vec))
+    lo = min(M.gen_degrees, default=0)
+    pieces = {}  # t -> (echelon form of R_t, basis of M_t)
+    for t in range(lo, deg_bound + 2):
+        pivots = {}
+        for e, vec in relations:
+            if e == t:
+                _echelon_add(pivots, vec, p)
+            elif e < t:
+                for v in "xyz":
+                    _echelon_add(pivots, {(k, v): a for (k, b), a in vec.items() if b in ("1", v)}, p)
+        free = []
+        for k, a in enumerate(M.gen_degrees):
+            free += [(k, "1")] if a == t else [(k, v) for v in "xyz"] if a < t else []
+        pieces[t] = (pivots, [lab for lab in free if lab not in pivots])
+
+    def basis(t):
+        return pieces[t][1] if t in pieces else []
+
+    def times(v, t, lab):
+        """v times the basis element lab of M_t, on the basis of M_{t+1}."""
+        k, b = lab
+        return _normal_form({(k, v): 1} if b in ("1", v) else {}, pieces[t + 1][0], p)
+
+    def rank(i, t):
+        """Rank of d: M_t (x) words(i) -> M_{t+1} (x) words(i - 1)."""
+        if i == 0 or not basis(t):
+            return 0
+        pivots = {}
+        for w in koszul_words(i):
+            for lab in basis(t):
+                _echelon_add(pivots, {(w[1:], c): a for c, a in times(w[0], t, lab).items()}, p)
+        return len(pivots)
+
+    betti = {}
+    for i in range(hom_bound + 1):
+        for j in range(lo + i, deg_bound + 1):
+            t = j - i
+            b = len(basis(t)) * len(koszul_words(i)) - rank(i, t) - rank(i + 1, t - 1)
+            if b:
+                betti[i, j] = b
+    return betti

@@ -95,14 +95,14 @@ def test_criterion_01_pure_diagram_witnesses():
         res = min_free_resolution(hypersurface, deg_bound=d1 + 6, hom_bound=4)
         assert res.truncated_rows == ()
         pd = make_pure_diagram(DegreeSequence.two_step(0, d1))
-        assert res.betti == expand_tail(pd.table, max_row=4)
+        assert res.betti == expand_tail(pd, max_row=4)
 
         powers = quotient_module([f"x^{d1}", f"y^{d1}", f"z^{d1}"])
         res = min_free_resolution(powers, deg_bound=d1 + 6, hom_bound=4)
         assert res.truncated_rows == ()
         assert res.tail_consistent
         pd = make_pure_diagram(DegreeSequence.tail(0, d1))
-        assert res.betti == expand_tail(pd.table, max_row=4)
+        assert res.betti == expand_tail(pd, max_row=4)
         for i, value in enumerate(TAIL_ENTRIES):
             j = 0 if i == 0 else d1 + i - 1
             assert res.betti.entry(i, j) == value
@@ -252,7 +252,7 @@ def test_criterion_06_decomposition_round_trips():
             else:
                 d = DegreeSequence.tail(d0, d1)
             coeff = Fraction(1 + next(rng) % 8, 1 + next(rng) % 4)
-            entries = add_multiple(entries, coeff, make_pure_diagram(d).table)
+            entries = add_multiple(entries, coeff, make_pure_diagram(d))
         v = BettiTable(entries)
 
         deco = decompose(v)
@@ -262,7 +262,7 @@ def test_criterion_06_decomposition_round_trips():
         residual = dict(v.items())
         for d, coeff in deco.terms:
             assert coeff > 0
-            residual = add_multiple(residual, -coeff, make_pure_diagram(d).table)
+            residual = add_multiple(residual, -coeff, make_pure_diagram(d))
             assert in_cone_by_definition(BettiTable(residual))
         assert BettiTable(residual) == zero
 
@@ -271,14 +271,20 @@ def test_criterion_06_decomposition_round_trips():
     print("criterion 6 (200 random decompositions round trip): PASS")
 
 
+def ray_counts(n: int) -> tuple[int, int]:
+    """Extreme rays on a window [j, j + n], graded and finite length: n + 1
+    free, n(n + 1)/2 two-step and n(n - 1)/2 tail diagrams; the finite
+    length cone keeps the last two kinds."""
+    return n * n + n + 1, n * n
+
+
 def test_criterion_07_window_rays_match_generators(monkeypatch):
     for jmin, jmax in ((0, 1), (0, 3), (-2, 2), (0, 5)):
-        report = cross_check(Window(jmin, jmax))
-        assert report.equal, (jmin, jmax, report.witnesses)
-
-    assert cross_check(Window(0, 3)).n_rays == 13
-    fl = cross_check(Window(0, 3), finite_length=True)
-    assert fl.equal and fl.n_rays == 9
+        for finite_length, n_rays in zip((False, True), ray_counts(jmax - jmin)):
+            report = cross_check(Window(jmin, jmax), finite_length=finite_length)
+            assert report.equal, (jmin, jmax, report.witnesses)
+            assert report.n_rays == n_rays, (jmin, jmax, finite_length)
+    assert ray_counts(3) == (13, 9)
 
     # ablations: each facet family is load bearing
     assert not cross_check(Window(0, 3), include_alpha=False).equal
@@ -286,9 +292,10 @@ def test_criterion_07_window_rays_match_generators(monkeypatch):
 
     # past the cap: width 8 at a negative jmin, and the ablations at width 7
     monkeypatch.setattr(window_module, "MAX_WINDOW_DIM", 24)
-    for finite_length in (False, True):
+    for finite_length, n_rays in zip((False, True), ray_counts(7)):
         report = cross_check(Window(-3, 4), finite_length=finite_length)
-        assert report.equal and report.n_rays == report.n_generators, report.witnesses
+        assert report.equal and report.n_rays == report.n_generators == n_rays, report.witnesses
+    assert ray_counts(7) == (57, 49)
     assert not cross_check(Window(-3, 3), include_alpha=False).equal
     assert not cross_check(Window(-3, 3), include_gamma=False).equal
     print("criterion 7 (window extreme rays equal the pure diagrams): PASS")

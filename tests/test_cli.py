@@ -338,6 +338,52 @@ def test_huge_prime_is_refused_promptly(capsys, tmp_path):
     assert time.perf_counter() - start < 2.0
 
 
+RESOLVE = ("resolve", "--deg-bound", "6", "--hom-bound", "2")
+LONG_PRIME = "7" * 5000  # past Python's limit on text-to-int digits
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(RESOLVE + ("--field", "fp:4"), "argument --field: 4 is not prime", id="not-prime"),
+    pytest.param(RESOLVE + ("--field", "zz"), "argument --field: bad field 'zz' (use qq, fp, or fp:P)",
+                 id="bad-spec"),
+    pytest.param(RESOLVE + ("--field", "fp:x"), "argument --field: prime 'x' is not an int", id="not-an-int"),
+    pytest.param(RESOLVE + ("--field", f"fp:{LONG_PRIME}"),
+                 "argument --field: prime of 5000 digits is too large, F_p needs p < 2^31", id="long-prime"),
+    pytest.param(("rays", "--d0", "0", "--d1", "x"), "argument --d1: invalid int value: 'x' (use an int or inf)",
+                 id="d1"),
+])
+def test_a_bad_argument_is_named_with_its_reason(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.endswith(f" error: {message}\n"), err
+
+
+@pytest.mark.parametrize("line, message", [
+    pytest.param("field Fp 4", "bad field line: 4 is not prime", id="not-prime"),
+    pytest.param("field Fp x", "bad field line: prime 'x' is not an int", id="not-an-int"),
+    pytest.param(f"field Fp {LONG_PRIME}", "bad field line: prime of 5000 digits is too large, F_p needs p < 2^31",
+                 id="long-prime"),
+    pytest.param("gens 0 a", "bad gens line: 'gens 0 a'", id="gens"),
+])
+def test_a_bad_module_line_is_named(capsys, tmp_path, line, message):
+    path = write(tmp_path, "m.mod", f"{line}\nbuiltin B\n" if line.startswith("field") else f"{line}\n")
+    code, out, err = invoke(capsys, *RESOLVE, path)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_field_fp_overrides_the_file(capsys, tmp_path):
+    path = write(tmp_path, "m.mod", "field QQ\ngens 0\nrel 1/32003*x\n")
+    code, out, _ = invoke(capsys, *RESOLVE, path)
+    assert code == 0 and "entry 1 1 1" in out
+    code, out, err = invoke(capsys, *RESOLVE, path, "--field", "fp")
+    assert code == 2 and out == "" and "divisible by 32003" in err
+
+
+def test_hilbert_of_a_module_with_no_generators(capsys, tmp_path):
+    path = write(tmp_path, "m.mod", "gens\n")
+    assert invoke(capsys, "hilbert", path, "--deg-bound", "4") == (0, "offset: 0\nnumerator: 0\ne: 0\n", "")
+
+
 def test_high_power_of_an_inhomogeneous_base_is_refused_promptly(capsys, tmp_path):
     for rel in ("(x+1)^4000", "*".join(["(x+1)^64"] * 40)):
         path = write(tmp_path, "m.mod", f"gens 0\nrel {rel}\n")
@@ -499,7 +545,7 @@ def test_decomposition_coefficients_stay_fractions():
                 d = rng.choice((DegreeSequence.free(d0), DegreeSequence.two_step(d0, d1),
                                 DegreeSequence.tail(d0, d1)))
                 entries = combine(1, entries, Fraction(rng.randint(1, 8), rng.randint(1, 4)),
-                                  make_pure_diagram(d).table)
+                                  make_pure_diagram(d))
             tables.append(BettiTable(entries))
     for text in pipeline_modules(seed=20261019, count=40):
         code, out, _ = run_quietly(["resolve", "-", "--deg-bound", "12", "--hom-bound", "4"], text)
@@ -508,7 +554,7 @@ def test_decomposition_coefficients_stay_fractions():
     for name in BUILTIN_NAMES:
         for field in (QQ, FP_DEFAULT, PrimeField(7)):
             tables.append(min_free_resolution(resolve_module.builtin(name, field), 13, 10).betti)
-    tables += [make_pure_diagram(d).table for d in (DegreeSequence.free(1), DegreeSequence.two_step(0, 2),
+    tables += [make_pure_diagram(d) for d in (DegreeSequence.free(1), DegreeSequence.two_step(0, 2),
                                                     DegreeSequence.tail(-1, 0))]
     built = []
     for v in tables:

@@ -1,5 +1,6 @@
 """Membership scans, greedy decomposition, and the local cone."""
 
+import random
 import time
 from fractions import Fraction
 from math import factorial, lcm
@@ -37,7 +38,7 @@ OMEGA_TABLE = BettiTable({(0, 0): 2, (1, 1): 3, (2, 2): 6})
 def combo(*terms) -> BettiTable:
     total = {}
     for d, c in terms:
-        total = combine(1, total, c, make_pure_diagram(d).table)
+        total = combine(1, total, c, make_pure_diagram(d))
     return BettiTable(total)
 
 
@@ -75,7 +76,7 @@ def test_zero_table_is_a_member_with_empty_decomposition():
 
 def test_pure_diagrams_are_members():
     for d in (DegreeSequence.free(0), DegreeSequence.two_step(-1, 2), DegreeSequence.tail(0, 3)):
-        verdict = check_graded(make_pure_diagram(d).table)
+        verdict = check_graded(make_pure_diagram(d))
         assert verdict.member, d
 
 
@@ -125,7 +126,7 @@ def test_finite_length_requires_gamma_inf_zero():
     assert not verdict.member
     assert verdict.violation.label == "gamma_inf"
     assert verdict.violation.value == 3
-    tail = make_pure_diagram(DegreeSequence.tail(0, 2)).table
+    tail = make_pure_diagram(DegreeSequence.tail(0, 2))
     assert check_finite_length(tail).member
 
 
@@ -148,7 +149,7 @@ def test_check_scans_a_member_once(monkeypatch):
     monkeypatch.setattr(cone, "_first_violation", counted)
     assert check_graded(OMEGA_TABLE).member
     assert len(calls) == 1
-    assert check_finite_length(make_pure_diagram(DegreeSequence.tail(0, 2)).table).member
+    assert check_finite_length(make_pure_diagram(DegreeSequence.tail(0, 2))).member
     assert len(calls) == 2
 
 
@@ -211,7 +212,7 @@ def reference_greedy(v: BettiTable) -> cone.Decomposition:
         if v.is_zero:
             return cone.Decomposition(tuple(terms))
         d = reference_pivot(v)
-        pi = make_pure_diagram(d).table
+        pi = make_pure_diagram(d)
         c = reference_max_step(v, pi)
         if c <= 0:
             raise DecompositionLoopError(v, tuple(terms))
@@ -268,10 +269,35 @@ def test_each_pure_diagram_lies_in_the_support_of_its_residual(v):
     terms = decompose(v).terms
     assert len(terms) <= len(residual.support())
     for d, c in terms:
-        pi = make_pure_diagram(d).table
+        pi = make_pure_diagram(d)
         assert set(pi.support()) <= set(residual.support()), (d, residual)
         residual = BettiTable(combine(1, residual, -c, pi))
     assert residual.is_zero
+
+
+def test_each_greedy_step_is_the_entry_bound(monkeypatch):
+    # the argument in cone._max_step's docstring: no cone functional binds
+    # below min v[ij] / pi[ij] on the pivot the greedy picks
+    steps = []
+    ratio_test = cone._max_step
+
+    def recorded(v, pi):
+        c = ratio_test(v, pi)
+        steps.append((c, min(Fraction(v[ij], pval) for ij, pval in pi.items())))
+        return c
+
+    monkeypatch.setattr(cone, "_max_step", recorded)
+    rng = random.Random(2026)
+    for _ in range(80):
+        terms = []
+        for _ in range(rng.randint(1, 60)):
+            d0, gap = rng.randint(-50, 50), rng.randint(1, 40)
+            d = rng.choice((DegreeSequence.free(d0), DegreeSequence.two_step(d0, d0 + gap),
+                            DegreeSequence.tail(d0, d0 + gap)))
+            terms.append((d, Fraction(rng.randint(1, 12), rng.randint(1, 6))))
+        assert check_graded(combo(*terms)).member
+    assert len(steps) > 2000
+    assert [c for c, _ in steps] == [bound for _, bound in steps]
 
 
 def test_a_greedy_without_progress_raises_with_the_residual(monkeypatch):
@@ -321,7 +347,7 @@ def full_span_decomposition(v):
         if v.is_zero:
             break
         d = reference_pivot(v)
-        pi = make_pure_diagram(d).table
+        pi = make_pure_diagram(d)
         entries = [Functional.epsilon(i, j) for (i, j) in pi.support()]
         c = min(
             Fraction(functional_value(f, v), functional_value(f, pi))
@@ -490,7 +516,7 @@ def test_omega_table_decomposition_is_tail_plus_free():
 
 def test_pure_diagram_decomposes_to_itself():
     for d in (DegreeSequence.free(3), DegreeSequence.two_step(0, 2), DegreeSequence.tail(-2, 1)):
-        deco = decompose(BettiTable(combine(0, {}, Fraction(5, 2), make_pure_diagram(d).table)))
+        deco = decompose(BettiTable(combine(0, {}, Fraction(5, 2), make_pure_diagram(d))))
         assert deco.terms == ((d, Fraction(5, 2)),)
 
 

@@ -12,7 +12,7 @@ from types import ModuleType
 import pytest
 
 import betticone
-from betticone import FP_DEFAULT, QQ, DegreeSequence, Functional, hk_ray, make_pure_diagram
+from betticone import FP_DEFAULT, QQ, DegreeSequence, Functional, hk_ray
 from betticone import cone, linalg, resolve, tables, window
 from betticone.cone import (
     BettiSequence,
@@ -30,7 +30,7 @@ from betticone.resolve import (
     builtin,
     min_free_resolution,
 )
-from betticone.tables import HKRay, PureDiagram
+from betticone.tables import HKRay
 from betticone.window import Window, WindowReport, cross_check
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -43,7 +43,6 @@ RECORDS = {
     BettiSequence: lambda: BettiSequence.of(1, 2, 3),
     LocalDecomposition: lambda: LocalDecomposition(Fraction(1), Fraction(0), Fraction(1, 6)),
     DegreeSequence: lambda: DegreeSequence.tail(0, 1),
-    PureDiagram: lambda: make_pure_diagram(DegreeSequence.two_step(0, 2)),
     Functional: lambda: Functional.gamma(3),
     HKRay: lambda: hk_ray(Fraction(3, 2)),
     ResolutionResult: lambda: min_free_resolution(builtin("omega"), 8, 3),

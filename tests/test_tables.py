@@ -255,11 +255,11 @@ def test_degree_sequence_str_forms():
 
 
 def test_pure_diagram_entries():
-    assert make_pure_diagram(DegreeSequence.free(1)).table == BettiTable({(0, 1): 1})
-    assert make_pure_diagram(DegreeSequence.two_step(0, 2)).table == BettiTable(
+    assert make_pure_diagram(DegreeSequence.free(1)) == BettiTable({(0, 1): 1})
+    assert make_pure_diagram(DegreeSequence.two_step(0, 2)) == BettiTable(
         {(0, 0): 1, (1, 2): 1}
     )
-    pi = make_pure_diagram(DegreeSequence.tail(0, 2)).table
+    pi = make_pure_diagram(DegreeSequence.tail(0, 2))
     assert pi == BettiTable({(0, 0): 1, (1, 2): 3, (2, 3): 6})
     # implied doubled rows: 3 * 2^(i-1) at (i, d1 + i - 1)
     for i in range(1, 7):
