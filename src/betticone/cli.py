@@ -282,7 +282,7 @@ def cmd_resolve(args) -> int:
     print(f"tail_consistent: {'yes' if res.tail_consistent else 'no'}")
     rows = " ".join(str(i) for i in res.truncated_rows) if res.truncated_rows else "none"
     print(f"truncated_rows: {rows}")
-    *_, (_, _, (gamma_inf,)) = _cone_functionals(res.betti)
+    *_, (gamma_inf,) = _cone_functionals(res.betti.items())
     print(f"gamma_inf: {gamma_inf}")
     code = 0
     try:

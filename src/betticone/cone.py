@@ -12,11 +12,12 @@ greedy decomposition into pure diagrams.  The finite length variant adds the
 single condition gamma_inf = 0, which kills the free summands.
 
 alpha_k and gamma_k change only at the shifted degrees j - i of stored entries,
-so the membership scan and the decomposition's ratio test visit just those
-breakpoints (tables._cone_functionals): their cost follows the number of stored
-entries, not the span of degrees between them.  A greedy round, on a residual
-dict of Fractions, builds no table: one pass over its keys for the pivot, the
-ratio test over the breakpoints, and an update of pi_d's 1-3 int entries.
+so the membership scan and the decomposition's ratio test read just those
+breakpoints, as the aligned key and value columns of tables._cone_functionals:
+their cost follows the number of stored entries, not the span of degrees
+between them.  A greedy round, on a residual dict of Fractions, builds no
+table: one pass over its keys for the pivot, the ratio test over the
+breakpoints where pi_d is positive, and an update of pi_d's 1-3 int entries.
 
 The membership scan runs on ints: it multiplies the entries once by L, the
 lcm of their denominators, and reports a violated value as value / L.  A table
@@ -26,8 +27,10 @@ of the scan, and every greedy round after it, that many bits wide.
 
 Its cost: one pass over the entries in storage order, with one multiply each
 and one lcm per distinct denominator, no sort of the entries (the first
-negative entry is the least (i, j) among the negative ones), and then one
-sort of the alpha and of the gamma breakpoints.
+negative entry is the least (i, j) among the negative ones), then one pass
+to build the columns and one sort of the alpha and of the gamma breakpoints.
+The first negative value of each column is found at C level, with no Python
+loop over the breakpoints.
 
 The local cone over Betti sequences (b0, b1, b2) is the graded cone on the
 diagonal table {(0, 0): b0, (1, 1): b1, (2, 2): b2}; its rays (1,0,0), (1,1,0)
@@ -37,14 +40,16 @@ and (1,3,6) are rows 0..2 of the free, two-step and tail pure diagrams.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, repeat
 from math import lcm
-from operator import mul
+from operator import gt, lt, mul
 from typing import NamedTuple
 
 from .tables import (
+    ALPHA,
     EXPLICIT,
     FREE,
-    GAMMA_INF,
+    GAMMA,
     MAX_COEFFICIENT_BITS,
     TAIL,
     TWO_STEP,
@@ -105,10 +110,11 @@ class MembershipVerdict(NamedTuple):
     violation: Violation | None = None
 
 
-def _scaled(v: BettiTable) -> tuple[dict, int]:
-    """The entries of v times L, the lcm of their denominators, and L, in
-    storage order.  Raises ValueError once L passes MAX_COEFFICIENT_BITS bits,
-    which the lcm over the distinct denominators alone decides."""
+def _scaled(v: BettiTable) -> tuple[list, list, int]:
+    """The positions of v's entries, and the entries times L, the lcm of
+    their denominators, as two aligned lists in storage order; and L.
+    Raises ValueError once L passes MAX_COEFFICIENT_BITS bits, which the lcm
+    over the distinct denominators alone decides."""
     ratios = [q.as_integer_ratio() for q in v._entries.values()]
     nums, dens = zip(*ratios) if ratios else ((), ())
     factor = dict.fromkeys(dens)
@@ -119,7 +125,7 @@ def _scaled(v: BettiTable) -> tuple[dict, int]:
             raise ValueError(f"the lcm of the entry denominators passes {MAX_COEFFICIENT_BITS} bits")
     for d in factor:
         factor[d] = scale // d
-    return dict(zip(v._entries, map(mul, nums, map(factor.__getitem__, dens)))), scale
+    return list(v._entries), list(map(mul, nums, map(factor.__getitem__, dens))), scale
 
 
 def _violation(f: Functional, val, scale: int) -> Violation:
@@ -129,18 +135,24 @@ def _violation(f: Functional, val, scale: int) -> Violation:
 def _first_violation(v: BettiTable, finite_length: bool = False) -> Violation | None:
     """First violated halfspace in the fixed scan order: doubling equalities,
     then epsilon, then alpha, then gamma, each by increasing index, and last
-    gamma_inf = 0 when finite_length is set."""
-    entries, scale = _scaled(v)
+    gamma_inf = 0 when finite_length is set.  Past the doubling equalities,
+    each first negative value is found by a C-level search of a column."""
+    keys, values, scale = _scaled(v)
     if v.tail_mode == EXPLICIT:
-        for i, j, val in _doubling_equalities(entries):
+        for i, j, val in _doubling_equalities(dict(zip(keys, values))):
             if val != 0:
                 return _violation(Functional.doubling_eq(i, j), val, scale)
-    if min(entries.values(), default=0) < 0:
-        ij = min(ij for ij, val in entries.items() if val < 0)
-        return _violation(Functional.epsilon(*ij), entries[ij], scale)
-    for kind, k, (val,) in _cone_functionals(entries):
-        if val < 0 or (finite_length and kind == GAMMA_INF and val != 0):
-            return _violation(Functional(kind, k=k), val, scale)
+    zero = repeat(0)
+    if min(values, default=0) < 0:  # positions are distinct, so min compares (i, j) alone
+        ij, val = min(compress(zip(keys, values), map(lt, values, zero)))
+        return _violation(Functional.epsilon(*ij), val, scale)
+    alpha_keys, (alphas,), gamma_keys, (gammas,), (gamma_inf,) = _cone_functionals(zip(keys, values))
+    for kind, ks, vals in ((ALPHA, alpha_keys, alphas), (GAMMA, gamma_keys, gammas)):
+        hit = next(compress(zip(ks, vals), map(lt, vals, zero)), None)
+        if hit is not None:
+            return _violation(Functional(kind, k=hit[0]), hit[1], scale)
+    if finite_length and gamma_inf != 0:
+        return _violation(Functional.gamma_inf(), gamma_inf, scale)
     return None
 
 
@@ -154,7 +166,10 @@ def _check(v: BettiTable, finite_length: bool) -> MembershipVerdict:
 def check_graded(v: BettiTable) -> MembershipVerdict:
     """Membership in the graded cone, with a certificate either way.  Raises
     ValueError when the lcm of the entry denominators passes
-    MAX_COEFFICIENT_BITS bits."""
+    MAX_COEFFICIENT_BITS bits.  Cost: O(entries + b log b) for a non-member,
+    b the breakpoints; a member adds the greedy, up to one round per entry,
+    each a pass over the residual and a ratio test over its breakpoints on
+    Fractions, so O(entries^2) Fraction operations."""
     return _check(v, finite_length=False)
 
 
@@ -177,11 +192,17 @@ def _max_step(v: dict, pi: dict) -> Fraction:
     over all j, is positive too.  The only positive alpha is alpha_{d1} = 2,
     on the two-step shape, which the pivot picks only when v[2, d1 + 1] = 0,
     so alpha_{d1}(v) / 2 = v[1, d1].  The scan stays as the cone's own ratio
-    test; test_each_greedy_step_is_the_entry_bound pins the equality."""
+    test; test_each_greedy_step_is_the_entry_bound pins the equality.
+
+    The scan divides only where pi's column is positive, and skips gamma_inf:
+    on the free shape it equals the last gamma, on v and on pi alike, and on
+    the other shapes it is 0 on pi."""
     best = min(v[ij] / pval for ij, pval in pi.items())
-    for _, _, (val, pval) in _cone_functionals(v, pi):
-        if pval > 0 and val / pval < best:
-            best = val / pval
+    _, alphas, _, gammas, _ = _cone_functionals(v.items(), pi.items())
+    for vals, pvals in (alphas, gammas):
+        for val, pval in compress(zip(vals, pvals), map(gt, pvals, repeat(0))):
+            if val / pval < best:
+                best = val / pval
     return best
 
 
@@ -197,7 +218,8 @@ def decompose(v: BettiTable) -> Decomposition:
     support entry per round, so the iteration cap of 3*|support| + 3 is
     generous; hitting it raises with the residual attached.  A table whose
     entry denominators have an lcm past MAX_COEFFICIENT_BITS bits is refused
-    with ValueError, as in check_graded.
+    with ValueError, as in check_graded.  Cost: that of check_graded on a
+    member, O(entries^2) Fraction operations.
     """
     viol = _first_violation(v)
     if viol is not None:

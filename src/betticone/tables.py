@@ -368,28 +368,38 @@ def _doubling_equalities(
         yield i, j, 2 * entries.get((i, j), 0) - entries.get((i + 1, j + 1), 0)
 
 
-def _cone_functionals(*tables) -> Iterator[tuple[str, int | None, tuple[RationalLike, ...]]]:
-    """(ALPHA, k, values) by increasing k, then (GAMMA, k, values) by
-    increasing k, at every k where the value on one of the tables can change,
-    then (GAMMA_INF, None, values), with the values on each table.  A table
-    here is anything whose items() gives ((i, j), value) pairs in any order,
-    such as a dict or a BettiTable; the values are plain arithmetic on its
-    entries, so ints give ints and Fractions give Fractions.
+def _cone_functionals(*tables) -> tuple[list, list, list, list, list]:
+    """The alpha and gamma functionals of the tables, as aligned columns:
+
+    (alpha_keys, alphas, gamma_keys, gammas, gamma_inf)
+
+    alpha_keys lists, sorted, the k where alpha_k can be nonzero on one of
+    the tables, and alphas holds one list per table of its alpha_k at those
+    keys.  gamma_keys lists, sorted, the k where gamma_k can change on one of
+    the tables, and gammas holds one list per table of its running gamma_k
+    at those keys.  gamma_inf holds each table's gamma_inf: its last running
+    sum, or 0 when it has none.  The scan order of the functionals is alpha,
+    then gamma, each by increasing k, then gamma_inf.
+
+    A table here is an iterable of ((i, j), value) pairs in any order, such
+    as dict.items(), BettiTable.items() or a zip of positions and values;
+    the values are plain arithmetic on its entries, so ints give ints and
+    Fractions give Fractions.
 
     alpha_k vanishes unless (1, k) or (2, k + 1) is stored, and gamma_k is a
     step function jumping only at k = j - i for stored (i, j), i <= 2.  Every
     skipped k thus has alpha_k = 0 and the gamma of the last key below it,
-    and gamma_inf is the gamma of the last key, 0 when there is none.
+    and gamma_inf is the gamma of the last key.
 
-    Cost: one pass over the entries of each table, unsorted, adds up its
-    alpha values and gamma jumps by k; then one sort of the union of the keys
-    of each kind, off which map, zip and itertools.accumulate read the values
-    and sum the jumps.
+    Cost: one pass over the entries of each table adds up its alpha values
+    and gamma jumps by k; then one sort of the union of the keys of each
+    kind, off which map and itertools.accumulate read the values and sum the
+    jumps, all at C level.
     """
     alphas, jumps = [], []
     for v in tables:
         alpha, jump = {}, {}
-        for (i, j), val in v.items():
+        for (i, j), val in v:
             if i == 0:
                 jump[j] = jump.get(j, 0) + 3 * val
             elif i == 1:
@@ -401,12 +411,11 @@ def _cone_functionals(*tables) -> Iterator[tuple[str, int | None, tuple[Rational
         alphas.append(alpha)
         jumps.append(jump)
     zero = repeat(0)  # the default of every get below
-    ks = sorted(set().union(*alphas))
-    yield from zip(repeat(ALPHA), ks, zip(*[map(a.get, ks, zero) for a in alphas]))
-    ks = sorted(set().union(*jumps))
-    gammas = list(zip(*[accumulate(map(g.get, ks, zero)) for g in jumps]))
-    yield from zip(repeat(GAMMA), ks, gammas)
-    yield GAMMA_INF, None, gammas[-1] if gammas else (0,) * len(tables)
+    alpha_keys = sorted(set().union(*alphas))
+    gamma_keys = sorted(set().union(*jumps))
+    gammas = [list(accumulate(map(g.get, gamma_keys, zero))) for g in jumps]
+    return (alpha_keys, [list(map(a.get, alpha_keys, zero)) for a in alphas],
+            gamma_keys, gammas, [g[-1] if g else 0 for g in gammas])
 
 
 # The four ray classes of the Herzog-Kuhl locus, keyed by the slope invariant c.

@@ -24,7 +24,6 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .tables import (
-    ALPHA,
     BettiTable,
     DegreeSequence,
     Functional,
@@ -96,16 +95,17 @@ def table_vector(table: BettiTable, w: Window) -> list[Fraction]:
 def window_facets(w: Window, finite_length: bool = False,
                   include_alpha: bool = True, include_gamma: bool = True):
     """(inequalities, equalities) as (Functional, coefficient vector) pairs.
-    A vector holds the functional's values on the window's unit tables: alpha
-    and gamma at the breakpoints of those unit tables, and gamma_inf, the
-    finite length equality, from the last item of the same scan."""
+    A vector holds the functional's values on the window's unit tables, read
+    across the columns of one scan of them: alpha and gamma at its keys, and
+    gamma_inf, the finite length equality."""
     cells = [(i, j) for i in _ROWS for j in w.columns()]
     ineqs = [(Functional.epsilon(*ij), tuple(int(ij == other) for other in cells)) for ij in cells]
-    *scan, (_, _, gamma_inf) = _cone_functionals(*({ij: 1} for ij in cells))
-    for kind, k, values in scan:
-        if include_alpha if kind == ALPHA else include_gamma:
-            ineqs.append((Functional(kind, k=k), values))
-    eqs = [(Functional.gamma_inf(), gamma_inf)] if finite_length else []
+    alpha_keys, alphas, gamma_keys, gammas, gamma_inf = _cone_functionals(*([(ij, 1)] for ij in cells))
+    if include_alpha:
+        ineqs += zip(map(Functional.alpha, alpha_keys), zip(*alphas))
+    if include_gamma:
+        ineqs += zip(map(Functional.gamma, gamma_keys), zip(*gammas))
+    eqs = [(Functional.gamma_inf(), tuple(gamma_inf))] if finite_length else []
     return ineqs, eqs
 
 
@@ -174,7 +174,10 @@ def cross_check(w: Window, finite_length: bool = False, include_alpha: bool = Tr
     The generators are checked against every facet (a failure there is a bug
     and raises AssertionError), then the facet cone's extreme rays are matched
     one to one against the generators up to positive scaling.  Dropping alpha
-    or gamma facets widens the cone and shows up as witness rays.
+    or gamma facets widens the cone and shows up as witness rays.  Cost: the
+    dense Fraction check of every generator against every facet, O(w^4)
+    products for width w, is most of it; double description adds, per
+    constraint, one int bitmask test per (plus, minus, other) triple of rays.
     """
     if w.dim > MAX_WINDOW_DIM:
         raise WindowCapError(f"window dimension {w.dim} exceeds cap {MAX_WINDOW_DIM}")

@@ -6,12 +6,15 @@ BettiTable or a plain dict of entries: anything whose items() gives
 ((i, j), value) pairs.  kernel_basis is a Gauss-Jordan elimination of its
 own, not linalg.SpanTracker.  tor_betti computes Betti numbers as Tor
 against the Koszul resolution of k, with an echelon form of its own and no
-import from betticone.linalg."""
+import from betticone.linalg.  scrambled_sum builds a module whose Betti
+table is known without resolving it: a direct sum of the modules that
+realise pure diagrams, under a random change of generators."""
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from betticone.tables import ALPHA, DOUBLING_EQ, EPSILON, GAMMA, GAMMA_INF
+from betticone.resolve import BPolynomial, GradedModuleB
+from betticone.tables import ALPHA, DOUBLING_EQ, EPSILON, FREE, GAMMA, GAMMA_INF, TWO_STEP
 
 
 def row_sum(v, i: int) -> Fraction:
@@ -216,3 +219,63 @@ def tor_betti(M, deg_bound: int, hom_bound: int) -> dict:
             if b:
                 betti[i, j] = b
     return betti
+
+
+# -- modules with known Betti tables ---------------------------------------------
+#
+# With e = d1 - d0, the pure diagram of d is the Betti table of
+#   free:     B(-d0);
+#   two-step: B(-d0)/(x^e + y^e + z^e), as (x + y + z)^e = x^e + y^e + z^e in B
+#             and x + y + z is a nonzerodivisor;
+#   tail:     B(-d0)/(x^e, y^e, z^e).
+# A graded automorphism of F_0 does not change the Betti table of a quotient.
+
+
+def witness_relations(d) -> list[BPolynomial]:
+    """The relations on the one generator, of degree d0, of the module that
+    realises the pure diagram of the DegreeSequence d."""
+    if d.shape == FREE:
+        return []
+    powers = [BPolynomial.monomial(v, d.d1 - d.d0) for v in "xyz"]
+    return [powers[0] + powers[1] + powers[2]] if d.shape == TWO_STEP else powers
+
+
+def _random_form(rng, degree: int) -> BPolynomial:
+    """A random element of B of the given degree >= 0, coefficients in [-3, 3]."""
+    if degree == 0:
+        return BPolynomial.constant(rng.randint(-3, 3))
+    return BPolynomial({(v, degree): rng.randint(-3, 3) for v in "xyz"})
+
+
+def scrambled_sum(terms, field, rng) -> GradedModuleB:
+    """The direct sum of m copies of each pure diagram's witness, for the
+    (DegreeSequence, m) pairs of terms, with its generators changed by a
+    random unitriangular graded automorphism of F_0.
+
+    The automorphism sends g_i to g_i + sum of f_ij g_j over the j before i
+    in a random order with d_j <= d_i, f_ij a random form of degree
+    d_i - d_j.  A relation sum of r_i g_i then reads sum of
+    (r_j + sum of r_i f_ij) g_j, so every generator meets relations of many
+    summands, and the Betti table is the combination sum of m * pi_d."""
+    degrees, rows = [], []
+    for d, m in terms:
+        for _ in range(m):
+            degrees.append(d.d0)
+            rows += [(len(degrees) - 1, rel) for rel in witness_relations(d)]
+    r = len(degrees)
+    order = list(range(r))
+    rng.shuffle(order)
+    shift = {}  # (i, j) -> f_ij
+    for n, i in enumerate(order):
+        for j in order[:n]:
+            if degrees[j] <= degrees[i] and rng.random() < 0.5:
+                shift[i, j] = _random_form(rng, degrees[i] - degrees[j])
+    relations = []
+    for k, rel in rows:
+        row = [BPolynomial.zero()] * r
+        row[k] = rel
+        for (i, j), f in shift.items():
+            if i == k:
+                row[j] = row[j] + rel * f
+        relations.append(row)
+    return GradedModuleB(degrees, relations, field)

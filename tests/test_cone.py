@@ -197,7 +197,8 @@ def reference_max_step(v: BettiTable, pi: BettiTable) -> Fraction:
     """Largest c with v - c*pi still in the cone, by an exact ratio test over
     every functional that is positive on pi."""
     best = min(Fraction(v.entry(i, j), pval) for (i, j), pval in pi._entries.items())
-    for _, _, (val, pval) in _cone_functionals(v._entries, pi._entries):
+    _, alphas, _, gammas, gamma_inf = _cone_functionals(v._entries.items(), pi._entries.items())
+    for val, pval in [*zip(*alphas), *zip(*gammas), gamma_inf]:
         if pval > 0 and Fraction(val, pval) < best:
             best = Fraction(val, pval)
     return best
@@ -433,6 +434,62 @@ def test_int_scan_matches_full_span_scan(v, finite_length):
         assert type(viol.value) is Fraction
 
 
+def bench_member(rng, n_terms, base):
+    """A member shaped like the benchmark's dense ones: n_terms pure diagrams
+    cycling through the three shapes, d0 over a range half as wide as the
+    term count, d1 - d0 in 1..3, and coefficients a/b, a <= 8, b <= 4."""
+    width = max(4, n_terms // 2)
+    terms = []
+    for k in range(n_terms):
+        d0, d1 = base + k % width, base + k % width + 1 + k // 3 % 3
+        d = (DegreeSequence.free(d0), DegreeSequence.two_step(d0, d1), DegreeSequence.tail(d0, d1))[k % 3]
+        terms.append((d, Fraction(rng.randint(1, 8), rng.randint(1, 4))))
+    return combo(*terms)
+
+
+def perturbed(rng, v, how, where):
+    """v with an epsilon, an alpha or a gamma pushed below 0 at fraction
+    `where` of its degree range, the benchmark's non-member shapes."""
+    entries = dict(v.items())
+    at = v.min_degree + int(where * (v.max_degree - v.min_degree))
+    delta = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+    if how == "epsilon":
+        entries[min(ij for ij in entries if ij[1] >= at)] = -delta
+    elif how == "alpha":
+        entries[2, at + 1] = 2 * entries.get((1, at), 0) + delta
+    else:
+        entries[1, at + 1] = entries.get((1, at + 1), 0) + functional_value(Functional.gamma(at), v) / 3 + delta
+    return BettiTable(entries)
+
+
+def test_bench_shaped_non_members_match_full_span_scan():
+    rng = random.Random(27)
+    cases = []
+    for n_terms in (40, 80, 160):
+        member = bench_member(rng, n_terms, rng.randint(-20, 20))
+        for how in ("epsilon", "alpha", "gamma"):
+            for where in (0.5, 0.75, 1.0):
+                cases.append((how, perturbed(rng, member, how, where)))
+        # gamma_inf is 3 times the free coefficients, so only finite length refuses it
+        cases.append(("gamma_inf", member))
+        # an explicit window with one entry off the doubling
+        window = dict(expand_tail(member, max_row=rng.randint(3, 5)).items())
+        ij = rng.choice(sorted(ij for ij in window if ij[0] >= 2))
+        window[ij] += Fraction(rng.choice((-1, 1)), rng.randint(1, 3))
+        cases.append(("doubling_eq", BettiTable(window, tail_mode=EXPLICIT)))
+    for how, v in cases:
+        for finite_length in (False, True):
+            verdict = (check_finite_length if finite_length else check_graded)(v)
+            expected = full_span_violation(v, finite_length)
+            if how == "gamma_inf" and not finite_length:
+                assert expected is None and verdict.member
+                continue
+            assert not verdict.member
+            assert (verdict.violation.label, verdict.violation.value) == expected
+            assert verdict.violation.label.startswith(how)
+            assert type(verdict.violation.value) is Fraction
+
+
 def coprime_denominators(n):
     """n pairwise coprime denominators of just under 4000 bits: k*N + 1 for
     k = 1..n, with N a multiple of n!.  A prime dividing two of them divides
@@ -468,7 +525,7 @@ def test_the_refusal_comes_before_any_violation():
             cone._first_violation(table, finite_length)
     # up to the bound the scan runs on ints: one 4000-bit denominator is fine
     table = BettiTable({ij: val for ij, val in entries.items() if val.denominator == dens[1]})
-    assert cone._scaled(table)[1] == dens[1]
+    assert cone._scaled(table)[2] == dens[1]
     viol = cone._first_violation(table)
     assert (viol.label, viol.value) == full_span_violation(table, False)
     assert viol.value == Fraction(-1, dens[1])
@@ -486,7 +543,8 @@ def test_one_lcm_per_distinct_denominator(monkeypatch):
         return lcm(*args)
 
     monkeypatch.setattr(cone, "lcm", counting_lcm)
-    entries, scale = cone._scaled(table)
+    keys, values, scale = cone._scaled(table)
+    entries = dict(zip(keys, values))
     assert len(calls) <= 3
     # the per-entry formula: L folds every entry's denominator, and each
     # entry is its numerator times L over its denominator

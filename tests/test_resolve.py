@@ -18,12 +18,14 @@ from betticone import (
     HilbertData,
     StabilizationError,
     BettiTable,
+    DegreeSequence,
     Functional,
     builtin,
     check_finite_length,
     check_graded,
     collapse_tail,
     hilbert_data,
+    make_pure_diagram,
     min_free_resolution,
     parse_poly,
     quotient_module,
@@ -41,7 +43,7 @@ from betticone.resolve import (
     PolyParseError,
 )
 from betticone.tables import INDECOMPOSABLE_NAMES
-from oracles import functional_value, kernel_basis, row_sum, tor_betti
+from oracles import functional_value, kernel_basis, row_sum, scrambled_sum, tor_betti
 
 X = BPolynomial.variable("x")
 Y = BPolynomial.variable("y")
@@ -666,6 +668,52 @@ def test_rows_three_on_double_by_the_tor_oracle(field):
                 assert betti.get((i + 1, j + 1), 0) == 2 * betti.get((i, j), 0), (name, i, j)
     # the doubling is not vacuous: omega's row 2 is 6 in degree 2
     assert tor_betti(builtin("omega", field), deg_bound, hom)[2, 2] == 6
+
+
+# -- scrambled direct sums of pure diagram witnesses -------------------------------
+
+
+def random_sum_terms(rng, max_gens=40):
+    """5 to 30 (DegreeSequence, multiplicity) pairs, d0 in [0, 5] and
+    d1 - d0 in [1, 3], with at most max_gens generators in all."""
+    terms, gens = [], 0
+    for _ in range(rng.randint(5, 30)):
+        d0, e = rng.randint(0, 5), rng.randint(1, 3)
+        m = min(rng.randint(1, 2), max_gens - gens)
+        if m <= 0:
+            break
+        terms.append((rng.choice((DegreeSequence.free(d0), DegreeSequence.two_step(d0, d0 + e),
+                                  DegreeSequence.tail(d0, d0 + e))), m))
+        gens += m
+    return terms
+
+
+def combination(terms) -> dict:
+    """Rows 0..2 of the sum of m * pi_d over the terms."""
+    total = {}
+    for d, m in terms:
+        for ij, val in make_pure_diagram(d).items():
+            total[ij] = total.get(ij, 0) + m * val
+    return total
+
+
+@pytest.mark.parametrize("field", [QQ, FP_DEFAULT], ids=["QQ", "F32003"])
+def test_scrambled_sums_resolve_to_their_tables(field):
+    # d1 <= 8, so the tails' row 2 lies inside deg_bound 11
+    rng = random.Random(808)
+    dense = 0
+    for _ in range(15):
+        terms = random_sum_terms(rng)
+        M = scrambled_sum(terms, field, rng)
+        assert len(M.gen_degrees) <= 40
+        dense += sum(sum(not p.is_zero for p in row) > 1 for row in M.relations)
+        res = min_free_resolution(M, deg_bound=11, hom_bound=3)
+        assert {ij: val for ij, val in res.betti.items() if ij[0] <= 2} == combination(terms), terms
+    assert dense > 50  # the automorphism did mix the summands
+    # and Tor agrees on one small sum, every row of the window
+    terms = random_sum_terms(rng, max_gens=8)
+    M = scrambled_sum(terms, field, rng)
+    assert betti_entry_dict(min_free_resolution(M, 10, 3)) == tor_betti(M, 10, 3)
 
 
 # -- Hilbert data ---------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Tables, pure diagrams, functionals, HK rays, and the doubling tail rules."""
 
 import time
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -284,22 +286,21 @@ def test_functional_validation():
         Functional.doubling_eq(1, 1)
 
 
-# alpha_k and gamma_k read off _cone_functionals, which yields them only at
-# the keys where they can change
+# alpha_k and gamma_k read off the columns of _cone_functionals, which hold
+# them only at the keys where they can change
 
 
 def alpha_at(v: BettiTable, k: int):
-    """alpha_k: the alpha yielded at key k, or 0 where none is."""
-    return {key: val for kind, key, (val,) in _cone_functionals(v) if kind == ALPHA}.get(k, 0)
+    """alpha_k: the alpha at key k, or 0 where no key is."""
+    alpha_keys, (alphas,), _, _, _ = _cone_functionals(v.items())
+    return dict(zip(alpha_keys, alphas)).get(k, 0)
 
 
 def gamma_at(v: BettiTable, k: int):
-    """gamma_k: the last gamma yielded at a key <= k, or 0 below them all."""
-    value = 0
-    for kind, key, (val,) in _cone_functionals(v):
-        if kind == GAMMA and key <= k:
-            value = val
-    return value
+    """gamma_k: the running gamma at the last key <= k, or 0 below them all."""
+    _, _, gamma_keys, (gammas,), _ = _cone_functionals(v.items())
+    n = bisect_right(gamma_keys, k)
+    return gammas[n - 1] if n else 0
 
 
 def test_alpha_by_hand():
@@ -398,6 +399,17 @@ def functional_inputs(draw):
     return tables
 
 
+def flattened(scan, n_tables):
+    """The columns of _cone_functionals as the reference's (kind, k, values)
+    triples, each column checked to be aligned with its keys."""
+    alpha_keys, alphas, gamma_keys, gammas, gamma_inf = scan
+    assert len(alphas) == len(gammas) == len(gamma_inf) == n_tables
+    assert all(len(col) == len(alpha_keys) for col in alphas)
+    assert all(len(col) == len(gamma_keys) for col in gammas)
+    return [*zip(repeat(ALPHA), alpha_keys, zip(*alphas)), *zip(repeat(GAMMA), gamma_keys, zip(*gammas)),
+            (GAMMA_INF, None, tuple(gamma_inf))]
+
+
 def typed(functionals):
     return [(kind, k, values, tuple(map(type, values))) for kind, k, values in functionals]
 
@@ -408,7 +420,7 @@ def typed(functionals):
 @example([{}])
 @settings(max_examples=100, deadline=None)
 def test_cone_functionals_match_the_reference(tables):
-    got = typed(_cone_functionals(*tables))
+    got = typed(flattened(_cone_functionals(*(v.items() for v in tables)), len(tables)))
     assert got == typed(reference_cone_functionals(*tables))
     assert all(len(values) == len(tables) for _, _, values, _ in got)
 
