@@ -57,8 +57,8 @@ from .tables import (
     DegreeSequence,
     Functional,
     RationalLike,
+    _broken_doubling,
     _cone_functionals,
-    _doubling_equalities,
     _rational,
 )
 
@@ -138,10 +138,9 @@ def _first_violation(v: BettiTable, finite_length: bool = False) -> Violation | 
     gamma_inf = 0 when finite_length is set.  Past the doubling equalities,
     each first negative value is found by a C-level search of a column."""
     keys, values, scale = _scaled(v)
-    if v.tail_mode == EXPLICIT:
-        for i, j, val in _doubling_equalities(dict(zip(keys, values))):
-            if val != 0:
-                return _violation(Functional.doubling_eq(i, j), val, scale)
+    broken = _broken_doubling(dict(zip(keys, values))) if v.tail_mode == EXPLICIT else None
+    if broken is not None:
+        return _violation(Functional.doubling_eq(*broken[:2]), broken[2], scale)
     zero = repeat(0)
     if min(values, default=0) < 0:  # positions are distinct, so min compares (i, j) alone
         ij, val = min(compress(zip(keys, values), map(lt, values, zero)))

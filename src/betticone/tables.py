@@ -27,7 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import total_ordering
 from itertools import accumulate, repeat
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Union
 
 CANONICAL = "canonical"
 EXPLICIT = "explicit"
@@ -180,8 +180,8 @@ def expand_tail(table: BettiTable, max_row: int, max_degree: int | None = None) 
         raise ValueError(f"max_row and max_degree must be ints, got ({max_row!r}, {max_degree!r})")
     if max_row > MAX_HOM_BOUND:
         raise ValueError(f"max_row must be at most {MAX_HOM_BOUND}")
-    out = dict(table.items())
-    for (i, j), val in table.items():
+    out = dict(table._entries)
+    for (i, j), val in table._entries.items():
         if i != 2:
             continue
         for r in range(3, max_row + 1):
@@ -193,24 +193,16 @@ def expand_tail(table: BettiTable, max_row: int, max_degree: int | None = None) 
 
 
 def collapse_tail(table: BettiTable) -> BettiTable:
-    """Reinterpret an explicit table as canonical, keeping rows 0..2.
-
-    Stored rows i >= 3 must agree with the doubling rule inside the stored
-    window (the topmost stored row is the window boundary and is exempt on
-    its upper side).  Raises ValueError on a mismatch.
-    """
-    if table.tail_mode == EXPLICIT:
-        for i, j, val in _doubling_equalities(table._entries):
-            if val != 0:
-                raise ValueError(f"doubling fails at ({i}, {j}); table is not a tail window")
-    return _head(table)
-
-
-def _head(table: BettiTable) -> BettiTable:
-    """Rows 0..2 of a table as a canonical table, the doubling unchecked."""
+    """Rows 0..2 of a table as a canonical table; a canonical one is returned
+    as it is.  An explicit table must be a tail window, its stored entries
+    meeting every doubling equality _broken_doubling reads: raises
+    ValueError naming the least (i, j) whose equality fails."""
     if table.tail_mode == CANONICAL:
         return table
-    return BettiTable({(i, j): v for (i, j), v in table.items() if i <= 2}, tail_mode=CANONICAL)
+    broken = _broken_doubling(table._entries)
+    if broken is not None:
+        raise ValueError(f"doubling fails at ({broken[0]}, {broken[1]}); table is not a tail window")
+    return BettiTable({ij: v for ij, v in table._entries.items() if ij[0] <= 2}, tail_mode=CANONICAL)
 
 
 class DegreeSequence(_Checked, namedtuple("DegreeSequence", "shape d0 d1")):
@@ -351,21 +343,22 @@ class Functional(NamedTuple):
         return f"doubling_eq({self.i},{self.j})"
 
 
-def _doubling_equalities(
+def _broken_doubling(
     entries: Mapping[tuple[int, int], RationalLike],
-) -> Iterator[tuple[int, int, RationalLike]]:
-    """The doubling equalities 2*v[i, j] = v[i + 1, j + 1] that the stored
-    entries of an explicit table must meet, as (i, j, value) by increasing
-    (i, j).  The table is a finite window: a stored entry in rows
-    2 <= i < top must double into the row above, and one in rows i >= 3 must
-    be fed by the row below, while the topmost stored row is the window
-    boundary.  The values are plain arithmetic on the entries, so ints give
-    ints and Fractions give Fractions."""
+) -> tuple[int, int, RationalLike] | None:
+    """The least (i, j) whose doubling equality 2*v[i, j] = v[i + 1, j + 1]
+    the stored entries of an explicit table break, as (i, j, value), or None
+    when they meet every one.  The table is a finite window: a stored entry
+    in rows 2 <= i < top must double into the row above, and one in rows
+    i >= 3 must be fed by the row below, while the topmost stored row is the
+    window boundary.  The value is plain arithmetic on the entries, so ints
+    give an int and Fractions a Fraction."""
     top = max((i for i, _ in entries), default=-1)
     at = {(i, j) for (i, j) in entries if 2 <= i < top}
     at.update((i - 1, j - 1) for (i, j) in entries if i >= 3)
-    for i, j in sorted(at):
-        yield i, j, 2 * entries.get((i, j), 0) - entries.get((i + 1, j + 1), 0)
+    get = entries.get
+    equalities = [(i, j, 2 * get((i, j), 0) - get((i + 1, j + 1), 0)) for i, j in at]
+    return min((eq for eq in equalities if eq[2] != 0), default=None)  # distinct (i, j): min reads no value
 
 
 def _cone_functionals(*tables) -> tuple[list, list, list, list, list]:

@@ -29,7 +29,7 @@ from betticone import (
     make_pure_diagram,
 )
 from betticone import cone
-from betticone.tables import MAX_COEFFICIENT_BITS, _cone_functionals, _doubling_equalities
+from betticone.tables import MAX_COEFFICIENT_BITS, _broken_doubling, _cone_functionals
 from oracles import combine, functional_value
 
 OMEGA_TABLE = BettiTable({(0, 0): 2, (1, 1): 3, (2, 2): 6})
@@ -321,10 +321,10 @@ def full_span_functionals(v):
 
 def full_span_violation(v, finite_length):
     """(label, value) of the first violated functional, or None."""
-    if v.tail_mode == EXPLICIT:
-        for i, j, val in _doubling_equalities(dict(v.items())):
-            if val != 0:
-                return Functional.doubling_eq(i, j).label(), val
+    broken = _broken_doubling(dict(v.items())) if v.tail_mode == EXPLICIT else None
+    if broken is not None:
+        i, j, val = broken
+        return Functional.doubling_eq(i, j).label(), val
     for (i, j), val in v.items():
         if val < 0:
             return f"epsilon({i},{j})", val

@@ -25,7 +25,7 @@ from betticone import (
 )
 from betticone import resolve
 from betticone.cli import TableFormatError, parse_table_text
-from betticone.tables import ALPHA, GAMMA, GAMMA_INF, MAX_HOM_BOUND, _cone_functionals, _doubling_equalities
+from betticone.tables import ALPHA, GAMMA, GAMMA_INF, MAX_HOM_BOUND, _broken_doubling, _cone_functionals
 from oracles import combine, functional_value
 
 
@@ -348,7 +348,7 @@ def test_doubling_eq_holds_on_canonical_tail():
     # rows 2 and 3 of the canonical tail, the window the equalities read
     window = dict(expand_tail(v, max_row=3).items())
     assert window == {(2, 3): 6, (3, 4): v.entry(3, 4)}
-    assert list(_doubling_equalities(window)) == [(2, 3, 0)]
+    assert _broken_doubling(window) is None
 
 
 def reference_cone_functionals(*tables):
