@@ -348,13 +348,16 @@ def _broken_doubling(
 ) -> tuple[int, int, RationalLike] | None:
     """The least (i, j) whose doubling equality 2*v[i, j] = v[i + 1, j + 1]
     the stored entries of an explicit table break, as (i, j, value), or None
-    when they meet every one.  The table is a finite window: a stored entry
-    in rows 2 <= i < top must double into the row above, and one in rows
-    i >= 3 must be fed by the row below, while the topmost stored row is the
-    window boundary.  The value is plain arithmetic on the entries, so ints
-    give an int and Fractions a Fraction."""
+    when they meet every one.  The table is a finite window, bounded by its
+    top stored row and its last stored degree: a stored entry in rows
+    2 <= i < top below the last degree must double into the row above, and
+    one in rows i >= 3 must be fed by the row below.  An entry in the top
+    row or at the last degree has its image past the window, as in a
+    resolution cut at hom_bound or deg_bound.  The value is plain arithmetic
+    on the entries, so ints give an int and Fractions a Fraction."""
     top = max((i for i, _ in entries), default=-1)
-    at = {(i, j) for (i, j) in entries if 2 <= i < top}
+    last = max((j for _, j in entries), default=None)
+    at = {(i, j) for (i, j) in entries if 2 <= i < top and j < last}
     at.update((i - 1, j - 1) for (i, j) in entries if i >= 3)
     get = entries.get
     equalities = [(i, j, 2 * get((i, j), 0) - get((i + 1, j + 1), 0)) for i, j in at]

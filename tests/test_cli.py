@@ -270,6 +270,18 @@ def test_resolve_output_pipes_into_check(capsys, tmp_path, monkeypatch):
     assert code == 0 and "member: yes" in out
 
 
+def test_a_window_cut_at_deg_bound_pipes_into_check(capsys, tmp_path, monkeypatch):
+    # row 2 holds 2 at degree 5 = deg_bound; its image in row 3 lies past it
+    path = write(tmp_path, "m.mod", "gens 0 0\nrel x, 0\nrel 0, x^4\n")
+    code, out, err = invoke(capsys, "resolve", path, "--deg-bound", "5", "--hom-bound", "3")
+    assert "entry 2 5 2" in out and "entry 3 6" not in out
+    assert "may continue past deg_bound 5" in err
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, out, _ = invoke(capsys, "check", "-")
+    assert code == 0
+    assert out.startswith("member: yes\nterms: 3\n")
+
+
 def test_resolve_truncation_warns_and_fails(capsys, tmp_path):
     path = write(tmp_path, "m.mod", "gens 0\nrel x^5\nrel y^5\nrel z^5\n")
     code, out, err = invoke(capsys, "resolve", path, "--deg-bound", "6", "--hom-bound", "2")

@@ -17,6 +17,7 @@ from betticone import (
     BettiTable,
     DegreeSequence,
     Functional,
+    check_graded,
     collapse_tail,
     expand_tail,
     hk_ray,
@@ -184,6 +185,21 @@ def test_collapse_tail_rejects_orphan_high_row():
     bad = BettiTable({(3, 3): 12}, tail_mode=EXPLICIT)
     with pytest.raises(ValueError, match="doubling"):
         collapse_tail(bad)
+
+
+def test_a_window_cut_at_its_last_degree_collapses():
+    # (2, 5) sits at the window's last degree, so its image (3, 6) lies past it
+    t = BettiTable({(0, 0): 2, (1, 1): 3, (2, 2): 6, (0, 3): 1, (1, 4): 3, (2, 5): 6})
+    window = expand_tail(t, 4, 5)
+    assert window.max_degree == 5 and window.entry(3, 6) == 0
+    assert collapse_tail(window) == t
+    assert _broken_doubling(window._entries) is None
+    assert check_graded(window).member
+    # below the last degree the doubling still binds
+    entries = dict(window.items())
+    del entries[(3, 3)]
+    with pytest.raises(ValueError, match=r"^doubling fails at \(2, 2\); table is not a tail window$"):
+        collapse_tail(BettiTable(entries, tail_mode=EXPLICIT))
 
 
 @given(canonical_tables, st.integers(3, 7))
