@@ -1,7 +1,7 @@
 """Reference arithmetic for the tests, kept apart from the package code the
 tests judge.  The table helpers are written from the definitions in the
 Functional docstring, not from the package's own evaluators
-(tables._cone_functionals and tables._doubling_equalities); each takes a
+(tables._cone_functionals and tables._broken_doubling); each takes a
 BettiTable or a plain dict of entries: anything whose items() gives
 ((i, j), value) pairs.  kernel_basis is a Gauss-Jordan elimination of its
 own, not linalg.SpanTracker.  tor_betti computes Betti numbers as Tor
@@ -53,6 +53,25 @@ def functional_value(f, v) -> Fraction:
     if f.kind == DOUBLING_EQ:
         return 2 * v.entry(f.i, f.j) - v.entry(f.i + 1, f.j + 1)
     raise ValueError(f"unknown functional kind: {f.kind!r}")
+
+
+def broken_doubling(v):
+    """(i, j, 2*v[i, j] - v[i + 1, j + 1]) at the first (i, j) where that
+    value is nonzero, or None, for v read as an explicit window: every pair
+    of positions (i, j), (i + 1, j + 1) with 2 <= i and both inside the
+    window, rows up to the top stored row and degrees up to the last stored
+    degree, by increasing i, then j."""
+    entries = dict(v.items())
+    if not entries:
+        return None
+    top = max(i for i, _ in entries)
+    first, last = min(j for _, j in entries), max(j for _, j in entries)
+    for i in range(2, top):
+        for j in range(first - 1, last):
+            value = 2 * entries.get((i, j), 0) - entries.get((i + 1, j + 1), 0)
+            if value != 0:
+                return i, j, value
+    return None
 
 
 def kernel_basis(rows, ncols: int, field) -> list[list[int]]:

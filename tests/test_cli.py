@@ -43,7 +43,7 @@ from betticone.cli import (
 from betticone.linalg import SpanTracker
 from betticone.resolve import BUILTIN_NAMES, MAX_HOM_BOUND, GradedModuleB
 from betticone.tables import MAX_COEFFICIENT_BITS
-from oracles import combine, functional_value
+from oracles import combine, functional_value, scrambled_sum
 
 
 def invoke(capsys, *argv):
@@ -280,6 +280,36 @@ def test_a_window_cut_at_deg_bound_pipes_into_check(capsys, tmp_path, monkeypatc
     code, out, _ = invoke(capsys, "check", "-")
     assert code == 0
     assert out.startswith("member: yes\nterms: 3\n")
+
+
+def test_a_truncated_scrambled_sum_pipes_into_check(capsys, monkeypatch):
+    # deg_bound at the sum's last degree keeps rows 0..2 whole and cuts the
+    # rows above them; check - then reads the window as the combination
+    rng = random.Random(2804)
+    for field in ("QQ", "Fp 32003"):
+        for _ in range(3):
+            terms = [(DegreeSequence.tail(3, 5), 1)]  # row 2 at degree 6, the last
+            for _ in range(rng.randint(2, 6)):
+                d0 = rng.randint(0, 3)
+                terms.append((rng.choice((DegreeSequence.free(d0), DegreeSequence.two_step(d0, d0 + 1),
+                                          DegreeSequence.tail(d0, d0 + rng.randint(1, 2)))), rng.randint(1, 2)))
+            M = scrambled_sum(terms, QQ if field == "QQ" else FP_DEFAULT, rng)
+            text = "\n".join([f"field {field}", "gens " + " ".join(map(str, M.gen_degrees))]
+                             + ["rel " + ", ".join(map(str, row)) for row in M.relations]) + "\n"
+            table = {}
+            for d, m in terms:
+                table = combine(1, table, m, make_pure_diagram(d))
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code, window, err = invoke(capsys, "resolve", "-", "--deg-bound", "6", "--hom-bound", "3")
+            assert "may continue past deg_bound 6" in err
+            explicit = parse_table_text(window)
+            assert {ij: v for ij, v in explicit.items() if ij[0] <= 2} == table
+            assert explicit.entry(3, 7) == 0 and expand_tail(BettiTable(table), 3).entry(3, 7) > 0
+            monkeypatch.setattr("sys.stdin", io.StringIO(window))
+            checked = invoke(capsys, "check", "-")
+            monkeypatch.setattr("sys.stdin", io.StringIO(format_table_text(BettiTable(table))))
+            assert checked == invoke(capsys, "check", "-")
+            assert checked[0] == 0 and checked[1].startswith("member: yes\n")
 
 
 def test_resolve_truncation_warns_and_fails(capsys, tmp_path):

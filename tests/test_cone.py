@@ -29,8 +29,8 @@ from betticone import (
     make_pure_diagram,
 )
 from betticone import cone
-from betticone.tables import MAX_COEFFICIENT_BITS, _broken_doubling, _cone_functionals
-from oracles import combine, functional_value
+from betticone.tables import MAX_COEFFICIENT_BITS, _cone_functionals
+from oracles import broken_doubling, combine, functional_value
 
 OMEGA_TABLE = BettiTable({(0, 0): 2, (1, 1): 3, (2, 2): 6})
 
@@ -321,7 +321,7 @@ def full_span_functionals(v):
 
 def full_span_violation(v, finite_length):
     """(label, value) of the first violated functional, or None."""
-    broken = _broken_doubling(dict(v.items())) if v.tail_mode == EXPLICIT else None
+    broken = broken_doubling(v) if v.tail_mode == EXPLICIT else None
     if broken is not None:
         i, j, val = broken
         return Functional.doubling_eq(i, j).label(), val

@@ -237,6 +237,22 @@ def test_float_coefficients_are_refused():
     assert BPolynomial.monomial("x", 1, Fraction(1, 10)) == parse_poly("1/10*x")
 
 
+def test_polynomial_validation_and_foreign_operands():
+    for mono in (("w", 1), ("x", 0), ("y", -2)):
+        with pytest.raises(ValueError, match="bad monomial"):
+            BPolynomial({mono: 1})
+    assert BPolynomial.monomial("y", 0, 5) == BPolynomial.constant(5)
+    for n in (-1, 1.5, "2"):
+        with pytest.raises(ValueError, match="exponent must be a nonnegative int"):
+            X ** n
+    assert repr(X - 2 * Y) == "BPolynomial(x - 2*y)"
+    # an operand that is not a BPolynomial is left to Python, which refuses it
+    for op in (lambda p: p + "x", lambda p: p - "x", lambda p: p * "x", lambda p: p * [1]):
+        with pytest.raises(TypeError):
+            op(X)
+    assert X.__eq__("x") is NotImplemented and X != "x"
+
+
 # -- presentations ------------------------------------------------------------
 
 

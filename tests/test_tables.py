@@ -1,5 +1,6 @@
 """Tables, pure diagrams, functionals, HK rays, and the doubling tail rules."""
 
+import random
 import time
 from bisect import bisect_right
 from fractions import Fraction
@@ -27,7 +28,7 @@ from betticone import (
 from betticone import resolve
 from betticone.cli import TableFormatError, parse_table_text
 from betticone.tables import ALPHA, GAMMA, GAMMA_INF, MAX_HOM_BOUND, _broken_doubling, _cone_functionals
-from oracles import combine, functional_value
+from oracles import broken_doubling, combine, functional_value
 
 
 def gamma_by_definition(v: BettiTable, k: int) -> Fraction:
@@ -99,6 +100,20 @@ def test_bool_index_rejected():
             BettiTable({key: 1})
         with pytest.raises(ValueError, match="pair of ints"):
             BettiTable({(0, 0): 1}).entry(*key)
+
+
+def test_table_validation_branches():
+    assert repr(INF) == "INF"
+    with pytest.raises(ValueError, match="unknown tail mode: 'weird'"):
+        BettiTable({}, tail_mode="weird")
+    t = BettiTable({(0, 0): 1, (2, 2): 6})
+    with pytest.raises(ValueError, match="homological index must be >= 0, got -1"):
+        t.entry(-1, 0)
+    assert t.__eq__({(0, 0): 1, (2, 2): 6}) is NotImplemented and t != {(0, 0): 1, (2, 2): 6}
+    with pytest.raises(ValueError, match="expand_tail expects a canonical table"):
+        expand_tail(expand_tail(t, 3), 4)
+    with pytest.raises(ValueError, match="position must be >= 0"):
+        DegreeSequence.free(0).degree(-1)
 
 
 def test_canonical_mode_rejects_high_rows():
@@ -200,6 +215,66 @@ def test_a_window_cut_at_its_last_degree_collapses():
     del entries[(3, 3)]
     with pytest.raises(ValueError, match=r"^doubling fails at \(2, 2\); table is not a tail window$"):
         collapse_tail(BettiTable(entries, tail_mode=EXPLICIT))
+
+
+def seeded_member(rng):
+    """A combination of 1 to 6 pure diagrams with small int coefficients,
+    topped by a tail diagram whose row 2 entry holds the last degree."""
+    entries = {}
+    for _ in range(rng.randint(0, 5)):
+        d0 = rng.randint(-3, 4)
+        d = rng.choice((DegreeSequence.free(d0), DegreeSequence.two_step(d0, d0 + rng.randint(1, 3)),
+                        DegreeSequence.tail(d0, d0 + rng.randint(1, 3))))
+        entries = combine(1, entries, rng.randint(1, 5), make_pure_diagram(d))
+    entries = combine(1, entries, rng.randint(1, 5), make_pure_diagram(DegreeSequence.tail(4, 8)))
+    return BettiTable(entries)
+
+
+def test_collapse_inverts_expand_cut_inside_the_tail():
+    rng = random.Random(2802)
+    for _ in range(200):
+        t = seeded_member(rng)
+        assert t.max_degree == 9
+        max_row = rng.randint(3, 6)
+        max_degree = rng.randint(9, 9 + max_row - 3)  # drops row max_row's image of (2, 9)
+        window = expand_tail(t, max_row, max_degree)
+        assert window != expand_tail(t, max_row) and window.max_degree == max_degree
+        assert broken_doubling(window) is None
+        assert collapse_tail(window) == t
+
+
+def seeded_explicit_table(rng):
+    """Up to 12 int or Fraction entries in rows 0..7, each high-row entry
+    put on the doubling of the row below with probability 1/2; or a
+    seeded member's window cut at a random degree."""
+    if rng.random() < 0.2:
+        return expand_tail(seeded_member(rng), rng.randint(2, 6), rng.randint(5, 12))
+    top, entries = rng.randint(0, 7), {}
+    for _ in range(rng.randint(0, 12)):
+        value = rng.randint(-2, 9)
+        entries[rng.randint(0, top), rng.randint(-5, 9)] = value if rng.random() < 0.6 else Fraction(value, 3)
+    for (i, j), value in sorted(entries.items()):
+        if i >= 3 and rng.random() < 0.5:
+            entries[i, j] = 2 * entries.get((i - 1, j - 1), 0) or value
+    return BettiTable(entries, tail_mode=EXPLICIT)
+
+
+def test_broken_doubling_matches_the_window_oracle():
+    rng = random.Random(2803)
+    broken = 0
+    for _ in range(2000):
+        t = seeded_explicit_table(rng)
+        expected = broken_doubling(t)
+        got = _broken_doubling(t._entries)
+        assert got == expected and type(got) is type(expected), t
+        if expected is None:
+            assert collapse_tail(t) == BettiTable({ij: v for ij, v in t.items() if ij[0] <= 2})
+        else:
+            assert type(got[2]) is type(expected[2])
+            broken += 1
+            with pytest.raises(ValueError, match=rf"^doubling fails at \({got[0]}, {got[1]}\); "):
+                collapse_tail(t)
+    assert 500 < broken < 1500
 
 
 @given(canonical_tables, st.integers(3, 7))

@@ -275,6 +275,18 @@ def test_cross_check_raises_when_a_generator_breaks_a_facet(monkeypatch):
         cross_check(Window(0, 2))
 
 
+def test_cross_check_raises_when_a_generator_breaks_an_equality(monkeypatch):
+    facets = window_module.window_facets
+
+    def with_a_bad_equality(w, *args, **kwargs):
+        ineqs, eqs = facets(w, *args, **kwargs)
+        return ineqs, eqs + [ineqs[0]]  # epsilon(0, jmin) = 0, which the free diagram at jmin breaks
+
+    monkeypatch.setattr(window_module, "window_facets", with_a_bad_equality)
+    with pytest.raises(AssertionError, match=r"\(0, inf\) violates epsilon\(0,0\) = 0"):
+        cross_check(Window(0, 2))
+
+
 def test_width_one_windows():
     report = cross_check(Window(2, 2))
     assert report.n_generators == 1 and report.n_rays == 1 and report.equal
