@@ -100,12 +100,13 @@ def _parse_rational(text: str) -> Fraction | int:
     return q
 
 
+def _content_lines(text: str) -> list[str]:
+    """The lines of text with # comments cut and blanks dropped, stripped."""
+    return [line for line in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if line]
+
+
 def parse_table_text(text: str) -> BettiTable:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = _content_lines(text)
     if not lines or lines[0] != "betti v1":
         raise TableFormatError("first line must be: betti v1")
     if len(lines) < 2 or lines[1] not in ("mode canonical", "mode explicit"):
@@ -147,10 +148,7 @@ def parse_module_text(text: str, field=None) -> GradedModuleB:
     gens = None
     rels = []
     builtin_name = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in _content_lines(text):
         key, _, rest = line.partition(" ")
         rest = rest.strip()
         if {"field": file_field, "gens": gens, "builtin": builtin_name}.get(key) is not None:
@@ -258,8 +256,7 @@ def _print_verdict(verdict, head=()) -> int:
 def cmd_rays(args) -> int:
     if args.d1 == "inf":
         if args.tail:
-            print("error: a tail needs a finite d1", file=sys.stderr)
-            return 2
+            raise ValueError("a tail needs a finite d1")
         d = DegreeSequence.free(args.d0)
     else:
         d = (DegreeSequence.tail if args.tail else DegreeSequence.two_step)(args.d0, args.d1)

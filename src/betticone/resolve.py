@@ -150,19 +150,9 @@ class BPolynomial:
             return NotImplemented
         return self + (-other)
 
-    def _constant(self):
-        """The value of a constant element, None for any other."""
-        return self._coeffs.get(_UNIT, 0) if self._coeffs.keys() <= {_UNIT} else None
-
     def __mul__(self, other):
-        if isinstance(other, BPolynomial):
-            # a constant factor is a scalar multiply
-            if self._constant() is not None:
-                self, other = other, self
-            if other._constant() is not None:
-                other = other._constant()
         if isinstance(other, (int, Fraction)):
-            return BPolynomial({m: q * other for m, q in self._coeffs.items()})
+            other = BPolynomial.constant(other)
         if not isinstance(other, BPolynomial):
             return NotImplemented
         out: dict[tuple[str, int], int | Fraction] = {}
