@@ -171,8 +171,9 @@ class BettiTable:
 def expand_tail(table: BettiTable, max_row: int, max_degree: int | None = None) -> BettiTable:
     """Materialize a canonical table as an explicit one through row max_row.
 
-    Derived entries with degree beyond max_degree are dropped, which is how a
-    finite resolution window of the same table would look.
+    Stored and derived entries with degree beyond max_degree are dropped, so
+    for max_row >= 2 the result is the window a resolution cut at
+    (max_row, max_degree) reports.
     """
     if table.tail_mode != CANONICAL:
         raise ValueError("expand_tail expects a canonical table")
@@ -180,7 +181,7 @@ def expand_tail(table: BettiTable, max_row: int, max_degree: int | None = None) 
         raise ValueError(f"max_row and max_degree must be ints, got ({max_row!r}, {max_degree!r})")
     if max_row > MAX_HOM_BOUND:
         raise ValueError(f"max_row must be at most {MAX_HOM_BOUND}")
-    out = dict(table._entries)
+    out = {(i, j): val for (i, j), val in table._entries.items() if max_degree is None or j <= max_degree}
     for (i, j), val in table._entries.items():
         if i != 2:
             continue
@@ -340,7 +341,9 @@ class Functional(NamedTuple):
             return f"gamma({self.k})"
         if self.kind == GAMMA_INF:
             return "gamma_inf"
-        return f"doubling_eq({self.i},{self.j})"
+        if self.kind == DOUBLING_EQ:
+            return f"doubling_eq({self.i},{self.j})"
+        raise ValueError(f"unknown functional kind: {self.kind!r}")
 
 
 def _broken_doubling(

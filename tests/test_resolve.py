@@ -24,6 +24,7 @@ from betticone import (
     check_finite_length,
     check_graded,
     collapse_tail,
+    expand_tail,
     hilbert_data,
     make_pure_diagram,
     min_free_resolution,
@@ -730,6 +731,39 @@ def test_scrambled_sums_resolve_to_their_tables(field):
     terms = random_sum_terms(rng, max_gens=8)
     M = scrambled_sum(terms, field, rng)
     assert betti_entry_dict(min_free_resolution(M, 10, 3)) == tor_betti(M, 10, 3)
+
+
+def assert_engine_writes_the_expanded_window(M, rows, hom_bound, deg_bound):
+    """The engine's window at (hom_bound, deg_bound) is what expand_tail
+    writes from the window's own rows 0..2 and from the module's whole rows
+    0..2, the canonical table rows."""
+    res = min_free_resolution(M, deg_bound, hom_bound)
+    assert res.betti == expand_tail(collapse_tail(res.betti), hom_bound, deg_bound)
+    assert res.betti == expand_tail(BettiTable(rows), hom_bound, deg_bound)
+
+
+@pytest.mark.parametrize("field", [QQ, FP_DEFAULT], ids=["QQ", "F32003"])
+def test_the_engine_and_expand_tail_write_the_same_window(field):
+    # a builtin's row 2 sits at degree 2 <= hom_bound <= deg_bound, so no bound cuts it
+    for name in BUILTIN_NAMES:
+        M = builtin(name, field)
+        rows = collapse_tail(min_free_resolution(M, 12, 2).betti)
+        for hom_bound in (2, 3, 5):
+            for deg_bound in (hom_bound, hom_bound + 1, 12):
+                assert_engine_writes_the_expanded_window(M, rows, hom_bound, deg_bound)
+    # a scrambled sum's row 2 may end past maxgen + hom_bound: a deg_bound below its end cuts it
+    rng = random.Random(2902)
+    cut = 0
+    for _ in range(30):
+        terms = random_sum_terms(rng, max_gens=12)
+        M = scrambled_sum(terms, field, rng)
+        rows = combination(terms)
+        last = max((j for i, j in rows if i == 2), default=0)
+        for hom_bound in (2, 3, 5):
+            for deg_bound in range(max(M.gen_degrees) + hom_bound, last + 1):
+                assert_engine_writes_the_expanded_window(M, rows, hom_bound, deg_bound)
+                cut += deg_bound < last
+    assert cut > 20
 
 
 # -- Hilbert data ---------------------------------------------------------------

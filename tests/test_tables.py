@@ -1,6 +1,7 @@
 """Tables, pure diagrams, functionals, HK rays, and the doubling tail rules."""
 
 import random
+import re
 import time
 from bisect import bisect_right
 from fractions import Fraction
@@ -243,6 +244,26 @@ def test_collapse_inverts_expand_cut_inside_the_tail():
         assert collapse_tail(window) == t
 
 
+def test_expand_tail_cuts_rows_0_to_2_at_max_degree():
+    # (2, 7) and (0, 9) lie past degree 5, as their image (3, 8) does
+    t = BettiTable({(0, 0): 1, (1, 1): 3, (2, 2): 6, (0, 5): 1, (1, 6): 3, (2, 7): 6, (0, 9): 1})
+    window = expand_tail(t, 4, 5)
+    assert window == BettiTable({(0, 0): 1, (1, 1): 3, (2, 2): 6, (0, 5): 1, (3, 3): 12, (4, 4): 24},
+                                tail_mode=EXPLICIT)
+    assert collapse_tail(window) == BettiTable({(0, 0): 1, (1, 1): 3, (2, 2): 6, (0, 5): 1})
+    assert check_graded(window).member
+
+
+def test_collapse_of_expand_keeps_rows_0_to_2_up_to_max_degree():
+    rng = random.Random(2901)
+    for _ in range(300):
+        t = seeded_member(rng)
+        max_row, max_degree = rng.randint(2, 6), rng.randint(t.min_degree - 2, t.max_degree + 2)
+        window = expand_tail(t, max_row, max_degree)
+        assert broken_doubling(window) is None
+        assert collapse_tail(window) == BettiTable({(i, j): v for (i, j), v in t.items() if j <= max_degree})
+
+
 def seeded_explicit_table(rng):
     """Up to 12 int or Fraction entries in rows 0..7, each high-row entry
     put on the doubling of the row below with probability 1/2; or a
@@ -368,6 +389,13 @@ def test_functional_labels():
     assert Functional.gamma(-1).label() == "gamma(-1)"
     assert Functional.gamma_inf().label() == "gamma_inf"
     assert Functional.doubling_eq(2, 2).label() == "doubling_eq(2,2)"
+
+
+def test_a_label_names_only_a_known_kind():
+    # the record does not validate its kind when built, so label() refuses an unknown one
+    for kind in ("bogus", "doubling", "", None):
+        with pytest.raises(ValueError, match=rf"^unknown functional kind: {re.escape(repr(kind))}$"):
+            Functional(kind).label()
 
 
 def test_functional_validation():
