@@ -171,6 +171,13 @@ def test_expand_tail_respects_max_degree():
     e = expand_tail(t, max_row=6, max_degree=4)
     assert e.entry(3, 3) == 12 and e.entry(4, 4) == 24
     assert e.entry(5, 5) == 0
+    # stored entries past max_degree go too: (2, 7) and (0, 9) lie past 5, as their image (3, 8) does
+    t = BettiTable({(0, 0): 1, (1, 1): 3, (2, 2): 6, (0, 5): 1, (1, 6): 3, (2, 7): 6, (0, 9): 1})
+    window = expand_tail(t, 4, 5)
+    assert window == BettiTable({(0, 0): 1, (1, 1): 3, (2, 2): 6, (0, 5): 1, (3, 3): 12, (4, 4): 24},
+                                tail_mode=EXPLICIT)
+    assert collapse_tail(window) == BettiTable({(0, 0): 1, (1, 1): 3, (2, 2): 6, (0, 5): 1})
+    assert check_graded(window).member
 
 
 def test_expand_tail_stops_at_max_hom_bound():
@@ -242,16 +249,6 @@ def test_collapse_inverts_expand_cut_inside_the_tail():
         assert window != expand_tail(t, max_row) and window.max_degree == max_degree
         assert broken_doubling(window) is None
         assert collapse_tail(window) == t
-
-
-def test_expand_tail_cuts_rows_0_to_2_at_max_degree():
-    # (2, 7) and (0, 9) lie past degree 5, as their image (3, 8) does
-    t = BettiTable({(0, 0): 1, (1, 1): 3, (2, 2): 6, (0, 5): 1, (1, 6): 3, (2, 7): 6, (0, 9): 1})
-    window = expand_tail(t, 4, 5)
-    assert window == BettiTable({(0, 0): 1, (1, 1): 3, (2, 2): 6, (0, 5): 1, (3, 3): 12, (4, 4): 24},
-                                tail_mode=EXPLICIT)
-    assert collapse_tail(window) == BettiTable({(0, 0): 1, (1, 1): 3, (2, 2): 6, (0, 5): 1})
-    assert check_graded(window).member
 
 
 def test_collapse_of_expand_keeps_rows_0_to_2_up_to_max_degree():
@@ -389,9 +386,6 @@ def test_functional_labels():
     assert Functional.gamma(-1).label() == "gamma(-1)"
     assert Functional.gamma_inf().label() == "gamma_inf"
     assert Functional.doubling_eq(2, 2).label() == "doubling_eq(2,2)"
-
-
-def test_a_label_names_only_a_known_kind():
     # the record does not validate its kind when built, so label() refuses an unknown one
     for kind in ("bogus", "doubling", "", None):
         with pytest.raises(ValueError, match=rf"^unknown functional kind: {re.escape(repr(kind))}$"):
