@@ -102,22 +102,20 @@ def _normalize(row: list[int], p: int):
 class SpanTracker:
     """Row space in echelon form, grown one vector at a time.
 
-    Supports exact membership reduction, which is what both the rank counts
-    and the minimal generator extraction need.  Rows are normalised int lists
-    kept sorted by pivot, each zero before its own pivot.  reduce walks them
-    in that order, so its residual is zero on every pivot and stays canonical
-    without reducing the stored rows against each other.
+    add is its one operation: the rank counts and the minimal generator
+    extraction both ask only whether a vector grows the span.  Rows are
+    normalised int lists kept sorted by pivot, each zero before its own pivot.
+    add walks them in that order, so its residual is zero on every pivot and
+    stays canonical without reducing the stored rows against each other.
     """
 
-    def __init__(self, field, ncols: int):
+    def __init__(self, field):
         self.p = field.p
-        self.ncols = ncols
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
-    def reduce(self, vec):
-        """(pivot, residual) of vec after elimination against the current
-        rows, the residual normalised; the pivot is None when vec is in the span."""
+    def add(self, vec):
+        """Insert vec; returns the normalized residual if the span grew, else None."""
         p = self.p
         out = list(vec)
         for row, piv in zip(self.rows, self.pivots):
@@ -126,11 +124,7 @@ class SpanTracker:
             if c:
                 lead = row[piv]
                 out = [lead * a - c * b for a, b in zip(out, row)]
-        return _normalize(out, p)
-
-    def add(self, vec):
-        """Insert vec; returns the normalized residual if the span grew, else None."""
-        piv, res = self.reduce(vec)
+        piv, res = _normalize(out, p)
         if piv is None:
             return None
         at = bisect(self.pivots, piv)

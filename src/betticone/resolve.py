@@ -18,11 +18,10 @@ works in branch coordinates:
   multiple of a relation of degree e < d is its v block, whatever d is, and
   the blocks of a relation that is not minimal lie in the span of those of
   the minimal ones.  One span tracker on the 3r coordinates holds W, and in
-  each degree that has relations a fresh tracker takes their residuals
-  modulo W: the relations that grow it are the minimal ones, born in degree
-  d, and W's rank plus their number is the rank of the submodule, which
-  gives the Hilbert function too.  Every row of W is zero outside one block,
-  so W reduces a whole relation row at one common scale;
+  each degree that has relations a fresh tracker starts from a copy of W and
+  takes them: the relations that grow it are the minimal ones, born in
+  degree d, and its rank, W's rank plus their number, is the rank of the
+  submodule, which gives the Hilbert function too;
 * at step 2 the degree d kernel of F_1 -> F_0 has no entry of degree 0, as
   the generators of F_1 map to minimal generators, so it splits into three
   branch kernels: the branch v kernel is the space of linear relations among
@@ -468,15 +467,17 @@ def _relation_walk(M: GradedModuleB):
     the relation rows of degree d that are minimal generators, and the number
     of minimal step 2 generators of degree d (module doc).  W takes the
     blocks of the relations born in degree d - 1; a block that does not grow
-    it counts in row2, and a zero block counts without entering it.  A fresh
-    tracker per degree with relations takes their residuals modulo W.  With
-    the relations grouped by degree it costs O(degrees + relations) span
-    operations.  GradedModuleB takes it once, as M._walk."""
+    it counts in row2, and a zero block counts without entering it.  Each
+    degree with relations adds them to a fresh tracker that starts from a
+    copy of W's rows, so a relation is born exactly when it grows that
+    tracker, and the tracker is dropped with its degree.  With the relations
+    grouped by degree it costs O(degrees + relations) span operations, all of
+    them SpanTracker.add.  GradedModuleB takes it once, as M._walk."""
     r = len(M.gen_degrees)
     by_degree: dict[int, list] = {}
     for e, row in M._branch_rows:
         by_degree.setdefault(e, []).append(row)
-    W = SpanTracker(M.field, 3 * r)
+    W = SpanTracker(M.field)
     born = []
     for d in range(min(M.gen_degrees, default=0), M._flat + 1):
         row2 = 0
@@ -487,11 +488,9 @@ def _relation_walk(M: GradedModuleB):
                     row2 += 1
         born = []
         if d in by_degree:
-            fresh = SpanTracker(M.field, 3 * r)
-            for row in by_degree[d]:
-                piv, res = W.reduce(row)
-                if piv is not None and fresh.add(res) is not None:
-                    born.append(row)
+            span = SpanTracker(M.field)
+            span.rows, span.pivots = W.rows[:], W.pivots[:]
+            born = [row for row in by_degree[d] if span.add(row) is not None]
         yield d, W.rank + len(born), born, row2
 
 

@@ -477,7 +477,7 @@ def every_degree_resolution(M, deg_bound, hom_bound):
         for d in range(min(cur_degrees), deg_bound + 1):
             labels = _basis(cur_degrees, d)
             index = {lab: n for n, lab in enumerate(labels)}
-            tracker = SpanTracker(field, len(labels))
+            tracker = SpanTracker(field)
             for vec in prev_vectors:
                 for var in "xyz":
                     tracker.add(_shift(prev_labels, vec, var, index, len(labels)))
@@ -565,7 +565,7 @@ def fresh_tracker_ranks(M, dstop):
     for d in range(min(M.gen_degrees), dstop + 1):
         labels = _basis(M.gen_degrees, d)
         index = {lab: n for n, lab in enumerate(labels)}
-        tracker = SpanTracker(M.field, len(labels))
+        tracker = SpanTracker(M.field)
         for rdeg, rlabels, coords in relations:
             if rdeg == d:
                 tracker.add(coords)
