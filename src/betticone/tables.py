@@ -171,16 +171,16 @@ class BettiTable:
 def expand_tail(table: BettiTable, max_row: int, max_degree: int | None = None) -> BettiTable:
     """Materialize a canonical table as an explicit one through row max_row.
 
-    Stored and derived entries with degree beyond max_degree are dropped, so
-    for max_row >= 2 the result is the window a resolution cut at
-    (max_row, max_degree) reports.
+    max_row runs from 2 to MAX_HOM_BOUND, as hom_bound does.  Stored and
+    derived entries with degree beyond max_degree are dropped, so the result
+    is the window a resolution cut at (max_row, max_degree) reports.
     """
     if table.tail_mode != CANONICAL:
         raise ValueError("expand_tail expects a canonical table")
     if type(max_row) is not int or not (max_degree is None or type(max_degree) is int):
         raise ValueError(f"max_row and max_degree must be ints, got ({max_row!r}, {max_degree!r})")
-    if max_row > MAX_HOM_BOUND:
-        raise ValueError(f"max_row must be at most {MAX_HOM_BOUND}")
+    if not 2 <= max_row <= MAX_HOM_BOUND:
+        raise ValueError(f"max_row must be at least 2 and at most {MAX_HOM_BOUND}")
     out = {(i, j): val for (i, j), val in table._entries.items() if max_degree is None or j <= max_degree}
     for (i, j), val in table._entries.items():
         if i != 2:

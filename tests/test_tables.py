@@ -185,8 +185,10 @@ def test_expand_tail_stops_at_max_hom_bound():
     t = BettiTable({(2, 2): 6})
     top = MAX_HOM_BOUND
     assert expand_tail(t, max_row=top).entry(top, top) == 6 * 2 ** (top - 2)
-    with pytest.raises(ValueError, match=f"max_row must be at most {MAX_HOM_BOUND}"):
-        expand_tail(t, max_row=MAX_HOM_BOUND + 1)
+    # rows 0..2 are always kept, so a last row below 2 would hold rows past it
+    for max_row in (MAX_HOM_BOUND + 1, 1, 0, -5):
+        with pytest.raises(ValueError, match=f"max_row must be at least 2 and at most {MAX_HOM_BOUND}"):
+            expand_tail(t, max_row=max_row)
     for max_row, max_degree in ((3.5, None), (3.0, None), (True, None), (4, 4.0), (4, "4")):
         with pytest.raises(ValueError, match="must be ints"):
             expand_tail(t, max_row, max_degree)
