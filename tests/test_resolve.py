@@ -863,6 +863,34 @@ def test_relation_walk_adds_no_zero_vector(M, monkeypatch):
     assert [(d, rank) for d, rank, _, _ in walk] == [(d, rank) for d, _, rank in fresh_tracker_ranks(M, flat)]
 
 
+@pytest.mark.parametrize("M, minimal", [
+    (GradedModuleB((0,), ((X,), (X ** 2,))), 1),
+    (GradedModuleB((0,), ((X,), (X ** 2,)), QQ), 1),
+    (GradedModuleB((0,), ((X + Y,), (2 * X,), (X ** 2 + 2 * Y ** 2,), (Z ** 3,))), 3),
+    (quotient_module(["x^2", "y^3", "z^4"]), 3),
+    (builtin("omega", QQ), 3),
+    (scrambled_sum([(DegreeSequence.two_step(0, 2), 2), (DegreeSequence.tail(1, 2), 1)], QQ, random.Random(3)), 5),
+], ids=["x-then-x2", "x-then-x2-qq", "non-minimal-mix", "monomial", "omega-qq", "scrambled"])
+def test_relation_walk_eliminates_only_through_add(M, minimal, monkeypatch):
+    # every question the walk asks is whether a vector grows a span, asked
+    # by add: once per relation row, and once per nonzero branch block of a
+    # minimal relation.  A relation in the span of lower ones, as x^2 is in
+    # that of x, still takes its one add
+    added = []
+
+    class Recording(SpanTracker):
+        def add(self, vec):
+            added.append(list(vec))
+            return super().add(vec)
+
+    monkeypatch.setattr(resolve_module, "SpanTracker", Recording)
+    born = [row for _, _, rows, _ in resolve_module._relation_walk(M) for row in rows]
+    r = len(M.gen_degrees)
+    blocks = sum(any(row[at:at + r]) for row in born for at in range(0, 3 * r, r))
+    assert len(born) == minimal
+    assert len(added) == len(M.relations) + blocks
+
+
 def test_library_calls_read_the_walk_taken_at_construction(monkeypatch):
     # the relation walk builds every span tracker resolve.py builds, and a
     # module takes it once, when it is built: one for the blocks and one per
