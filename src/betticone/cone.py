@@ -196,12 +196,12 @@ def _max_step(v: dict, pi: dict) -> Fraction:
     The scan divides only where pi's column is positive, and skips gamma_inf:
     on the free shape it equals the last gamma, on v and on pi alike, and on
     the other shapes it is 0 on pi."""
-    best = min(v[ij] / pval for ij, pval in pi.items())
+    best = min(Fraction(v[ij], pval) for ij, pval in pi.items())
     _, alphas, _, gammas, _ = _cone_functionals(v.items(), pi.items())
     for vals, pvals in (alphas, gammas):
         for val, pval in compress(zip(vals, pvals), map(gt, pvals, repeat(0))):
-            if val / pval < best:
-                best = val / pval
+            if val < best * pval:
+                best = Fraction(val, pval)
     return best
 
 
@@ -232,7 +232,7 @@ def _greedy(v: BettiTable) -> Decomposition:
     d1 off one pass over its keys, pi_d's 1-3 int entries off d._pure_entries(),
     runs the ratio test, and subtracts c*pi_d in place, deleting keys at 0.
     The pivot rule takes pi_d's keys from the residual's: the support never grows."""
-    res = {ij: q if type(q) is Fraction else Fraction(q) for ij, q in v._entries.items() if ij[0] <= 2}
+    res = {ij: q for ij, q in v._entries.items() if ij[0] <= 2}
     terms: list[tuple[DegreeSequence, Fraction]] = []
     for _ in range(3 * len(res) + 3):
         if not res:
@@ -257,9 +257,11 @@ def _greedy(v: BettiTable) -> Decomposition:
             break
         terms.append((d, c))
         for ij, pval in pi.items():
-            res[ij] -= c * pval
-            if not res[ij]:
+            q = res[ij] - c * pval
+            if not q:
                 del res[ij]
+            else:
+                res[ij] = q.numerator if q.denominator == 1 else q
     if res:
         raise DecompositionLoopError(BettiTable(res), tuple(terms))
     return Decomposition(tuple(terms))
