@@ -15,9 +15,12 @@ alpha_k and gamma_k change only at the shifted degrees j - i of stored entries,
 so the membership scan and the decomposition's ratio test read just those
 breakpoints, as the aligned key and value columns of tables._cone_functionals:
 their cost follows the number of stored entries, not the span of degrees
-between them.  A greedy round, on a residual dict of Fractions, builds no
-table: one pass over its keys for the pivot, the ratio test over the
-breakpoints where pi_d is positive, and an update of pi_d's 1-3 int entries.
+between them.  A greedy round builds no table: one pass over the keys of
+its residual dict for the pivot, the ratio test over the breakpoints where
+pi_d is positive, and an update of pi_d's 1-3 int entries.  The residual
+keeps the table's own scalars, an integral entry as an int; the ratio test
+compares by cross-multiplying and builds a Fraction only for a new minimum,
+so every coefficient is an exact Fraction.
 
 The membership scan runs on ints: it multiplies the entries once by L, the
 lcm of their denominators, and reports a violated value as value / L.  A table
@@ -167,8 +170,8 @@ def check_graded(v: BettiTable) -> MembershipVerdict:
     ValueError when the lcm of the entry denominators passes
     MAX_COEFFICIENT_BITS bits.  Cost: O(entries + b log b) for a non-member,
     b the breakpoints; a member adds the greedy, up to one round per entry,
-    each a pass over the residual and a ratio test over its breakpoints on
-    Fractions, so O(entries^2) Fraction operations."""
+    each a pass over the residual and a ratio test over its breakpoints, so
+    O(entries^2) operations on the entries' ints and Fractions."""
     return _check(v, finite_length=False)
 
 
@@ -193,9 +196,12 @@ def _max_step(v: dict, pi: dict) -> Fraction:
     so alpha_{d1}(v) / 2 = v[1, d1].  The scan stays as the cone's own ratio
     test; test_each_greedy_step_is_the_entry_bound pins the equality.
 
-    The scan divides only where pi's column is positive, and skips gamma_inf:
-    on the free shape it equals the last gamma, on v and on pi alike, and on
-    the other shapes it is 0 on pi."""
+    The bound starts as the least Fraction v[ij] / pi[ij].  The scan reads
+    only where pi's column is positive, and skips gamma_inf: on the free
+    shape it equals the last gamma, on v and on pi alike, and on the other
+    shapes it is 0 on pi.  It tests a candidate val / pval by cross-
+    multiplying, val < best * pval, so the loop never divides, and builds
+    the Fraction only for a new minimum."""
     best = min(Fraction(v[ij], pval) for ij, pval in pi.items())
     _, alphas, _, gammas, _ = _cone_functionals(v.items(), pi.items())
     for vals, pvals in (alphas, gammas):
@@ -218,7 +224,7 @@ def decompose(v: BettiTable) -> Decomposition:
     generous; hitting it raises with the residual attached.  A table whose
     entry denominators have an lcm past MAX_COEFFICIENT_BITS bits is refused
     with ValueError, as in check_graded.  Cost: that of check_graded on a
-    member, O(entries^2) Fraction operations.
+    member, O(entries^2) operations on the entries' ints and Fractions.
     """
     viol = _first_violation(v)
     if viol is not None:
@@ -228,9 +234,11 @@ def decompose(v: BettiTable) -> Decomposition:
 
 def _greedy(v: BettiTable) -> Decomposition:
     """The rounds of decompose on the rows 0..2 of a known member, on one
-    residual dict of Fractions, so the ratio test is exact: a round reads d0 and
-    d1 off one pass over its keys, pi_d's 1-3 int entries off d._pure_entries(),
-    runs the ratio test, and subtracts c*pi_d in place, deleting keys at 0.
+    residual dict in the table's own scalars: a round reads d0 and d1 off one
+    pass over its keys, pi_d's 1-3 int entries off d._pure_entries(), runs the
+    ratio test, and subtracts c*pi_d in place, deleting keys at 0.  An entry
+    is an int while it is integral, the rule of BettiTable, and c is an exact
+    Fraction, so each new entry is exact and stored as an int when integral.
     The pivot rule takes pi_d's keys from the residual's: the support never grows."""
     res = {ij: q for ij, q in v._entries.items() if ij[0] <= 2}
     terms: list[tuple[DegreeSequence, Fraction]] = []
@@ -251,7 +259,7 @@ def _greedy(v: BettiTable) -> Decomposition:
             d = DegreeSequence.tail(d0, d1)
         else:
             d = DegreeSequence.two_step(d0, d1)
-        pi = d._pure_entries()  # ints: a Fraction over an int stays one, so c is a Fraction
+        pi = d._pure_entries()  # ints; _max_step builds c as a Fraction
         c = _max_step(res, pi)
         if c <= 0:
             break
