@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from betticone import (
     EXPLICIT,
+    FP_DEFAULT,
+    QQ,
     BettiSequence,
     BettiTable,
     DecompositionLoopError,
@@ -27,10 +29,11 @@ from betticone import (
     degseq_leq,
     expand_tail,
     make_pure_diagram,
+    min_free_resolution,
 )
 from betticone import cone
 from betticone.tables import MAX_COEFFICIENT_BITS, _cone_functionals
-from oracles import broken_doubling, combine, functional_value
+from oracles import broken_doubling, combine, functional_value, scrambled_sum
 
 OMEGA_TABLE = BettiTable({(0, 0): 2, (1, 1): 3, (2, 2): 6})
 
@@ -245,15 +248,47 @@ many_term_members = st.lists(
 far_members = st.lists(
     st.tuples(spread_sequences(-(10**6), 10**6, 10**6), st.integers(1, 5)), min_size=1, max_size=8
 ).map(lambda terms: combo(*terms))
+int_members = st.lists(
+    st.tuples(spread_sequences(-30, 30, 8), st.integers(1, 9)), min_size=1, max_size=60
+).map(lambda terms: combo(*terms))
+
+
+def over_a_prime(v: BettiTable) -> BettiTable:
+    """v / 10007: every entry of an int member below 10007 becomes a proper Fraction."""
+    return BettiTable({ij: Fraction(x, 10007) for ij, x in v.items()})
+
+
+def resolved_sum(seed: int) -> BettiTable:
+    """The window min_free_resolution reports, all ints, for a scrambled sum
+    of 2-8 pure diagram witnesses, d0 in [0, 4] and d1 - d0 in [1, 3]: row 3
+    ends by degree 9, inside the degree bound, so the window is a member."""
+    rng = random.Random(seed)
+    terms = []
+    for _ in range(rng.randint(2, 8)):
+        d0, e = rng.randint(0, 4), rng.randint(1, 3)
+        shapes = (DegreeSequence.free(d0), DegreeSequence.two_step(d0, d0 + e), DegreeSequence.tail(d0, d0 + e))
+        terms.append((rng.choice(shapes), rng.randint(1, 2)))
+    M = scrambled_sum(terms, rng.choice((QQ, FP_DEFAULT)), rng)
+    return min_free_resolution(M, deg_bound=10, hom_bound=3).betti
+
+
+# int-only (int_members, far_members, resolved sums), Fraction-only (over_a_prime)
+# and mixed (cone_points, many_term_members) entries
 greedy_inputs = st.one_of(
     cone_points,
     st.tuples(cone_points, st.integers(2, 6)).map(lambda t: expand_tail(t[0], max_row=t[1])),
     many_term_members,
     far_members,
+    int_members,
+    int_members.map(over_a_prime),
+    st.integers(0, 10**6).map(resolved_sum),
 )
 
 
 @given(greedy_inputs)
+@example(OMEGA_TABLE)
+@example(over_a_prime(OMEGA_TABLE))
+@example(BettiTable({(0, 0): Fraction(1, 2), (0, 1): 2, (1, 2): Fraction(3, 2)}))
 @settings(max_examples=150, deadline=None)
 def test_greedy_matches_the_reference_greedy(v):
     expected = reference_greedy(collapse_tail(v)).terms
