@@ -12,25 +12,24 @@ works in branch coordinates:
   other two.  Relations are such elements, as every relation entry has
   positive degree, and so are minimal syzygies, as a syzygy with a degree 0
   entry would contradict minimality;
-* rows 1 and 2 come from one walk up the degrees.  In degree d the relation
-  submodule is W_d plus the span of the relations of degree d, where W_d is
-  the span of the branch blocks of the minimal relations of degree < d: the v
-  multiple of a relation of degree e < d is its v block, whatever d is, and
-  the blocks of a relation that is not minimal lie in the span of those of
-  the minimal ones.  One span tracker on the 3r coordinates holds W, and in
-  each degree that has relations a fresh tracker starts from a copy of W and
-  takes them: the relations that grow it are the minimal ones, born in
-  degree d, and its rank, W's rank plus their number, is the rank of the
-  submodule, which gives the Hilbert function too;
+* rows 1 and 2 come from one walk up the relation degrees.  In degree d the
+  relation submodule is W_d plus the span of the relations of degree d, where
+  W_d is the span of the branch blocks of the minimal relations of degree
+  < d: the v multiple of a relation of degree e < d is its v block, whatever
+  d is, and the blocks of a relation that is not minimal lie in the span of
+  those of the minimal ones.  One span tracker on the 3r coordinates holds W,
+  and in each degree that has relations a fresh tracker starts from a copy of
+  W and takes them: the relations that grow it are the minimal ones, born in
+  degree d;
 * at step 2 the degree d kernel of F_1 -> F_0 has no entry of degree 0, as
   the generators of F_1 map to minimal generators, so it splits into three
   branch kernels: the branch v kernel is the space of linear relations among
   the v blocks of the minimal relations of degree < d.  The walk feeds W the
-  blocks of the relations born in degree d - 1 when it reaches d, and each
-  block that does not grow W, a zero block included, is one new relation
-  among v blocks: a minimal generator of degree d that lies in branch v alone
-  and ends at the column of its own relation.  So row 2 is the count of the
-  blocks that do not grow W, and no elimination finds it;
+  blocks of the relations born in degree d - 1, and each block that does not
+  grow W, a zero block included, is one new relation among v blocks: a
+  minimal generator of degree d that lies in branch v alone and ends at the
+  column of its own relation.  So row 2 is the count of the blocks that do
+  not grow W, and no elimination finds it;
 * rows 3 on are row 2 doubled, by construction.  A step 2 generator lies in
   one branch, so in every other branch its column at step 3 is zero and its
   kernel vector is the unit vector there, of degree one more.  The nonzero
@@ -43,6 +42,11 @@ works in branch coordinates:
   each of the two other branches.  So row i is row i - 1 doubled and shifted
   for every i >= 3, and each step past 2 costs O(entries in row 2), with no
   elimination.  The cost follows hom_bound, not deg_bound.
+
+So rows 0..2, one canonical BettiTable, are the whole table, and as B is
+Koszul with Hilbert series (1 + 2t)/(1 - t), the alternating sum of the rows is
+H_M(t)(1 - t) = (1 + 2t)(beta_0(t) - beta_1(t)) + beta_2(t), for the row
+series beta_i(t) = sum_j beta_{i,j} t^j.
 
 Presentations are kept minimal by construction, so the Betti numbers are
 literal generator counts and every reported entry with degree <= deg_bound is
@@ -363,7 +367,8 @@ def _tokenize(text: str):
 
 
 # Widest span of generator and relation degrees a module may have.  The
-# relation walk and the Hilbert numerator run over every degree of the span.
+# relation walk visits only the degrees that hold relations, but the Hilbert
+# numerator still has one coefficient per degree of the span.
 MAX_DEGREE_SPAN = 10_000
 
 
@@ -379,8 +384,9 @@ class GradedModuleB(_Checked, namedtuple("GradedModuleB", "gen_degrees relations
     Each relation is also kept as (degree, int row over the field in branch
     coordinates, see the module doc), so a coefficient the field cannot hold
     is rejected when the module is built, and so is a module whose degrees
-    span more than MAX_DEGREE_SPAN.  Its relation walk (_relation_walk), to
-    flat, is taken once here, and rows 1 and 2 and the Hilbert data read it."""
+    span more than MAX_DEGREE_SPAN.  Its relation walk (_relation_walk) is
+    taken once here and folded into _rows, the canonical BettiTable of rows
+    0..2, which the resolution and the Hilbert data read (module doc)."""
 
     def __new__(cls, gen_degrees, relations=(), field=FP_DEFAULT):
         gen_degrees = tuple(gen_degrees)
@@ -420,7 +426,10 @@ class GradedModuleB(_Checked, namedtuple("GradedModuleB", "gen_degrees relations
         self = super().__new__(cls, gen_degrees, relations, field)
         self._branch_rows = tuple(branch_rows)
         self._flat = max(degrees, default=-1) + 1  # from here on the Hilbert function is constant
-        self._walk = tuple(_relation_walk(self))
+        rows = Counter((0, a) for a in gen_degrees)
+        for d, born, row2 in _relation_walk(self):
+            rows[1, d], rows[2, d + 1] = len(born), row2
+        self._rows = BettiTable(rows)  # drops the zero counts
         return self
 
     def relation_degrees(self) -> tuple[int, ...]:
@@ -461,37 +470,32 @@ def builtin(name: str, field=FP_DEFAULT) -> GradedModuleB:
 
 
 def _relation_walk(M: GradedModuleB):
-    """Walk the relation submodule of M up the degrees, from the lowest
-    generator degree to flat, one past the top generator and relation degree.
-    Yields (d, rank, born, row2): the dimension of the submodule in degree d,
-    the relation rows of degree d that are minimal generators, and the number
-    of minimal step 2 generators of degree d (module doc).  W takes the
-    blocks of the relations born in degree d - 1; a block that does not grow
-    it counts in row2, and a zero block counts without entering it.  Each
-    degree with relations adds them to a fresh tracker that starts from a
-    copy of W's rows, so a relation is born exactly when it grows that
-    tracker, and the tracker is dropped with its degree.  With the relations
-    grouped by degree it costs O(degrees + relations) span operations, all of
-    them SpanTracker.add.  GradedModuleB takes it once, as M._walk."""
+    """Walk the relation submodule of M up the degrees that hold relations.
+    Yields (d, born, row2): the relation rows of degree d that are minimal
+    generators, and the number of minimal step 2 generators of degree d + 1
+    (module doc).  In each such degree a fresh tracker starts from a copy of
+    W's rows and takes the relations of degree d, so a relation is born
+    exactly when it grows that tracker, and the tracker is dropped with its
+    degree.  Then W takes the blocks of the relations born; a block that does
+    not grow it counts in row2, and a zero block counts without entering it.
+    So it costs O(relations) span operations, all SpanTracker.add, on 1 +
+    (relation degrees) trackers; GradedModuleB takes it once, as M._rows."""
     r = len(M.gen_degrees)
     by_degree: dict[int, list] = {}
     for e, row in M._branch_rows:
         by_degree.setdefault(e, []).append(row)
     W = SpanTracker(M.field)
-    born = []
-    for d in range(min(M.gen_degrees, default=0), M._flat + 1):
+    for d in sorted(by_degree):
+        span = SpanTracker(M.field)
+        span.rows, span.pivots = W.rows[:], W.pivots[:]
+        born = [row for row in by_degree[d] if span.add(row) is not None]
         row2 = 0
         for row in born:
             for at in range(0, 3 * r, r):
                 block = row[at:at + r]
                 if not any(block) or W.add([0] * at + block + [0] * (2 * r - at)) is None:
                     row2 += 1
-        born = []
-        if d in by_degree:
-            span = SpanTracker(M.field)
-            span.rows, span.pivots = W.rows[:], W.pivots[:]
-            born = [row for row in by_degree[d] if span.add(row) is not None]
-        yield d, W.rank + len(born), born, row2
+        yield d, born, row2
 
 
 class ResolutionResult(NamedTuple):
@@ -514,10 +518,10 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
     rows that may continue past deg_bound: a row with mass at deg_bound, row 1
     when a relation lies past it, and every row after such a row up to
     hom_bound.
-    Rows 1 and 2 are read off the module's relation walk, and one pass over
-    row 2 writes rows 2..hom_bound in closed form (module doc), with no
+    Rows 0..2 are the module's own, cut at deg_bound, and one pass over row 2
+    writes rows 2..hom_bound in closed form (module doc), with no
     elimination: beta_{i, d+i-2} = 2^(i-2) beta_{2, d} while d + i - 2 <= deg_bound.
-    Cost: O(degrees of the walk + hom_bound * entries of row 2) here, after
+    Cost: O(entries of rows 0..2 + hom_bound * entries of row 2) here, after
     the walk that building M paid once, O(relations * rank * r) field
     operations for r generators."""
     if type(deg_bound) is not int or type(hom_bound) is not int:
@@ -528,16 +532,12 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
     if deg_bound < maxgen + hom_bound:
         raise ValueError(f"deg_bound must be at least {maxgen + hom_bound} for this module")
     betti = {}
-    for a in M.gen_degrees:
-        betti[0, a] = betti.get((0, a), 0) + 1
-    for d, _, born, n in M._walk:
-        if d > deg_bound:
-            break
-        if born:
-            betti[1, d] = len(born)
-        if n:
-            for i in range(2, min(hom_bound, deg_bound - d + 2) + 1):
-                betti[i, d + i - 2] = n << (i - 2)
+    for (i, d), n in M._rows._entries.items():
+        if i == 2:
+            for k in range(2, min(hom_bound, deg_bound - d + 2) + 1):
+                betti[k, d + k - 2] = n << (k - 2)
+        elif d <= deg_bound:
+            betti[i, d] = n
     table = BettiTable(betti, tail_mode=EXPLICIT)
     cut = [i for (i, j) in betti if j == deg_bound]
     if M._flat > deg_bound + 1:  # a relation past deg_bound, as every generator is below it
@@ -559,14 +559,13 @@ class HilbertData(NamedTuple):
 
 
 def hilbert_data(M: GradedModuleB, deg_bound: int) -> HilbertData:
-    """Dimensions of the graded pieces, packaged as the series numerator.
-    They are constant from flat, one past the top generator and relation
-    degree, on: there every generator has its three branches and every
-    relation block is in the span.  deg_bound must reach flat, or
-    StabilizationError is raised, as a dimension past it could still change.
-    Cost: one tally of the generator degrees and O(1) per degree of the
-    module's relation walk, taken when M was built: O(generators + degrees),
-    not their product, after the walk's own O(relations * rank * r)."""
+    """Dimensions of the graded pieces, packaged as the series numerator
+    H_M(t)(1 - t), read off the module's rows 0..2 (module doc); e, its value
+    at t = 1, is their gamma_inf.  The dimensions are constant from flat, one
+    past the top generator and relation degree, on, so deg_bound must reach
+    flat, or StabilizationError is raised, as a dimension past it could still
+    change.  Cost: O(generators + entries of rows 0..2 + numerator length),
+    after the walk that building M paid once."""
     if type(deg_bound) is not int:
         raise ValueError(f"deg_bound must be an int, got {deg_bound!r}")
     if not M.gen_degrees:
@@ -576,14 +575,13 @@ def hilbert_data(M: GradedModuleB, deg_bound: int) -> HilbertData:
         raise StabilizationError(
             f"deg_bound {deg_bound} is below {flat}, one past the top generator and relation degree"
         )
-    at = Counter(M.gen_degrees)
-    below = 0  # generators of degree < d, each with three branches in degree d
-    dims = []
-    for d, rank, _, _ in M._walk:
-        dims.append(at.get(d, 0) + 3 * below - rank)
-        below += at.get(d, 0)
-    diffs = [dims[0]] + [dims[n] - dims[n - 1] for n in range(1, len(dims))]
-    while diffs and diffs[-1] == 0:
-        diffs.pop()
-    return HilbertData(min(M.gen_degrees), tuple(diffs), dims[-1])
-
+    offset = min(M.gen_degrees)
+    numerator = [0] * (flat - offset + 1)  # every entry of rows 0..2 lies at or below flat
+    for (i, j), n in M._rows._entries.items():
+        n *= (1, -1, 1)[i]  # (1 + 2t)(beta_0(t) - beta_1(t)) + beta_2(t)
+        numerator[j - offset] += n
+        if i < 2:
+            numerator[j - offset + 1] += 2 * n
+    while numerator[-1] == 0:  # the first coefficient counts the generators of degree offset
+        numerator.pop()
+    return HilbertData(offset, tuple(numerator), sum(numerator))

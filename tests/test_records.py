@@ -12,7 +12,7 @@ from types import ModuleType
 import pytest
 
 import betticone
-from betticone import FP_DEFAULT, QQ, DegreeSequence, Functional, hk_ray
+from betticone import FP_DEFAULT, QQ, BettiTable, DegreeSequence, Functional, hk_ray
 from betticone import cone, linalg, resolve, tables, window
 from betticone.cone import (
     BettiSequence,
@@ -164,15 +164,16 @@ def test_with_field_rederives_the_branch_rows():
         assert moved == builtin("omega", FP_DEFAULT)
         assert moved._branch_rows == builtin("omega", FP_DEFAULT)._branch_rows != omega._branch_rows
     # (x, y) and (x, -y) span two dimensions in degree 1 over QQ and one over
-    # F_2, so the relation walk, taken when the module is built, sees the field
+    # F_2, so the rows 0..2 of the relation walk, taken when the module is
+    # built, see the field
     rows = ((X, Y), (X, -Y))
     over_q, over_2 = GradedModuleB((0, 0), rows, QQ), GradedModuleB((0, 0), rows, Field(2))
-    assert [rank for _, rank, _, _ in over_q._walk] == [0, 2, 2]
-    assert [rank for _, rank, _, _ in over_2._walk] == [0, 1, 2]
+    assert over_q._rows == BettiTable({(0, 0): 2, (1, 1): 2, (2, 2): 4})
+    assert over_2._rows == BettiTable({(0, 0): 2, (1, 1): 1, (2, 2): 1})
     for moved in (over_q.with_field(Field(2)), over_q._replace(field=Field(2)),
                   GradedModuleB._make(((0, 0), rows, Field(2)))):
-        assert moved._walk == over_2._walk
-    assert over_2.with_field(QQ)._walk == over_q._walk
+        assert moved._rows == over_2._rows
+    assert over_2.with_field(QQ)._rows == over_q._rows
 
 
 def test_make_and_replace_keep_the_namedtuple_contract():

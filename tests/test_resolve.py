@@ -1,5 +1,6 @@
 """Ring elements, module presentations, resolutions, and Hilbert data."""
 
+import io
 import random
 import re
 import time
@@ -33,6 +34,7 @@ from betticone import (
     syzygy_of_indecomposable,
 )
 import betticone.resolve as resolve_module
+from betticone.cli import parse_table_text, run
 from betticone.linalg import SpanTracker
 from betticone.resolve import (
     BUILTIN_NAMES,
@@ -537,7 +539,7 @@ def every_step_resolution(M, deg_bound, hom_bound):
     betti = {}
     for a in M.gen_degrees:
         betti[(0, a)] = betti.get((0, a), 0) + 1
-    gens = [(d, row) for d, _, born, _ in resolve_module._relation_walk(M) if d <= deg_bound for row in born]
+    gens = [(d, row) for d, born, _ in resolve_module._relation_walk(M) if d <= deg_bound for row in born]
     rank = len(M.gen_degrees)
     for step in range(1, hom_bound + 1):
         if step > 1:
@@ -847,7 +849,9 @@ def test_relation_walk_visits_each_degree_and_relation_once():
 ], ids=["monomial", "monomial-qq", "omega", "omega-qq"])
 def test_relation_walk_adds_no_zero_vector(M, monkeypatch):
     # each relation of these modules is zero in two branch blocks of three,
-    # and a zero vector never grows a span, so the walk skips those blocks
+    # and a zero vector never grows a span, so the walk skips those blocks.
+    # It visits the relation degrees alone, and the rows it gives fix the
+    # Hilbert function that a fresh tracker in every degree counts
     added = []
 
     class Recording(SpanTracker):
@@ -858,9 +862,9 @@ def test_relation_walk_adds_no_zero_vector(M, monkeypatch):
     monkeypatch.setattr(resolve_module, "SpanTracker", Recording)
     walk = list(resolve_module._relation_walk(M))
     assert added and all(any(vec) for vec in added)
+    assert [d for d, _, _ in walk] == sorted(set(M.relation_degrees()))
     flat = max(M.gen_degrees + M.relation_degrees()) + 1
-    assert walk[-1][0] == flat  # the walk stops at flat
-    assert [(d, rank) for d, rank, _, _ in walk] == [(d, rank) for d, _, rank in fresh_tracker_ranks(M, flat)]
+    assert hilbert_data(M, flat) == every_degree_hilbert(M, flat)
 
 
 @pytest.mark.parametrize("M, minimal", [
@@ -884,7 +888,7 @@ def test_relation_walk_eliminates_only_through_add(M, minimal, monkeypatch):
             return super().add(vec)
 
     monkeypatch.setattr(resolve_module, "SpanTracker", Recording)
-    born = [row for _, _, rows, _ in resolve_module._relation_walk(M) for row in rows]
+    born = [row for _, rows, _ in resolve_module._relation_walk(M) for row in rows]
     r = len(M.gen_degrees)
     blocks = sum(any(row[at:at + r]) for row in born for at in range(0, 3 * r, r))
     assert len(born) == minimal
@@ -894,7 +898,7 @@ def test_relation_walk_eliminates_only_through_add(M, minimal, monkeypatch):
 def test_library_calls_read_the_walk_taken_at_construction(monkeypatch):
     # the relation walk builds every span tracker resolve.py builds, and a
     # module takes it once, when it is built: one for the blocks and one per
-    # degree that holds relations
+    # degree that holds relations, however far apart those degrees lie
     modules = [builtin("omega"), builtin("omega", QQ), builtin("B"), quotient_module(["x^5"]),
                GradedModuleB((0, 1), ((X ** 2, BPolynomial.zero()), (BPolynomial.zero(), Y ** 3)))]
     built = []
@@ -913,6 +917,12 @@ def test_library_calls_read_the_walk_taken_at_construction(monkeypatch):
     assert built == []
     quotient_module(["x^5"])
     assert len(built) == 2
+    built.clear()
+    M = GradedModuleB((0,), ((X,), (Y ** 5000,), (Z ** 10000,)))
+    assert len(built) == 1 + 3
+    min_free_resolution(M, 10 ** 4 + 3, 3)
+    hilbert_data(M, 10 ** 4 + 1)
+    assert len(built) == 1 + 3
 
 
 def test_large_linear_presentation_stays_fast():
@@ -950,9 +960,9 @@ def test_hilbert_count_matches_every_degree_oracle_on_many_generators():
 
 
 def test_hilbert_count_is_linear_in_generators_plus_degrees():
-    # 400 generators over 8,000 degrees: one tally of the generator degrees
-    # takes about 0.01 s on a 2-vCPU Xeon, where a sum over the generators
-    # at every degree of the walk took about 0.37 s
+    # 400 generators over 8,000 degrees: one pass over the 400 entries of
+    # rows 0..2 and the numerator takes about 0.2 ms on a 2-vCPU Xeon, where
+    # a sum over the generators at every degree of the walk took about 0.37 s
     M = GradedModuleB(tuple(20 * k for k in range(400)), (), FP_DEFAULT)
     start = time.perf_counter()
     hd = hilbert_data(M, 8000)
@@ -965,6 +975,49 @@ def test_finite_length_witnesses_have_e_zero():
     for d1 in (1, 2, 3):
         hd = hilbert_data(quotient_module([f"(x+y+z)^{d1}"], field=QQ), d1 + 6)
         assert hd.e == 0
+
+
+@pytest.mark.parametrize("field", [QQ, FP_DEFAULT], ids=["QQ", "F32003"])
+def test_rows_and_hilbert_data_match_the_every_degree_oracles_on_scrambled_sums(field):
+    # sums of 1-8 pure diagram witnesses, larger than small_modules draws:
+    # up to 16 generators, mixed by the automorphism, with up to 48 relations
+    rng = random.Random(3200)
+    for _ in range(60):
+        terms = [(rng.choice((DegreeSequence.free(d0), DegreeSequence.two_step(d0, d0 + e),
+                              DegreeSequence.tail(d0, d0 + e))), rng.randint(1, 2))
+                 for d0, e in ((rng.randint(0, 5), rng.randint(1, 3)) for _ in range(rng.randint(1, 8)))]
+        M = scrambled_sum(terms, field, rng)
+        flat = max(M.gen_degrees + M.relation_degrees()) + 1
+        assert hilbert_data(M, flat) == every_degree_hilbert(M, flat), terms
+        # row 1 ends below flat and row 2 at flat, so this window holds them whole
+        betti, _, _ = every_degree_resolution(M, flat, 2)
+        assert M._rows == BettiTable(betti), terms
+
+
+@pytest.mark.parametrize("field", ["qq", "fp"])
+@pytest.mark.parametrize("rels, born", [
+    (("x", "x^2"), 1),
+    (("x + y", "2*x", "x^2 + 2*y^2", "z^3"), 3),
+], ids=["x-then-x2", "non-minimal-mix"])
+def test_the_cli_takes_the_rejecting_path_of_the_walk(capsys, monkeypatch, field, rels, born):
+    # a relation that does not grow the copy of W is no minimal generator:
+    # x^2 lies in the span of x's blocks, and x^2 + 2*y^2 in that of x + y
+    text = "gens 0\n" + "".join(f"rel {rel}\n" for rel in rels)
+
+    def cli(*argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code = run([*argv, "--field", field])
+        return code, capsys.readouterr().out
+
+    M = GradedModuleB((0,), tuple((parse_poly(rel),) for rel in rels), QQ if field == "qq" else FP_DEFAULT)
+    flat = max(M.relation_degrees()) + 1
+    code, out = cli("resolve", "-", "--deg-bound", str(flat + 3), "--hom-bound", "3")
+    betti, _, _ = every_degree_resolution(M, flat + 3, 3)
+    assert code == 0 and sum(v for (i, _), v in betti.items() if i == 1) == born < len(rels)
+    assert dict(parse_table_text(out).items()) == betti
+    code, out = cli("hilbert", "-", "--deg-bound", str(flat))
+    hd = every_degree_hilbert(M, flat)
+    assert (code, out) == (0, f"offset: {hd.offset}\nnumerator: {' '.join(map(str, hd.numerator))}\ne: {hd.e}\n")
 
 
 # -- multiplicity identities -----------------------------------------------------
@@ -982,9 +1035,9 @@ def syzygy_multiplicity(betti):
 
 def mult_identity_check(M, deg_bound, hom_bound):
     """Whether gamma_inf of the resolved table equals the multiplicity e from
-    the Hilbert function.  Both sides read one relation walk: rows 1 and 2
-    from the relations born and the blocks that do not grow the block span, e
-    from the ranks.  The every-degree oracles check each side on its own."""
+    the Hilbert function.  This holds by construction: hilbert_data reads e
+    off the module's rows 0..2 as their gamma_inf.  every_degree_hilbert here
+    and monomial_hilbert in the bench's oracle judge e on their own."""
     res = min_free_resolution(M, deg_bound, hom_bound)
     low_truncated = [i for i in res.truncated_rows if i <= 2]
     if low_truncated:
