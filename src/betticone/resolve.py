@@ -51,8 +51,9 @@ series beta_i(t) = sum_j beta_{i,j} t^j.
 Presentations are kept minimal by construction, so the Betti numbers are
 literal generator counts and every reported entry with degree <= deg_bound is
 exact.  A row that still has mass at deg_bound may continue past the window,
-and so may row 1 when a relation lies past it; such a row is flagged as
-truncated, and so is every row after it, as its syzygies lie past the window.
+and so may row 1 when a minimal relation lies past it; such a row is flagged
+as truncated, and so is every row after it, as its syzygies lie past the
+window.  A redundant relation, one the others generate, changes no output.
 """
 
 from __future__ import annotations
@@ -386,7 +387,7 @@ class GradedModuleB(_Checked, namedtuple("GradedModuleB", "gen_degrees relations
     is rejected when the module is built, and so is a module whose degrees
     span more than MAX_DEGREE_SPAN.  Its relation walk (_relation_walk) is
     taken once here and folded into _rows, the canonical BettiTable of rows
-    0..2, which the resolution and the Hilbert data read (module doc)."""
+    0..2; the resolution and the Hilbert data read it and gen_degrees alone."""
 
     def __new__(cls, gen_degrees, relations=(), field=FP_DEFAULT):
         gen_degrees = tuple(gen_degrees)
@@ -425,7 +426,6 @@ class GradedModuleB(_Checked, namedtuple("GradedModuleB", "gen_degrees relations
             raise ValueError(f"generator and relation degrees span more than {MAX_DEGREE_SPAN}")
         self = super().__new__(cls, gen_degrees, relations, field)
         self._branch_rows = tuple(branch_rows)
-        self._flat = max(degrees, default=-1) + 1  # from here on the Hilbert function is constant
         rows = Counter((0, a) for a in gen_degrees)
         for d, born, row2 in _relation_walk(self):
             rows[1, d], rows[2, d + 1] = len(born), row2
@@ -516,8 +516,8 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
     """Betti table of a minimal free resolution on the window i <= hom_bound,
     j <= deg_bound.  Every reported entry is exact; truncated_rows lists the
     rows that may continue past deg_bound: a row with mass at deg_bound, row 1
-    when a relation lies past it, and every row after such a row up to
-    hom_bound.
+    when a minimal relation lies past it, and every row after such a row up
+    to hom_bound.
     Rows 0..2 are the module's own, cut at deg_bound, and one pass over row 2
     writes rows 2..hom_bound in closed form (module doc), with no
     elimination: beta_{i, d+i-2} = 2^(i-2) beta_{2, d} while d + i - 2 <= deg_bound.
@@ -531,17 +531,17 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
     maxgen = max(M.gen_degrees, default=0)
     if deg_bound < maxgen + hom_bound:
         raise ValueError(f"deg_bound must be at least {maxgen + hom_bound} for this module")
-    betti = {}
+    betti, cut = {}, []
     for (i, d), n in M._rows._entries.items():
         if i == 2:
             for k in range(2, min(hom_bound, deg_bound - d + 2) + 1):
                 betti[k, d + k - 2] = n << (k - 2)
         elif d <= deg_bound:
             betti[i, d] = n
+        else:  # a minimal relation past deg_bound, as every generator is below it
+            cut.append(1)
     table = BettiTable(betti, tail_mode=EXPLICIT)
-    cut = [i for (i, j) in betti if j == deg_bound]
-    if M._flat > deg_bound + 1:  # a relation past deg_bound, as every generator is below it
-        cut.append(1)
+    cut += [i for (i, j) in betti if j == deg_bound]
     truncated = tuple(range(min(cut), hom_bound + 1)) if cut else ()
     return ResolutionResult(table, deg_bound, hom_bound, True, truncated)
 
@@ -562,15 +562,15 @@ def hilbert_data(M: GradedModuleB, deg_bound: int) -> HilbertData:
     """Dimensions of the graded pieces, packaged as the series numerator
     H_M(t)(1 - t), read off the module's rows 0..2 (module doc); e, its value
     at t = 1, is their gamma_inf.  The dimensions are constant from flat, one
-    past the top generator and relation degree, on, so deg_bound must reach
-    flat, or StabilizationError is raised, as a dimension past it could still
-    change.  Cost: O(generators + entries of rows 0..2 + numerator length),
-    after the walk that building M paid once."""
+    past the top degree of rows 0..1, the minimal generators and relations,
+    on, so deg_bound must reach flat, or StabilizationError is raised, as a
+    dimension past it could still change.  Cost: O(generators + entries of
+    rows 0..2 + numerator length), after the walk that building M paid once."""
     if type(deg_bound) is not int:
         raise ValueError(f"deg_bound must be an int, got {deg_bound!r}")
     if not M.gen_degrees:
         return HilbertData(0, (), 0)
-    flat = M._flat
+    flat = max(j for (i, j) in M._rows._entries if i < 2) + 1
     if deg_bound < flat:
         raise StabilizationError(
             f"deg_bound {deg_bound} is below {flat}, one past the top generator and relation degree"

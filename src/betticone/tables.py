@@ -181,15 +181,14 @@ def expand_tail(table: BettiTable, max_row: int, max_degree: int | None = None) 
         raise ValueError(f"max_row and max_degree must be ints, got ({max_row!r}, {max_degree!r})")
     if not 2 <= max_row <= MAX_HOM_BOUND:
         raise ValueError(f"max_row must be at least 2 and at most {MAX_HOM_BOUND}")
-    out = {(i, j): val for (i, j), val in table._entries.items() if max_degree is None or j <= max_degree}
+    out = {}
     for (i, j), val in table._entries.items():
-        if i != 2:
-            continue
-        for r in range(3, max_row + 1):
-            jj = j + (r - 2)
-            if max_degree is not None and jj > max_degree:
-                break
-            out[(r, jj)] = 2 ** (r - 2) * val
+        if i == 2:  # row 2 and its doubled diagonal, cut at max_row and max_degree
+            last = max_row if max_degree is None else min(max_row, max_degree - j + 2)
+            for r in range(2, last + 1):
+                out[r, j + r - 2] = 2 ** (r - 2) * val
+        elif max_degree is None or j <= max_degree:
+            out[i, j] = val
     return BettiTable(out, tail_mode=EXPLICIT)
 
 

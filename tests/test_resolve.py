@@ -452,20 +452,40 @@ def _labelled_relations(M):
 def truncated_rows(M, betti, deg_bound, hom_bound):
     """The rows of an oracle's betti dict that may continue past deg_bound,
     walked up one row at a time: row i is cut when it has mass at deg_bound,
-    when row i - 1 is cut, or, for row 1, when a relation lies past
+    when row i - 1 is cut, or, for row 1, when a minimal relation lies past
     deg_bound."""
     cut = []
     for i in range(hom_bound + 1):
         if ((i, deg_bound) in betti or (cut and cut[-1] == i - 1)
-                or (i == 1 and any(d > deg_bound for d in M.relation_degrees()))):
+                or (i == 1 and any(d > deg_bound for d in minimal_relation_degrees(M)))):
             cut.append(i)
     return tuple(cut)
+
+
+def minimal_relation_degrees(M):
+    """Oracle: the degrees of the minimal relations of M, those where row 1 of
+    the every-degree loop, run up to the top degree of the presentation, is
+    nonzero.  A relation in the span of lower ones has no such degree."""
+    top = max(M.gen_degrees + M.relation_degrees(), default=0)
+    return tuple(sorted({j for i, j in every_degree_betti(M, top, 1) if i == 1}))
 
 
 def every_degree_resolution(M, deg_bound, hom_bound):
     """Oracle: the resolution loop run over every degree up to deg_bound at
     every step.  Returns (betti dict, tail_consistent, truncated_rows)
     computed from scratch."""
+    betti = every_degree_betti(M, deg_bound, hom_bound)
+    tail_ok = all(
+        2 * betti.get((i, j), 0) == betti.get((i + 1, j + 1), 0)
+        for i in range(2, hom_bound)
+        for j in range(deg_bound)
+    )
+    return betti, tail_ok, truncated_rows(M, betti, deg_bound, hom_bound)
+
+
+def every_degree_betti(M, deg_bound, hom_bound):
+    """The betti dict of every_degree_resolution: a labelled basis and a
+    fresh tracker per degree, at every step up to hom_bound."""
     field = M.field
     relations = _labelled_relations(M)
     betti = {}
@@ -504,12 +524,7 @@ def every_degree_resolution(M, deg_bound, hom_bound):
                     new_gens.append((d, residual))
             prev_labels, prev_vectors = labels, tracker.rows
         upper_degrees, cur_degrees, cur_images = cur_degrees, tuple(d for d, _ in new_gens), new_gens
-    tail_ok = all(
-        2 * betti.get((i, j), 0) == betti.get((i + 1, j + 1), 0)
-        for i in range(2, hom_bound)
-        for j in range(deg_bound)
-    )
-    return betti, tail_ok, truncated_rows(M, betti, deg_bound, hom_bound)
+    return betti
 
 
 def full_matrix_branch_syzygies(gens, r, deg_bound, field):
@@ -581,13 +596,13 @@ def fresh_tracker_ranks(M, dstop):
 def every_degree_hilbert(M, deg_bound):
     """Oracle: hilbert_data with a fresh tracker in every degree.  The
     dimensions are computed up to max(deg_bound, flat + 2), where flat is one
-    past the top generator and relation degree, and must be constant from
-    flat on.  Returns the HilbertData, or the StabilizationError type exactly
-    when deg_bound < flat."""
+    past the top generator and minimal relation degree, and must be constant
+    from flat on.  Returns the HilbertData, or the StabilizationError type
+    exactly when deg_bound < flat."""
     if not M.gen_degrees:
         return HilbertData(0, (), 0)
     dmin = min(M.gen_degrees)
-    flat = max(M.gen_degrees + M.relation_degrees()) + 1
+    flat = max(M.gen_degrees + minimal_relation_degrees(M)) + 1
     dims = [size - rank for _, size, rank in fresh_tracker_ranks(M, max(deg_bound, flat + 2))]
     assert len(set(dims[flat - dmin:])) == 1, (flat, dims)
     if deg_bound < flat:
@@ -912,8 +927,9 @@ def test_library_calls_read_the_walk_taken_at_construction(monkeypatch):
     for M in modules:
         min_free_resolution(M, 9, 4)
         hilbert_data(M, 9)
+        top = max(M.gen_degrees + M.relation_degrees())  # no relation of these five is redundant
         with pytest.raises(StabilizationError):
-            hilbert_data(M, M._flat - 1)
+            hilbert_data(M, top)
     assert built == []
     quotient_module(["x^5"])
     assert len(built) == 2
@@ -1018,6 +1034,92 @@ def test_the_cli_takes_the_rejecting_path_of_the_walk(capsys, monkeypatch, field
     code, out = cli("hilbert", "-", "--deg-bound", str(flat))
     hd = every_degree_hilbert(M, flat)
     assert (code, out) == (0, f"offset: {hd.offset}\nnumerator: {' '.join(map(str, hd.numerator))}\ne: {hd.e}\n")
+
+
+# -- redundant relations ----------------------------------------------------------
+
+
+def seeded_presentation(rng, field):
+    """1-3 generators in degrees 0-2 and up to 5 random relations, each 1-3
+    degrees above the lowest generator; some may be redundant already."""
+    gens = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        rdeg = min(gens) + rng.randint(1, 3)
+        row = tuple(BPolynomial({(v, rdeg - a): rng.randint(-3, 3) for v in "xyz"}) if rdeg > a
+                    else BPolynomial.zero() for a in gens)
+        if any(not p.is_zero for p in row):
+            rows.append(row)
+    return GradedModuleB(gens, tuple(rows), field)
+
+
+def with_redundant_relations(M, rng):
+    """M with relations added that lie in the submodule its own relations
+    generate: a copy of one, v^k times one for k >= 1, and the sum of two of
+    one degree, each put at a random place (a zero row is left out)."""
+    rows, degrees = list(M.relations), M.relation_degrees()
+    i = rng.randrange(len(rows))
+    j = rng.choice([k for k, d in enumerate(degrees) if d == degrees[i]])
+    power = BPolynomial.monomial(rng.choice("xyz"), rng.randint(1, 6))
+    for extra in (rng.choice(M.relations), tuple(p * power for p in rng.choice(M.relations)),
+                  tuple(p + q for p, q in zip(M.relations[i], M.relations[j]))):
+        if any(not p.is_zero for p in extra):
+            rows.insert(rng.randint(0, len(rows)), extra)
+    return GradedModuleB(M.gen_degrees, tuple(rows), M.field)
+
+
+def window_outputs(M, top):
+    """min_free_resolution at every window up to deg_bound top + 2, and
+    hilbert_data, or the StabilizationError type, at every bound up to top + 2."""
+    outputs = []
+    for hom in (2, 3, 4):
+        for deg_bound in range(max(M.gen_degrees) + hom, top + 3):
+            res = min_free_resolution(M, deg_bound, hom)
+            outputs.append((res.betti, res.truncated_rows))
+    for deg_bound in range(min(M.gen_degrees) - 1, top + 3):
+        try:
+            outputs.append(hilbert_data(M, deg_bound))
+        except StabilizationError:
+            outputs.append(StabilizationError)
+    return outputs
+
+
+@pytest.mark.parametrize("field", [QQ, FP_DEFAULT, PrimeField(7)], ids=["QQ", "F32003", "F7"])
+def test_redundant_relations_change_no_window(field):
+    # the windows read the minimal relations alone, so a relation the others
+    # generate moves neither a table, nor a truncated row, nor the bound
+    # from which hilbert_data answers
+    rng = random.Random(3300)
+    modules = []
+    for _ in range(20):
+        terms = [(rng.choice((DegreeSequence.free(d0), DegreeSequence.two_step(d0, d0 + e),
+                              DegreeSequence.tail(d0, d0 + e))), rng.randint(1, 2))
+                 for d0, e in ((rng.randint(0, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 4)))]
+        modules.append(scrambled_sum(terms, field, rng))
+    modules += [seeded_presentation(rng, field) for _ in range(40)]
+    raised = 0
+    for M in modules:
+        if not M.relations:
+            continue
+        fat = with_redundant_relations(M, rng)
+        top = max(fat.gen_degrees + fat.relation_degrees())
+        lean_outputs = window_outputs(M, top)
+        assert window_outputs(fat, top) == lean_outputs, (M, fat)
+        raised += lean_outputs.count(StabilizationError)
+    assert raised > 100
+
+
+def test_a_redundant_relation_past_the_window_is_no_cut(capsys, monkeypatch):
+    # x^5 lies in (x), so B/(x, x^5) is B/(x): flat from degree 2 on
+    def cli(*argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO("gens 0\nrel x\nrel x^5\n"))
+        code = run(list(argv))
+        return code, capsys.readouterr().out
+
+    assert cli("resolve", "-", "--deg-bound", "4", "--hom-bound", "2") == (0, (
+        "betti v1\nmode explicit\nentry 0 0 1\nentry 1 1 1\nentry 2 2 2\n"
+        "tail_consistent: yes\ntruncated_rows: none\ngamma_inf: 2\ne: 2\n"))
+    assert cli("hilbert", "-", "--deg-bound", "2") == (0, "offset: 0\nnumerator: 1 1\ne: 2\n")
 
 
 # -- multiplicity identities -----------------------------------------------------

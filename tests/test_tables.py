@@ -164,6 +164,10 @@ def test_expand_tail_materializes_the_doubling():
     assert e.tail_mode == EXPLICIT
     assert e.entry(3, 3) == 12 and e.entry(4, 4) == 24
     assert e.entry(5, 5) == 0  # beyond max_row
+    # a derived entry has its row 2 entry's type: int stays int, Fraction stays Fraction
+    e = expand_tail(BettiTable({(1, 1): 3, (2, 2): 6, (2, 3): Fraction(1, 3)}), max_row=4)
+    assert [(e.entry(i, j), type(e.entry(i, j))) for i, j in ((3, 3), (4, 4), (3, 4), (4, 5))] \
+        == [(12, int), (24, int), (Fraction(2, 3), Fraction), (Fraction(4, 3), Fraction)]
 
 
 def test_expand_tail_respects_max_degree():
