@@ -573,7 +573,7 @@ def hilbert_data(M: GradedModuleB, deg_bound: int) -> HilbertData:
     flat = max(j for (i, j) in M._rows._entries if i < 2) + 1
     if deg_bound < flat:
         raise StabilizationError(
-            f"deg_bound {deg_bound} is below {flat}, one past the top generator and relation degree"
+            f"deg_bound {deg_bound} is below {flat}, one past the top degree of the minimal generators and relations"
         )
     offset = min(M.gen_degrees)
     numerator = [0] * (flat - offset + 1)  # every entry of rows 0..2 lies at or below flat

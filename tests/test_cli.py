@@ -490,6 +490,11 @@ def test_hilbert_not_stabilized(capsys, tmp_path):
     path = write(tmp_path, "m.mod", "gens 0\nrel x^5\n")
     code, out, err = invoke(capsys, "hilbert", path, "--deg-bound", "4")
     assert code == 1 and out == "" and "error:" in err
+    # the redundant x^5 does not move the flat degree, and the error says which degrees count
+    path = write(tmp_path, "r.mod", "gens 0\nrel x\nrel x^5\n")
+    code, out, err = invoke(capsys, "hilbert", path, "--deg-bound", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: deg_bound 1 is below 2, one past the top degree of the minimal generators and relations\n"
 
 
 def test_resolve_prints_no_e_below_the_flat_degree(capsys, tmp_path):
