@@ -50,10 +50,10 @@ series beta_i(t) = sum_j beta_{i,j} t^j.
 
 Presentations are kept minimal by construction, so the Betti numbers are
 literal generator counts and every reported entry with degree <= deg_bound is
-exact.  A row that still has mass at deg_bound may continue past the window,
-and so may row 1 when a minimal relation lies past it; such a row is flagged
-as truncated, and so is every row after it, as its syzygies lie past the
-window.  A redundant relation, one the others generate, changes no output.
+exact.  A row with mass at deg_bound may continue past the window, and so
+may row 0 or 1 when a generator or minimal relation lies past it; such a row
+is flagged as truncated, as is every row after it, whose syzygies lie past
+the window.  A redundant relation, one the others generate, changes no output.
 """
 
 from __future__ import annotations
@@ -367,9 +367,9 @@ def _tokenize(text: str):
     return tokens
 
 
-# Widest span of generator and relation degrees a module may have.  The
-# relation walk visits only the degrees that hold relations, but the Hilbert
-# numerator still has one coefficient per degree of the span.
+# Widest span of the minimal generator and relation degrees, rows 0..1 of a
+# module's table, that a module may have.  The Hilbert numerator has one
+# coefficient per degree of that span; a redundant relation adds none.
 MAX_DEGREE_SPAN = 10_000
 
 
@@ -384,10 +384,12 @@ class GradedModuleB(_Checked, namedtuple("GradedModuleB", "gen_degrees relations
     presentation is minimal and row 0 of the Betti table can be read off.
     Each relation is also kept as (degree, int row over the field in branch
     coordinates, see the module doc), so a coefficient the field cannot hold
-    is rejected when the module is built, and so is a module whose degrees
-    span more than MAX_DEGREE_SPAN.  Its relation walk (_relation_walk) is
-    taken once here and folded into _rows, the canonical BettiTable of rows
-    0..2; the resolution and the Hilbert data read it and gen_degrees alone."""
+    is rejected when the module is built.  Its relation walk (_relation_walk)
+    is taken once here and folded into _rows, the canonical BettiTable of rows
+    0..2; the resolution and the Hilbert data read it and gen_degrees alone.
+    Then a module is refused if rows 0..1 span more than MAX_DEGREE_SPAN: the
+    walk's cost does not depend on degrees, so a refused module costs no more
+    than the same module would without its far degrees."""
 
     def __new__(cls, gen_degrees, relations=(), field=FP_DEFAULT):
         gen_degrees = tuple(gen_degrees)
@@ -421,15 +423,15 @@ class GradedModuleB(_Checked, namedtuple("GradedModuleB", "gen_degrees relations
             if len(degs) > 1:
                 raise ValueError(f"relation row is not homogeneous, degrees {sorted(degs)}")
             branch_rows.append((degs.pop(), field.int_row(coords)))
-        degrees = gen_degrees + tuple(d for d, _ in branch_rows)
-        if degrees and max(degrees) - min(degrees) > MAX_DEGREE_SPAN:
-            raise ValueError(f"generator and relation degrees span more than {MAX_DEGREE_SPAN}")
         self = super().__new__(cls, gen_degrees, relations, field)
         self._branch_rows = tuple(branch_rows)
         rows = Counter((0, a) for a in gen_degrees)
         for d, born, row2 in _relation_walk(self):
             rows[1, d], rows[2, d + 1] = len(born), row2
         self._rows = BettiTable(rows)  # drops the zero counts
+        degrees = [j for i, j in self._rows._entries if i < 2]
+        if degrees and max(degrees) - min(degrees) > MAX_DEGREE_SPAN:
+            raise ValueError(f"generator and relation degrees span more than {MAX_DEGREE_SPAN}")
         return self
 
     def relation_degrees(self) -> tuple[int, ...]:
@@ -499,11 +501,11 @@ def _relation_walk(M: GradedModuleB):
 
 
 class ResolutionResult(NamedTuple):
-    """A Betti table on the window, with its bounds.  tail_consistent, the
-    doubling 2 beta_{i,j} = beta_{i+1,j+1} for i >= 2 inside the window, is
-    always True: the step 2 generators are triangular in one branch by
-    construction (module doc), and min_free_resolution builds rows 3 on from
-    the doubling."""
+    """A Betti table on the window, expand_tail(M._rows, hom_bound,
+    deg_bound), with its bounds.  tail_consistent, the doubling
+    2 beta_{i,j} = beta_{i+1,j+1} for i >= 2 inside the window, is always
+    True: the step 2 generators are triangular in one branch by construction
+    (module doc), and min_free_resolution builds rows 3 on from the doubling."""
 
     betti: BettiTable
     deg_bound: int
@@ -514,10 +516,10 @@ class ResolutionResult(NamedTuple):
 
 def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> ResolutionResult:
     """Betti table of a minimal free resolution on the window i <= hom_bound,
-    j <= deg_bound.  Every reported entry is exact; truncated_rows lists the
-    rows that may continue past deg_bound: a row with mass at deg_bound, row 1
-    when a minimal relation lies past it, and every row after such a row up
-    to hom_bound.
+    j <= deg_bound, for any int deg_bound.  Every reported entry is exact;
+    truncated_rows lists the rows that may continue past deg_bound: a row with
+    mass at deg_bound, row 0 when a generator lies past it, row 1 when a
+    minimal relation does, and every row after such a row up to hom_bound.
     Rows 0..2 are the module's own, cut at deg_bound, and one pass over row 2
     writes rows 2..hom_bound in closed form (module doc), with no
     elimination: beta_{i, d+i-2} = 2^(i-2) beta_{2, d} while d + i - 2 <= deg_bound.
@@ -528,9 +530,6 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
         raise ValueError(f"deg_bound and hom_bound must be ints, got ({deg_bound!r}, {hom_bound!r})")
     if not 2 <= hom_bound <= MAX_HOM_BOUND:
         raise ValueError(f"hom_bound must be at least 2 and at most {MAX_HOM_BOUND}")
-    maxgen = max(M.gen_degrees, default=0)
-    if deg_bound < maxgen + hom_bound:
-        raise ValueError(f"deg_bound must be at least {maxgen + hom_bound} for this module")
     betti, cut = {}, []
     for (i, d), n in M._rows._entries.items():
         if i == 2:
@@ -538,8 +537,8 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
                 betti[k, d + k - 2] = n << (k - 2)
         elif d <= deg_bound:
             betti[i, d] = n
-        else:  # a minimal relation past deg_bound, as every generator is below it
-            cut.append(1)
+        else:  # a generator or a minimal relation past deg_bound
+            cut.append(i)
     table = BettiTable(betti, tail_mode=EXPLICIT)
     cut += [i for (i, j) in betti if j == deg_bound]
     truncated = tuple(range(min(cut), hom_bound + 1)) if cut else ()

@@ -472,8 +472,17 @@ def test_hom_bound_is_capped(capsys, tmp_path):
 def test_resolve_bad_bounds(capsys, tmp_path):
     # unusable bounds are a usage error, not a checked failure
     path = write(tmp_path, "m.mod", "builtin B\n")
-    code, _, err = invoke(capsys, "resolve", path, "--deg-bound", "1", "--hom-bound", "2")
-    assert code == 2 and "deg_bound must be at least" in err
+    code, _, err = invoke(capsys, "resolve", path, "--deg-bound", "1", "--hom-bound", "1")
+    assert code == 2 and "hom_bound must be at least 2" in err
+    code, _, err = invoke(capsys, "resolve", path, "--deg-bound", "1.5", "--hom-bound", "2")
+    assert code == 2 and "argument --deg-bound: invalid int value: '1.5'" in err
+    # any int deg_bound is a window: B is flat from degree 1 on, and omega's
+    # row 1 has mass at degree 1
+    code, out, err = invoke(capsys, "resolve", path, "--deg-bound", "1", "--hom-bound", "2")
+    assert (code, err) == (0, "") and "truncated_rows: none\n" in out and "e: 3\n" in out
+    path = write(tmp_path, "w.mod", "builtin omega\n")
+    code, out, _ = invoke(capsys, "resolve", path, "--deg-bound", "1", "--hom-bound", "4")
+    assert code == 1 and "truncated_rows: 1 2 3 4\n" in out
 
 
 def test_hilbert_omega(capsys, tmp_path):

@@ -4,6 +4,7 @@ import io
 import random
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -277,6 +278,10 @@ def test_graded_module_validation():
                        ((0,), ((BPolynomial.monomial("y", 10 ** 30),),))):
         with pytest.raises(ValueError, match="span"):
             GradedModuleB(gens, rows)
+    # the cap counts the minimal degrees alone: x^20001 lies in (x), so this is B/(x)
+    M = GradedModuleB((0,), ((X,), (X ** 20001,)))
+    assert M._rows == builtin("M1")._rows
+    assert hilbert_data(M, 2) == HilbertData(0, (1, 1), 2)
 
 
 def test_relation_degrees():
@@ -309,8 +314,11 @@ def test_bound_validation():
     M = builtin("B")
     with pytest.raises(ValueError, match="hom_bound"):
         min_free_resolution(M, deg_bound=9, hom_bound=1)
-    with pytest.raises(ValueError, match="deg_bound"):
-        min_free_resolution(M, deg_bound=3, hom_bound=4)
+    # any int deg_bound is a window, however far below maxgen + hom_bound
+    res = min_free_resolution(M, deg_bound=1, hom_bound=2)
+    assert (betti_entry_dict(res), res.truncated_rows) == ({(0, 0): 1}, ())
+    res = min_free_resolution(builtin("omega"), deg_bound=1, hom_bound=4)
+    assert (betti_entry_dict(res), res.truncated_rows) == ({(0, 0): 2, (1, 1): 3}, (1, 2, 3, 4))
     with pytest.raises(ValueError, match="hom_bound"):
         min_free_resolution(M, deg_bound=MAX_HOM_BOUND + 5, hom_bound=MAX_HOM_BOUND + 1)
     top = min_free_resolution(builtin("omega"), deg_bound=MAX_HOM_BOUND + 5, hom_bound=MAX_HOM_BOUND)
@@ -399,6 +407,10 @@ def test_rows_past_the_window_are_flagged():
     # row 2 has mass at deg_bound 6, so rows 3 and 4 may continue too
     res = min_free_resolution(quotient_module(["x^5", "y^5", "z^5"]), deg_bound=6, hom_bound=4)
     assert res.truncated_rows == (2, 3, 4)
+    # a generator past deg_bound flags row 0, and so every row
+    res = min_free_resolution(GradedModuleB((0, 3), ((X, BPolynomial.zero()),)), deg_bound=2, hom_bound=3)
+    assert dict(res.betti.items()) == {(0, 0): 1, (1, 1): 1, (2, 2): 2}
+    assert res.truncated_rows == (0, 1, 2, 3)
 
 
 def test_resolved_tables_live_in_the_cone():
@@ -452,11 +464,12 @@ def _labelled_relations(M):
 def truncated_rows(M, betti, deg_bound, hom_bound):
     """The rows of an oracle's betti dict that may continue past deg_bound,
     walked up one row at a time: row i is cut when it has mass at deg_bound,
-    when row i - 1 is cut, or, for row 1, when a minimal relation lies past
-    deg_bound."""
+    when row i - 1 is cut, for row 0 when a generator lies past deg_bound, or,
+    for row 1, when a minimal relation does."""
     cut = []
     for i in range(hom_bound + 1):
         if ((i, deg_bound) in betti or (cut and cut[-1] == i - 1)
+                or (i == 0 and any(a > deg_bound for a in M.gen_degrees))
                 or (i == 1 and any(d > deg_bound for d in minimal_relation_degrees(M)))):
             cut.append(i)
     return tuple(cut)
@@ -750,37 +763,41 @@ def test_scrambled_sums_resolve_to_their_tables(field):
     assert betti_entry_dict(min_free_resolution(M, 10, 3)) == tor_betti(M, 10, 3)
 
 
-def assert_engine_writes_the_expanded_window(M, rows, hom_bound, deg_bound):
-    """The engine's window at (hom_bound, deg_bound) is what expand_tail
-    writes from the window's own rows 0..2 and from the module's whole rows
-    0..2, the canonical table rows."""
-    res = min_free_resolution(M, deg_bound, hom_bound)
-    assert res.betti == expand_tail(collapse_tail(res.betti), hom_bound, deg_bound)
-    assert res.betti == expand_tail(BettiTable(rows), hom_bound, deg_bound)
+def assert_engine_writes_the_expanded_window(M, rows):
+    """At every hom_bound in (2, 3, 5) and every int deg_bound from 3 below
+    the least degree of rows, the module's rows 0..2, to 3 past the last, the
+    engine's window is what expand_tail writes from M._rows, from rows and
+    from the window's own rows 0..2, and its truncated rows are the oracle's.
+    Returns the truncated_rows of every window."""
+    degrees = [j for _, j in rows]
+    out = []
+    for hom_bound in (2, 3, 5):
+        for deg_bound in range(min(degrees) - 3, max(degrees) + 4):
+            res = min_free_resolution(M, deg_bound, hom_bound)
+            window = expand_tail(M._rows, hom_bound, deg_bound)
+            assert res.betti == window == expand_tail(BettiTable(rows), hom_bound, deg_bound)
+            assert res.betti == expand_tail(collapse_tail(res.betti), hom_bound, deg_bound)
+            assert res.truncated_rows == truncated_rows(M, dict(window.items()), deg_bound, hom_bound)
+            out.append(res.truncated_rows)
+    return out
 
 
-@pytest.mark.parametrize("field", [QQ, FP_DEFAULT], ids=["QQ", "F32003"])
+@pytest.mark.parametrize("field", [QQ, FP_DEFAULT, PrimeField(7)], ids=["QQ", "F32003", "F7"])
 def test_the_engine_and_expand_tail_write_the_same_window(field):
-    # a builtin's row 2 sits at degree 2 <= hom_bound <= deg_bound, so no bound cuts it
+    # one window contract for both writers, below maxgen + hom_bound as well
     for name in BUILTIN_NAMES:
         M = builtin(name, field)
-        rows = collapse_tail(min_free_resolution(M, 12, 2).betti)
-        for hom_bound in (2, 3, 5):
-            for deg_bound in (hom_bound, hom_bound + 1, 12):
-                assert_engine_writes_the_expanded_window(M, rows, hom_bound, deg_bound)
-    # a scrambled sum's row 2 may end past maxgen + hom_bound: a deg_bound below its end cuts it
+        rows = dict(collapse_tail(min_free_resolution(M, 12, 2).betti).items())
+        assert_engine_writes_the_expanded_window(M, rows)
+    # a scrambled sum's generators spread over degrees 0..5, so some windows
+    # cut row 0, and a deg_bound below the end of row 2 cuts it
     rng = random.Random(2902)
-    cut = 0
+    flags = Counter()
     for _ in range(30):
         terms = random_sum_terms(rng, max_gens=12)
-        M = scrambled_sum(terms, field, rng)
-        rows = combination(terms)
-        last = max((j for i, j in rows if i == 2), default=0)
-        for hom_bound in (2, 3, 5):
-            for deg_bound in range(max(M.gen_degrees) + hom_bound, last + 1):
-                assert_engine_writes_the_expanded_window(M, rows, hom_bound, deg_bound)
-                cut += deg_bound < last
-    assert cut > 20
+        flags.update(cut[:1] for cut in assert_engine_writes_the_expanded_window(
+            scrambled_sum(terms, field, rng), combination(terms)))
+    assert min(flags[(0,)], flags[(1,)], flags[(2,)], flags[()]) > 20, flags
 
 
 # -- Hilbert data ---------------------------------------------------------------
