@@ -787,8 +787,7 @@ def test_the_engine_and_expand_tail_write_the_same_window(field):
     # one window contract for both writers, below maxgen + hom_bound as well
     for name in BUILTIN_NAMES:
         M = builtin(name, field)
-        rows = dict(collapse_tail(min_free_resolution(M, 12, 2).betti).items())
-        assert_engine_writes_the_expanded_window(M, rows)
+        assert_engine_writes_the_expanded_window(M, tor_betti(M, 12, 2))
     # a scrambled sum's generators spread over degrees 0..5, so some windows
     # cut row 0, and a deg_bound below the end of row 2 cuts it
     rng = random.Random(2902)
