@@ -42,6 +42,8 @@ class Field(_Checked, namedtuple("Field", "p")):
     __slots__ = ()
 
     def __new__(cls, p: int = 0):
+        if type(p) is not int:
+            raise ValueError(f"field characteristic must be an int, got {p!r}")
         if p >= MAX_PRIME:
             raise ValueError(f"prime {p} is too large, F_p needs p < 2^31")
         if p != 0 and not _is_prime(p):

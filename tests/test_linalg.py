@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betticone import QQ, FP_DEFAULT, PrimeField
-from betticone.linalg import SpanTracker
+from betticone.linalg import Field, SpanTracker
 from oracles import kernel_basis
 
 entries = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -23,6 +23,12 @@ def test_prime_field_rejects_composites():
         PrimeField(4)
     with pytest.raises(ValueError, match="not prime"):
         PrimeField(0)
+    # a characteristic that is not an int is refused, even one equal to a prime
+    for p in (7.0, "7", Fraction(7), True, False):
+        with pytest.raises(ValueError, match="must be an int"):
+            Field(p)
+    with pytest.raises(ValueError, match="must be an int"):
+        PrimeField(7.0)
     PrimeField(2)
     PrimeField(32003)
     PrimeField(2 ** 31 - 1)
