@@ -84,8 +84,8 @@ def _mono_mul(m1, m2):
 
 class BPolynomial:
     """Element of B on the monomial basis {1} + {x^e, y^e, z^e : e >= 1}, from a
-    mapping of monomials, ("1", 0) or (var, e), to coefficients; a float is
-    refused.  A coefficient is an int when integral and a Fraction otherwise."""
+    mapping of monomials, ("1", 0) or (var, e) with e an int, to coefficients;
+    a float is refused.  A coefficient is an int when integral and a Fraction otherwise."""
 
     __slots__ = ("_coeffs",)
 
@@ -93,7 +93,7 @@ class BPolynomial:
         items: dict[tuple[str, int], int | Fraction] = {}
         for mono, q in (coeffs or {}).items():
             var, exp = mono
-            if mono != _UNIT and (var not in _VARS or exp < 1):
+            if type(exp) is not int or mono != _UNIT and (var not in _VARS or exp < 1):
                 raise ValueError(f"bad monomial {mono!r}")
             q = q if type(q) is int else _rational(q)
             if q:
