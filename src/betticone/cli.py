@@ -281,17 +281,14 @@ def cmd_resolve(args) -> int:
     print(f"truncated_rows: {rows}")
     *_, (gamma_inf,) = _cone_functionals(res.betti.items())
     print(f"gamma_inf: {gamma_inf}")
-    code = 0
     try:
         hd = hilbert_data(M, args.deg_bound)
         print(f"e: {hd.e}")
-    except StabilizationError as exc:
+    except StabilizationError as exc:  # below flat, where truncated_rows is never empty
         print(f"warning: {exc}", file=sys.stderr)
-        code = 1
     if res.truncated_rows:
         print(f"warning: rows {rows} may continue past deg_bound {res.deg_bound}", file=sys.stderr)
-        code = 1
-    return code
+    return 1 if res.truncated_rows else 0
 
 
 def cmd_hilbert(args) -> int:

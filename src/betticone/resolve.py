@@ -35,13 +35,13 @@ works in branch coordinates:
   kernel vector is the unit vector there, of degree one more.  The nonzero
   columns of branch w are the step 2 generators of branch w, each ending at
   its own column, so they are triangular, hence independent, and add no
-  kernel.  Row 3 is therefore row 2 doubled and shifted up one degree
-  (entries past deg_bound dropped).  Every step 3 generator is then a unit
-  vector in one branch, and the same argument carries on by induction: a
-  generator of degree b in branch v gives one generator of degree b + 1 in
-  each of the two other branches.  So row i is row i - 1 doubled and shifted
-  for every i >= 3, and each step past 2 costs O(entries in row 2), with no
-  elimination.  The cost follows hom_bound, not deg_bound.
+  kernel.  Row 3 is therefore row 2 doubled and shifted up one degree.
+  Every step 3 generator is then a unit vector in one branch, and the same
+  argument carries on by induction: a generator of degree b in branch v gives
+  one generator of degree b + 1 in each of the two other branches.  So row i
+  is row i - 1 doubled and shifted for every i >= 3, and tables.expand_tail
+  writes rows 2..hom_bound at O(entries in row 2) each, with no elimination,
+  dropping entries past deg_bound.  The cost follows hom_bound, not deg_bound.
 
 So rows 0..2, one canonical BettiTable, are the whole table, and as B is
 Koszul with Hilbert series (1 + 2t)/(1 - t), the alternating sum of the rows is
@@ -64,7 +64,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .linalg import FP_DEFAULT, Field, SpanTracker
-from .tables import EXPLICIT, MAX_COEFFICIENT_BITS, MAX_HOM_BOUND, BettiTable, _Checked, _rational
+from .tables import MAX_COEFFICIENT_BITS, MAX_HOM_BOUND, BettiTable, _Checked, _rational, _window_and_cut
 
 _VARS = ("x", "y", "z")
 _UNIT = ("1", 0)
@@ -501,11 +501,10 @@ def _relation_walk(M: GradedModuleB):
 
 
 class ResolutionResult(NamedTuple):
-    """A Betti table on the window, expand_tail(M._rows, hom_bound,
-    deg_bound), with its bounds.  tail_consistent, the doubling
-    2 beta_{i,j} = beta_{i+1,j+1} for i >= 2 inside the window, is always
-    True: the step 2 generators are triangular in one branch by construction
-    (module doc), and min_free_resolution builds rows 3 on from the doubling."""
+    """A Betti table on the window, expand_tail(M._rows, hom_bound, deg_bound),
+    with its bounds.  tail_consistent, the doubling 2 beta_{i,j} =
+    beta_{i+1,j+1} for i >= 2 inside the window, is always True: expand_tail
+    writes rows 3 on by the doubling, which the module doc proves."""
 
     betti: BettiTable
     deg_bound: int
@@ -516,33 +515,20 @@ class ResolutionResult(NamedTuple):
 
 def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> ResolutionResult:
     """Betti table of a minimal free resolution on the window i <= hom_bound,
-    j <= deg_bound, for any int deg_bound.  Every reported entry is exact;
-    truncated_rows lists the rows that may continue past deg_bound: a row with
-    mass at deg_bound, row 0 when a generator lies past it, row 1 when a
-    minimal relation does, and every row after such a row up to hom_bound.
-    Rows 0..2 are the module's own, cut at deg_bound, and one pass over row 2
-    writes rows 2..hom_bound in closed form (module doc), with no
-    elimination: beta_{i, d+i-2} = 2^(i-2) beta_{2, d} while d + i - 2 <= deg_bound.
-    Cost: O(entries of rows 0..2 + hom_bound * entries of row 2) here, after
-    the walk that building M paid once, O(relations * rank * r) field
-    operations for r generators."""
+    j <= deg_bound, for any int deg_bound: expand_tail(M._rows, hom_bound,
+    deg_bound), rows 0..2 cut at deg_bound and row 2 doubled past them (module
+    doc).  Every reported entry is exact; truncated_rows lists the rows that
+    may continue past deg_bound: a row with mass at deg_bound, row 0 when a
+    generator lies past it, row 1 when a minimal relation does, and every row
+    after such a row up to hom_bound.  Cost: O(entries of rows 0..2 +
+    hom_bound * entries of row 2) here, after the walk that building M paid
+    once, O(relations * rank * r) field operations for r generators."""
     if type(deg_bound) is not int or type(hom_bound) is not int:
         raise ValueError(f"deg_bound and hom_bound must be ints, got ({deg_bound!r}, {hom_bound!r})")
     if not 2 <= hom_bound <= MAX_HOM_BOUND:
         raise ValueError(f"hom_bound must be at least 2 and at most {MAX_HOM_BOUND}")
-    betti, cut = {}, []
-    for (i, d), n in M._rows._entries.items():
-        if i == 2:
-            for k in range(2, min(hom_bound, deg_bound - d + 2) + 1):
-                betti[k, d + k - 2] = n << (k - 2)
-        elif d <= deg_bound:
-            betti[i, d] = n
-        else:  # a generator or a minimal relation past deg_bound
-            cut.append(i)
-    table = BettiTable(betti, tail_mode=EXPLICIT)
-    cut += [i for (i, j) in betti if j == deg_bound]
-    truncated = tuple(range(min(cut), hom_bound + 1)) if cut else ()
-    return ResolutionResult(table, deg_bound, hom_bound, True, truncated)
+    table, first = _window_and_cut(M._rows, hom_bound, deg_bound)
+    return ResolutionResult(table, deg_bound, hom_bound, True, tuple(range(first, hom_bound + 1)))
 
 
 class HilbertData(NamedTuple):

@@ -181,15 +181,29 @@ def expand_tail(table: BettiTable, max_row: int, max_degree: int | None = None) 
         raise ValueError(f"max_row and max_degree must be ints, got ({max_row!r}, {max_degree!r})")
     if not 2 <= max_row <= MAX_HOM_BOUND:
         raise ValueError(f"max_row must be at least 2 and at most {MAX_HOM_BOUND}")
-    out = {}
+    if max_degree is None:  # a degree no entry of the window reaches
+        max_degree = (table.max_degree or 0) + max_row
+    return _window_and_cut(table, max_row, max_degree)[0]
+
+
+def _window_and_cut(table: BettiTable, max_row: int, max_degree: int) -> tuple[BettiTable, int]:
+    """expand_tail's window at an int max_degree, arguments unchecked, and in
+    the same loop the first row that may continue past max_degree, max_row + 1
+    if none: a row 0 or 1 entry at or past it, or a row 2 diagonal meeting it."""
+    out, first = {}, max_row + 1
     for (i, j), val in table._entries.items():
         if i == 2:  # row 2 and its doubled diagonal, cut at max_row and max_degree
-            last = max_row if max_degree is None else min(max_row, max_degree - j + 2)
+            last = min(max_row, max_degree - j + 2)
             for r in range(2, last + 1):
                 out[r, j + r - 2] = 2 ** (r - 2) * val
-        elif max_degree is None or j <= max_degree:
-            out[i, j] = val
-    return BettiTable(out, tail_mode=EXPLICIT)
+            if 2 <= last == max_degree - j + 2 < first:
+                first = last
+        else:
+            if j <= max_degree:
+                out[i, j] = val
+            if j >= max_degree and i < first:
+                first = i
+    return BettiTable(out, tail_mode=EXPLICIT), first
 
 
 def collapse_tail(table: BettiTable) -> BettiTable:
