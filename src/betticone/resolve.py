@@ -114,7 +114,7 @@ class BPolynomial:
 
     @classmethod
     def monomial(cls, var: str, exp: int, coeff=1) -> "BPolynomial":
-        if exp == 0:
+        if exp == 0 and type(exp) is int:  # a float or bool zero is refused below
             return cls.constant(coeff)
         return cls({(var, exp): coeff})
 
