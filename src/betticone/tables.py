@@ -196,7 +196,7 @@ def _window_and_cut(table: BettiTable, max_row: int, max_degree: int) -> tuple[B
             last = min(max_row, max_degree - j + 2)
             for r in range(2, last + 1):
                 out[r, j + r - 2] = 2 ** (r - 2) * val
-            if 2 <= last == max_degree - j + 2 < first:
+            if 2 <= last == max_degree - j + 2 < first:  # its diagonal meets max_degree in row last
                 first = last
         else:
             if j <= max_degree:

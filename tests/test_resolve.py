@@ -506,7 +506,8 @@ def every_degree_betti(M, deg_bound, hom_bound):
     relations = _labelled_relations(M)
     betti = {}
     for a in M.gen_degrees:
-        betti[(0, a)] = betti.get((0, a), 0) + 1
+        if a <= deg_bound:
+            betti[(0, a)] = betti.get((0, a), 0) + 1
     upper_degrees, cur_degrees, cur_images = None, M.gen_degrees, None
     for step in range(1, hom_bound + 1):
         if not (relations if step == 1 else cur_degrees):
@@ -569,7 +570,8 @@ def every_step_resolution(M, deg_bound, hom_bound):
     step 3 on.  Returns (betti dict, tail_consistent, truncated_rows)."""
     betti = {}
     for a in M.gen_degrees:
-        betti[(0, a)] = betti.get((0, a), 0) + 1
+        if a <= deg_bound:
+            betti[(0, a)] = betti.get((0, a), 0) + 1
     gens = [(d, row) for d, born, _ in resolve_module._relation_walk(M) if d <= deg_bound for row in born]
     rank = len(M.gen_degrees)
     for step in range(1, hom_bound + 1):
@@ -648,7 +650,8 @@ def small_modules(draw, max_hom=5):
         if draw(st.integers(0, 4)) == 0:
             rows.append(tuple(row))  # a redundant copy
     hom = draw(st.integers(2, max_hom))
-    deg_bound = max(gens) + hom + draw(st.integers(0, 5))
+    # from below every generator, which cuts row 0, to past maxgen + hom
+    deg_bound = draw(st.integers(min(gens) - 1, max(gens) + hom + 5))
     return GradedModuleB(tuple(gens), tuple(rows), field), deg_bound, hom
 
 
@@ -800,6 +803,31 @@ def test_the_engine_and_expand_tail_write_the_same_window(field):
         flags.update(cut[:1] for cut in assert_engine_writes_the_expanded_window(
             scrambled_sum(terms, field, rng), combination(terms)))
     assert min(flags[(0,)], flags[(1,)], flags[(2,)], flags[()]) > 20, flags
+
+
+def test_every_window_below_flat_is_truncated():
+    # hilbert_data refuses a deg_bound below flat, and every such window is
+    # truncated, so resolve's exit 1 below flat needs no Hilbert refusal
+    cases = [(builtin(name, field), tor_betti(builtin(name, field), 12, 2))
+             for field in (QQ, FP_DEFAULT) for name in BUILTIN_NAMES]
+    rng = random.Random(3535)
+    for field in (QQ, FP_DEFAULT):
+        for _ in range(30):
+            terms = random_sum_terms(rng, max_gens=12)
+            cases.append((scrambled_sum(terms, field, rng), combination(terms)))
+    seen = Counter()
+    for M, rows in cases:
+        degrees = [j for _, j in rows]
+        for hom_bound in (2, 3, 5):
+            for deg_bound in range(min(degrees) - 3, max(degrees) + 4):
+                try:
+                    hilbert_data(M, deg_bound)
+                except StabilizationError:
+                    assert min_free_resolution(M, deg_bound, hom_bound).truncated_rows, (rows, deg_bound, hom_bound)
+                    seen["below flat"] += 1
+                else:
+                    seen["from flat on"] += 1
+    assert min(seen.values()) > 500, seen
 
 
 # -- Hilbert data ---------------------------------------------------------------
@@ -1088,11 +1116,12 @@ def with_redundant_relations(M, rng):
 
 
 def window_outputs(M, top):
-    """min_free_resolution at every window up to deg_bound top + 2, and
+    """min_free_resolution at every window from deg_bound one below the
+    least generator degree, which cuts row 0, up to top + 2, and
     hilbert_data, or the StabilizationError type, at every bound up to top + 2."""
     outputs = []
     for hom in (2, 3, 4):
-        for deg_bound in range(max(M.gen_degrees) + hom, top + 3):
+        for deg_bound in range(min(M.gen_degrees) - 1, top + 3):
             res = min_free_resolution(M, deg_bound, hom)
             outputs.append((res.betti, res.truncated_rows))
     for deg_bound in range(min(M.gen_degrees) - 1, top + 3):
