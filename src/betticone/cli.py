@@ -36,7 +36,6 @@ import argparse
 import functools
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .cone import (
@@ -59,10 +58,10 @@ from .resolve import (
 from .tables import (
     CANONICAL,
     EXPLICIT,
-    MAX_COEFFICIENT_BITS,
     BettiTable,
     DegreeSequence,
     _cone_functionals,
+    _rational,
     make_pure_diagram,
 )
 from .window import Window, cross_check
@@ -74,30 +73,6 @@ class TableFormatError(ValueError):
 
 class ModuleFormatError(ValueError):
     pass
-
-
-# Fraction expands a decimal exponent, so a text such as 1e1000000000 would
-# not finish: an exponent past MAX_COEFFICIENT_BITS is refused before the
-# value is built.
-_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
-
-
-def _parse_rational(text: str) -> Fraction | int:
-    """Fraction(text), refused with a ValueError when its numerator or its
-    denominator would pass MAX_COEFFICIENT_BITS bits, the bound parse_poly
-    keeps on coefficients.  A plain ASCII digit string, such as every entry
-    resolve prints, is read by int() and returned as the int of that value."""
-    if text.isascii() and text.isdigit():
-        q = int(text)
-    else:
-        exp = _EXPONENT.search(text)
-        try:
-            q = None if exp and abs(int(exp[1])) > MAX_COEFFICIENT_BITS else Fraction(text)
-        except ZeroDivisionError as exc:
-            raise ValueError(f"zero denominator in {text!r}") from exc
-    if q is None or max(abs(q.numerator), q.denominator).bit_length() - 1 > MAX_COEFFICIENT_BITS:
-        raise ValueError(f"{text!r} needs a numerator or denominator above {MAX_COEFFICIENT_BITS} bits")
-    return q
 
 
 def _content_lines(text: str) -> list[str]:
@@ -124,7 +99,7 @@ def parse_table_text(text: str) -> BettiTable:
         if len(parts) != 4:
             raise TableFormatError(f"bad entry line: {line!r}")
         try:
-            i, j, val = int(parts[1]), int(parts[2]), _parse_rational(parts[3])
+            i, j, val = int(parts[1]), int(parts[2]), _rational(parts[3], "entry")
         except ValueError as exc:
             raise TableFormatError(f"bad entry line: {line!r}") from exc
         if (i, j) in entries:
@@ -318,7 +293,7 @@ def cmd_verify_window(args) -> int:
 
 
 def cmd_local(args) -> int:
-    s = BettiSequence.of(_parse_rational(args.b0), _parse_rational(args.b1), _parse_rational(args.b2))
+    s = BettiSequence.of(args.b0, args.b1, args.b2)
     verdict = check_local(s, finite_length=args.finite_length)
     if not verdict.member:
         return _print_verdict(verdict, ["not in local cone" if args.mode == "decompose" else "member: no"])

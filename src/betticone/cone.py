@@ -306,7 +306,7 @@ class BettiSequence(NamedTuple):
 
     @classmethod
     def of(cls, b0: RationalLike, b1: RationalLike, b2: RationalLike) -> "BettiSequence":
-        return cls(_rational(b0), _rational(b1), _rational(b2))
+        return cls(_rational(b0, "b0"), _rational(b1, "b1"), _rational(b2, "b2"))
 
 
 class LocalDecomposition(NamedTuple):

@@ -18,7 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
-from .tables import _Checked
+from .tables import _Checked, _int
 
 # F_p is meant as a small modular fast path; this bound keeps the primality
 # check by trial division bounded too
@@ -42,9 +42,7 @@ class Field(_Checked, namedtuple("Field", "p")):
     __slots__ = ()
 
     def __new__(cls, p: int = 0):
-        if type(p) is not int:
-            raise ValueError(f"field characteristic must be an int, got {p!r}")
-        if p >= MAX_PRIME:
+        if _int(p, "field characteristic") >= MAX_PRIME:
             raise ValueError(f"prime {p} is too large, F_p needs p < 2^31")
         if p != 0 and not _is_prime(p):
             raise ValueError(f"{p} is not prime")
@@ -71,7 +69,7 @@ class Field(_Checked, namedtuple("Field", "p")):
 
 def PrimeField(p: int) -> Field:
     """F_p for a prime p below 2^31."""
-    if p == 0:
+    if _int(p, "field characteristic") == 0:
         raise ValueError("0 is not prime")
     return Field(p)
 

@@ -64,7 +64,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .linalg import FP_DEFAULT, Field, SpanTracker
-from .tables import MAX_COEFFICIENT_BITS, MAX_HOM_BOUND, BettiTable, _Checked, _rational, _window_and_cut
+from .tables import MAX_COEFFICIENT_BITS, MAX_HOM_BOUND, BettiTable, _Checked, _int, _rational, _window_and_cut
 
 _VARS = ("x", "y", "z")
 _UNIT = ("1", 0)
@@ -84,18 +84,18 @@ def _mono_mul(m1, m2):
 
 class BPolynomial:
     """Element of B on the monomial basis {1} + {x^e, y^e, z^e : e >= 1}, from a
-    mapping of monomials, ("1", 0) or (var, e) with e an int, to coefficients;
-    a float is refused.  A coefficient is an int when integral and a Fraction otherwise."""
+    mapping of monomials, ("1", 0) or (var, e) with e an int, to coefficients,
+    rational values (tables._rational), each an int when integral and a Fraction otherwise."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=None):
         items: dict[tuple[str, int], int | Fraction] = {}
         for mono, q in (coeffs or {}).items():
-            var, exp = mono
-            if type(exp) is not int or mono != _UNIT and (var not in _VARS or exp < 1):
+            var, exp = mono if isinstance(mono, tuple) and len(mono) == 2 else (None, 1)  # refused below
+            if (var not in _VARS) if _int(exp, "exponent") > 0 else (mono != _UNIT):
                 raise ValueError(f"bad monomial {mono!r}")
-            q = q if type(q) is int else _rational(q)
+            q = q if type(q) is int else _rational(q, "coefficient")
             if q:
                 items[mono] = q
         self._coeffs = items
@@ -114,7 +114,7 @@ class BPolynomial:
 
     @classmethod
     def monomial(cls, var: str, exp: int, coeff=1) -> "BPolynomial":
-        if exp == 0 and type(exp) is int:  # a float or bool zero is refused below
+        if _int(exp, "exponent") == 0 and var in _VARS:  # v^0 is 1
             return cls.constant(coeff)
         return cls({(var, exp): coeff})
 
@@ -171,7 +171,7 @@ class BPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if _int(n, "exponent") < 0:
             raise ValueError("exponent must be a nonnegative int")
         if n == 0:
             return BPolynomial.constant(1)
@@ -250,6 +250,8 @@ def parse_poly(text: str) -> BPolynomial:
     would pass MAX_COEFFICIENT_BITS bits are refused too, and so are
     parentheses nested deeper than MAX_NESTING.
     """
+    if not isinstance(text, str):
+        raise PolyParseError(f"polynomial must be a str, got {type(text).__name__} {text!r}")
     tokens = _tokenize(text)
     pos = 0
     depth = 0
@@ -392,9 +394,7 @@ class GradedModuleB(_Checked, namedtuple("GradedModuleB", "gen_degrees relations
     than the same module would without its far degrees."""
 
     def __new__(cls, gen_degrees, relations=(), field=FP_DEFAULT):
-        gen_degrees = tuple(gen_degrees)
-        if any(type(a) is not int for a in gen_degrees):
-            raise ValueError(f"generator degrees must be ints, got {gen_degrees!r}")
+        gen_degrees = tuple(_int(a, "generator degree") for a in gen_degrees)
         if not isinstance(field, Field):
             raise ValueError(f"field must be a Field, such as QQ or PrimeField(p), got {field!r}")
         relations = tuple(tuple(row) for row in relations)
@@ -523,11 +523,9 @@ def min_free_resolution(M: GradedModuleB, deg_bound: int, hom_bound: int) -> Res
     after such a row up to hom_bound.  Cost: O(entries of rows 0..2 +
     hom_bound * entries of row 2) here, after the walk that building M paid
     once, O(relations * rank * r) field operations for r generators."""
-    if type(deg_bound) is not int or type(hom_bound) is not int:
-        raise ValueError(f"deg_bound and hom_bound must be ints, got ({deg_bound!r}, {hom_bound!r})")
-    if not 2 <= hom_bound <= MAX_HOM_BOUND:
+    if not 2 <= _int(hom_bound, "hom_bound") <= MAX_HOM_BOUND:
         raise ValueError(f"hom_bound must be at least 2 and at most {MAX_HOM_BOUND}")
-    table, first = _window_and_cut(M._rows, hom_bound, deg_bound)
+    table, first = _window_and_cut(M._rows, hom_bound, _int(deg_bound, "deg_bound"))
     return ResolutionResult(table, deg_bound, hom_bound, True, tuple(range(first, hom_bound + 1)))
 
 
@@ -551,8 +549,7 @@ def hilbert_data(M: GradedModuleB, deg_bound: int) -> HilbertData:
     on, so deg_bound must reach flat, or StabilizationError is raised, as a
     dimension past it could still change.  Cost: O(generators + entries of
     rows 0..2 + numerator length), after the walk that building M paid once."""
-    if type(deg_bound) is not int:
-        raise ValueError(f"deg_bound must be an int, got {deg_bound!r}")
+    _int(deg_bound, "deg_bound")
     if not M.gen_degrees:
         return HilbertData(0, (), 0)
     flat = max(j for (i, j) in M._rows._entries if i < 2) + 1

@@ -13,8 +13,8 @@ first three rows, and this module stores tables in two modes:
   resolution engine needs when it reports a finite window of an infinite
   resolution.
 
-Entries are exact: an int when integral, else a fractions.Fraction; a float
-entry is refused.  Tables are immutable values; all operations return new ones.
+Entries are exact, an int when integral, else a Fraction (see _rational).
+Tables are immutable values; all operations return new ones.
 
 A pure diagram pi_d is fixed by its degree sequence d alone, so no record
 pairs the two: make_pure_diagram(d) returns pi_d's canonical table, and
@@ -23,10 +23,13 @@ DegreeSequence._pure_entries() is the one rule for its 1-3 stored entries.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
 from functools import total_ordering
 from itertools import accumulate, repeat
+from numbers import Rational
 from typing import Mapping, NamedTuple, Union
 
 CANONICAL = "canonical"
@@ -75,12 +78,41 @@ MAX_COEFFICIENT_BITS = 4096
 MAX_HOM_BOUND = 1000
 
 
-def _rational(value) -> RationalLike:
-    """value as an int when integral, else as a Fraction; a float is refused,
-    its binary expansion would be taken for the number meant."""
-    if type(value) is not Fraction:
-        if isinstance(value, float):
-            raise ValueError(f"float {value!r} is not an exact rational; pass an int, a Fraction or a string")
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _int(value, what: str) -> int:
+    """The rule of every int argument: value when its type is int, else a
+    ValueError that names what, for a bool and an integral float, str or Fraction too."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int, got {type(value).__name__} {value!r}")
+    return value
+
+
+def _rational(value, what: str) -> RationalLike:
+    """The rule of every rational value: value as an int when integral, else a
+    Fraction.  Any numbers.Rational but a bool is taken, and no float, as its
+    binary expansion would pass for the number meant.  A str, or a Decimal as
+    its text, is read as Fraction reads it, an ASCII digit string by int(), and
+    refused past MAX_COEFFICIENT_BITS bits of numerator or denominator, an
+    exponent past that bound before Fraction expands it: a ValueError naming what."""
+    if type(value) is str:
+        try:
+            if value.isascii() and value.isdigit():
+                q = int(value)
+            else:
+                exp = _EXPONENT.search(value)
+                q = None if exp and abs(int(exp[1])) > MAX_COEFFICIENT_BITS else Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{what} {value!r} is not a rational") from None
+        if q is None or max(abs(q.numerator), q.denominator).bit_length() - 1 > MAX_COEFFICIENT_BITS:
+            raise ValueError(f"{what} {value!r} needs a numerator or denominator above {MAX_COEFFICIENT_BITS} bits")
+        value = q
+    elif type(value) is not Fraction:
+        if isinstance(value, (str, Decimal)):  # a str subclass, or a Decimal, is read as its text
+            return _rational(str(value), what)
+        if isinstance(value, bool) or not isinstance(value, Rational):
+            raise ValueError(f"{what} must be an int, a Fraction or a str, got {type(value).__name__} {value!r}")
         value = Fraction(value)
     return value if value.denominator != 1 else value.numerator
 
@@ -107,12 +139,15 @@ class BettiTable:
             raise ValueError(f"unknown tail mode: {tail_mode!r}")
         items: dict[tuple[int, int], RationalLike] = {}
         for key, value in (entries or {}).items():
-            i, j = key
-            if type(i) is not int or type(j) is not int:  # a bool is refused too
-                raise ValueError(f"table index must be a pair of ints, got {key!r}")
+            try:
+                i, j = key
+            except (TypeError, ValueError):
+                raise ValueError(f"table index must be a pair (i, j), got {key!r}") from None
+            if type(i) is not int or type(j) is not int:  # _int's test inline, as this loop is hot
+                _int(i, "homological index"), _int(j, "degree")  # raises
             if i < 0:
                 raise ValueError(f"homological index must be >= 0, got {i}")
-            q = value if type(value) is int else _rational(value)
+            q = value if type(value) is int else _rational(value, "table entry")
             if q:
                 items[(i, j)] = q
         if tail_mode == CANONICAL:
@@ -125,9 +160,8 @@ class BettiTable:
     def entry(self, i: int, j: int) -> RationalLike:
         """Value at (i, j), 0 if missing, deriving rows i >= 3 from row 2 in
         canonical mode, up to row MAX_HOM_BOUND."""
-        if type(i) is not int or type(j) is not int:
-            raise ValueError(f"table index must be a pair of ints, got {(i, j)!r}")
-        if i < 0:
+        _int(j, "degree")
+        if _int(i, "homological index") < 0:
             raise ValueError(f"homological index must be >= 0, got {i}")
         if self.tail_mode == CANONICAL and i >= 3:
             if i > MAX_HOM_BOUND:
@@ -177,13 +211,11 @@ def expand_tail(table: BettiTable, max_row: int, max_degree: int | None = None) 
     """
     if table.tail_mode != CANONICAL:
         raise ValueError("expand_tail expects a canonical table")
-    if type(max_row) is not int or not (max_degree is None or type(max_degree) is int):
-        raise ValueError(f"max_row and max_degree must be ints, got ({max_row!r}, {max_degree!r})")
-    if not 2 <= max_row <= MAX_HOM_BOUND:
+    if not 2 <= _int(max_row, "max_row") <= MAX_HOM_BOUND:
         raise ValueError(f"max_row must be at least 2 and at most {MAX_HOM_BOUND}")
     if max_degree is None:  # a degree no entry of the window reaches
         max_degree = (table.max_degree or 0) + max_row
-    return _window_and_cut(table, max_row, max_degree)[0]
+    return _window_and_cut(table, max_row, _int(max_degree, "max_degree"))[0]
 
 
 def _window_and_cut(table: BettiTable, max_row: int, max_degree: int) -> tuple[BettiTable, int]:
@@ -232,15 +264,14 @@ class DegreeSequence(_Checked, namedtuple("DegreeSequence", "shape d0 d1")):
     def __new__(cls, shape: str, d0: int, d1: int | None = None):
         if shape not in (FREE, TWO_STEP, TAIL):
             raise ValueError(f"unknown shape: {shape!r}")
-        if type(d0) is not int or not (d1 is None or type(d1) is int):
-            raise ValueError(f"degrees must be ints, got ({d0!r}, {d1!r})")
+        _int(d0, "d0")
         if shape == FREE:
             if d1 is not None:
                 raise ValueError("free shape takes d0 only")
         else:
             if d1 is None:
                 raise ValueError(f"{shape} shape needs d1")
-            if not d0 < d1:
+            if not d0 < _int(d1, "d1"):
                 raise ValueError(f"need d0 < d1, got ({d0}, {d1})")
         return super().__new__(cls, shape, d0, d1)
 
@@ -258,7 +289,7 @@ class DegreeSequence(_Checked, namedtuple("DegreeSequence", "shape d0 d1")):
 
     def degree(self, n: int):
         """The n-th degree d_n; missing positions read as INF."""
-        if n < 0:
+        if _int(n, "position") < 0:
             raise ValueError("position must be >= 0")
         if n == 0:
             return self.d0
@@ -323,17 +354,17 @@ class Functional(NamedTuple):
 
     @classmethod
     def epsilon(cls, i: int, j: int) -> "Functional":
-        if i < 0:
+        if _int(i, "i") < 0:
             raise ValueError("epsilon needs i >= 0")
-        return cls(EPSILON, i=i, j=j)
+        return cls(EPSILON, i=i, j=_int(j, "j"))
 
     @classmethod
     def alpha(cls, k: int) -> "Functional":
-        return cls(ALPHA, k=k)
+        return cls(ALPHA, k=_int(k, "k"))
 
     @classmethod
     def gamma(cls, k: int) -> "Functional":
-        return cls(GAMMA, k=k)
+        return cls(GAMMA, k=_int(k, "k"))
 
     @classmethod
     def gamma_inf(cls) -> "Functional":
@@ -341,9 +372,9 @@ class Functional(NamedTuple):
 
     @classmethod
     def doubling_eq(cls, i: int, j: int) -> "Functional":
-        if i < 2:
+        if _int(i, "i") < 2:
             raise ValueError("doubling equalities live in rows i >= 2")
-        return cls(DOUBLING_EQ, i=i, j=j)
+        return cls(DOUBLING_EQ, i=i, j=_int(j, "j"))
 
     def label(self) -> str:
         if self.kind == EPSILON:
@@ -450,15 +481,15 @@ class HKRay(NamedTuple):
 
     def entries(self, n: int) -> tuple[int, ...]:
         """First n entries of the ray vector; entries i >= 3 double the previous."""
-        out = list(self.vector[: max(n, 0)])
+        out = list(self.vector[: max(_int(n, "n"), 0)])
         while len(out) < n:
             out.append(2 * out[-1])
         return tuple(out)
 
 
 def hk_ray(c: RationalLike) -> HKRay:
-    """Ray data for slope invariant c in {0, 1, 3/2, 2}; a float is refused."""
-    c = Fraction(_rational(c))
+    """Ray data for slope invariant c in {0, 1, 3/2, 2}, a rational value."""
+    c = Fraction(_rational(c, "c"))
     if c not in _HK_RAYS:
         raise ValueError(f"no ray with c = {c}; admitted values are 0, 1, 3/2, 2")
     name, vec = _HK_RAYS[c]

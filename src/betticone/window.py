@@ -29,6 +29,7 @@ from .tables import (
     Functional,
     _Checked,
     _cone_functionals,
+    _int,
     make_pure_diagram,
 )
 
@@ -48,9 +49,7 @@ class Window(_Checked, namedtuple("Window", "jmin jmax")):
     __slots__ = ()
 
     def __new__(cls, jmin: int, jmax: int):
-        if type(jmin) is not int or type(jmax) is not int:
-            raise ValueError(f"window bounds must be ints, got [{jmin!r}, {jmax!r}]")
-        if jmin > jmax:
+        if _int(jmin, "jmin") > _int(jmax, "jmax"):
             raise ValueError(f"empty window [{jmin}, {jmax}]")
         return super().__new__(cls, jmin, jmax)
 
@@ -66,7 +65,7 @@ class Window(_Checked, namedtuple("Window", "jmin jmax")):
         return range(self.jmin, self.jmax + 1)
 
     def index(self, i: int, j: int) -> int:
-        if i not in _ROWS or not self.jmin <= j <= self.jmax:
+        if _int(i, "i") not in _ROWS or not self.jmin <= _int(j, "j") <= self.jmax:
             raise ValueError(f"({i}, {j}) outside window [{self.jmin}, {self.jmax}]")
         return i * self.width + (j - self.jmin)
 
@@ -133,7 +132,7 @@ def extreme_rays(dim: int, ineqs, eqs=()):
     for coordinate n, bit dim + t for the t-th constraint processed.  A new
     ray is a strictly positive combination of its two parents, so it is flat
     exactly where both of them are, and on the new constraint."""
-    full = (1 << dim) - 1
+    full = (1 << _int(dim, "dim")) - 1
     rays = {tuple(int(m == n) for m in range(dim)): full ^ (1 << n) for n in range(dim)}
     todo = list(ineqs)
     for b in eqs:

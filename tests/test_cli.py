@@ -28,21 +28,22 @@ from betticone import (
     cone,
     expand_tail,
     hilbert_data,
+    hk_ray,
     make_pure_diagram,
     min_free_resolution,
 )
 from betticone import resolve as resolve_module
 from betticone.cli import (
     ModuleFormatError,
-    _parse_rational,
     format_table_text,
     parse_module_text,
     parse_table_text,
     run,
 )
 from betticone.linalg import SpanTracker
-from betticone.resolve import BUILTIN_NAMES, MAX_HOM_BOUND, GradedModuleB
-from betticone.tables import MAX_COEFFICIENT_BITS
+from betticone.cone import BettiSequence
+from betticone.resolve import BUILTIN_NAMES, MAX_HOM_BOUND, BPolynomial, GradedModuleB
+from betticone.tables import MAX_COEFFICIENT_BITS, _rational
 from oracles import combine, functional_value, scrambled_sum
 
 
@@ -202,6 +203,13 @@ def test_values_past_the_coefficient_bound_are_refused_promptly(capsys, tmp_path
         assert time.perf_counter() - start < 2.0
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+    # the library reads a value by the same rule
+    for build in (lambda: BettiTable({(0, 0): value}), lambda: BettiSequence.of(value, 0, 0),
+                  lambda: hk_ray(value), lambda: BPolynomial.constant(value)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="above 4096 bits"):
+            build()
+        assert time.perf_counter() - start < 2.0
 
 
 def test_a_verdict_past_the_int_to_text_limit_prints_nothing(capsys, tmp_path):
@@ -821,7 +829,7 @@ def digit_texts(draw):
 
 
 def fraction_or_refusal(text):
-    """Fraction(text) under the bit bound _parse_rational keeps, or None."""
+    """Fraction(text) under the bit bound _rational keeps, or None."""
     try:
         q = Fraction(text)
     except ValueError:
@@ -838,7 +846,7 @@ def fraction_or_refusal(text):
 @settings(max_examples=300, deadline=None)
 def test_parse_rational_agrees_with_fraction_on_digit_strings(text):
     try:
-        got = _parse_rational(text)
+        got = _rational(text, "entry")
     except ValueError:
         got = None
     expected = fraction_or_refusal(text)

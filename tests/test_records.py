@@ -12,7 +12,7 @@ from types import ModuleType
 import pytest
 
 import betticone
-from betticone import FP_DEFAULT, QQ, BettiTable, DegreeSequence, Functional, hk_ray
+from betticone import FP_DEFAULT, QQ, BettiTable, DegreeSequence, Functional, PrimeField, hk_ray
 from betticone import cone, linalg, resolve, tables, window
 from betticone.cone import (
     BettiSequence,
@@ -28,10 +28,12 @@ from betticone.resolve import (
     HilbertData,
     ResolutionResult,
     builtin,
+    hilbert_data,
     min_free_resolution,
+    parse_poly,
 )
-from betticone.tables import HKRay
-from betticone.window import Window, WindowReport, cross_check
+from betticone.tables import HKRay, expand_tail, syzygy_of_indecomposable
+from betticone.window import Window, WindowReport, cross_check, extreme_rays
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -142,17 +144,84 @@ def test_constructors_still_refuse(build, message):
         build()
 
 
-@pytest.mark.parametrize("bad", [0.7, True, "1"], ids=["float", "bool", "str"])
-@pytest.mark.parametrize("build", [
-    pytest.param(lambda a: GradedModuleB((0, a)), id="module"),
-    pytest.param(lambda a: DegreeSequence.free(a), id="free"),
-    pytest.param(lambda a: DegreeSequence.tail(-1, a), id="tail"),
-    pytest.param(lambda a: Window(a, 3), id="window"),
-])
-def test_degrees_are_ints_when_the_record_is_built(build, bad):
-    # the rule of a table index: 0.7 is not cut to 0, nor True read as 1
-    with pytest.raises(ValueError, match="must be ints"):
-        build(bad)
+# The sweep of every int, rational and name argument of the public calls: each
+# row is a call of one argument, a pattern its refusal must match, as it names
+# the argument, and the swept values it takes.  An int argument takes none of
+# them, not even 1.0, True, "1" or Fraction(1), which equal an int, but None
+# where None is its default; a rational one takes a Fraction and an int or
+# rational text, and gives what the exact value gives.
+SWEPT = {"float": 1.0, "bool": True, "str": "1", "ratio": "3/2", "Fraction": Fraction(1), "None": None,
+         "big-float": 2 ** 70 * 1.0, "name": "w"}
+EXACT = {"str": 1, "ratio": Fraction(3, 2), "Fraction": 1}
+RATIONAL = ("str", "ratio", "Fraction")
+OMEGA = builtin("omega")
+T = BettiTable({(2, 0): 3})
+ARGUMENTS = [
+    # ints
+    pytest.param(lambda a: GradedModuleB((0, a)), "generator degree", (), id="module"),
+    pytest.param(lambda a: DegreeSequence.free(a), "d0", (), id="free"),
+    pytest.param(lambda a: DegreeSequence.tail(-1, a), "d1", (), id="tail"),
+    pytest.param(lambda a: DegreeSequence.two_step(a, 5), "d0", (), id="two_step"),
+    pytest.param(lambda a: DegreeSequence.free(0).degree(a), "position", (), id="position"),
+    pytest.param(lambda a: Window(a, 3), "jmin", (), id="window"),
+    pytest.param(lambda a: Window(0, a), "jmax", (), id="window-jmax"),
+    pytest.param(lambda a: Window(0, 3).index(a, 1), "i", (), id="index-i"),
+    pytest.param(lambda a: Window(0, 3).index(0, a), "j", (), id="index-j"),
+    pytest.param(lambda a: extreme_rays(a, []), "dim", (), id="extreme_rays"),
+    pytest.param(lambda a: BettiTable({(a, 0): 1}), "homological index", (), id="table-i"),
+    pytest.param(lambda a: BettiTable({(0, a): 1}), "degree", (), id="table-j"),
+    pytest.param(lambda a: BettiTable({a: 1}), "table index", (), id="table-key"),
+    pytest.param(lambda a: BettiTable({(0, 0, a): 1}), "table index", (), id="table-key-3"),
+    pytest.param(lambda a: T.entry(a, 0), "homological index", (), id="entry-i"),
+    pytest.param(lambda a: T.entry(3, a), "degree", (), id="entry-j"),
+    pytest.param(lambda a: expand_tail(T, a), "max_row", (), id="max_row"),
+    pytest.param(lambda a: expand_tail(T, 4, a), "max_degree", ("None",), id="max_degree"),
+    pytest.param(lambda a: Functional.epsilon(a, 0), "i", (), id="epsilon-i"),
+    pytest.param(lambda a: Functional.epsilon(0, a), "j", (), id="epsilon-j"),
+    pytest.param(lambda a: Functional.alpha(a), "k", (), id="alpha"),
+    pytest.param(lambda a: Functional.gamma(a), "k", (), id="gamma"),
+    pytest.param(lambda a: Functional.doubling_eq(a, 1), "i", (), id="doubling-i"),
+    pytest.param(lambda a: Functional.doubling_eq(2, a), "j", (), id="doubling-j"),
+    pytest.param(lambda a: hk_ray(1).entries(a), "n", (), id="ray-entries"),
+    pytest.param(lambda a: Field(a), "field characteristic", (), id="field"),
+    pytest.param(lambda a: PrimeField(a), "field characteristic", (), id="prime-field"),
+    pytest.param(lambda a: min_free_resolution(OMEGA, a, 3), "deg_bound", (), id="resolve-deg"),
+    pytest.param(lambda a: min_free_resolution(OMEGA, 8, a), "hom_bound", (), id="resolve-hom"),
+    pytest.param(lambda a: hilbert_data(OMEGA, a), "deg_bound", (), id="hilbert"),
+    pytest.param(lambda a: BPolynomial.monomial("x", a), "exponent", (), id="monomial-exp"),
+    pytest.param(lambda a: BPolynomial({("x", a): 1}), "exponent", (), id="poly-exp"),
+    pytest.param(lambda a: BPolynomial.variable("x") ** a, "exponent", (), id="power"),
+    # rationals
+    pytest.param(lambda a: BettiTable({(0, 0): a}), "table entry", RATIONAL, id="table-entry"),
+    pytest.param(lambda a: BettiSequence.of(a, 0, 0), "b0", RATIONAL, id="b0"),
+    pytest.param(lambda a: BettiSequence.of(0, a, 0), "b1", RATIONAL, id="b1"),
+    pytest.param(lambda a: BettiSequence.of(0, 0, a), "b2", RATIONAL, id="b2"),
+    pytest.param(lambda a: hk_ray(a), "c", RATIONAL, id="hk_ray"),
+    pytest.param(lambda a: BPolynomial.constant(a), "coefficient", RATIONAL, id="constant"),
+    pytest.param(lambda a: BPolynomial.monomial("x", 1, a), "coefficient", RATIONAL, id="monomial-coeff"),
+    pytest.param(lambda a: BPolynomial({("y", 2): a}), "coefficient", RATIONAL, id="poly-coeff"),
+    # names
+    pytest.param(lambda a: BPolynomial.variable(a), "monomial", (), id="variable"),
+    pytest.param(lambda a: BPolynomial.monomial(a, 0, 5), "monomial", ("str",), id="monomial-var"),  # "1"^0
+    pytest.param(lambda a: BPolynomial({a: 1}), "monomial", (), id="poly-key"),
+    pytest.param(lambda a: parse_poly(a), "polynomial|bad character", ("str", "ratio"), id="parse_poly"),
+    pytest.param(lambda a: builtin(a), "builtin", (), id="builtin"),
+    pytest.param(lambda a: syzygy_of_indecomposable(a), "indecomposable", (), id="syzygy"),
+]
+
+
+@pytest.mark.parametrize("kind", SWEPT)
+@pytest.mark.parametrize("build, names, takes", ARGUMENTS)
+def test_degrees_are_ints_when_the_record_is_built(build, names, takes, kind):
+    # the int rule: 1.0 is not read as 1, nor True; the value rule refuses a
+    # bool too, and reads "3/2" as Fraction(3, 2)
+    if kind not in takes:
+        with pytest.raises(ValueError, match=rf"\b({names})\b"):
+            build(SWEPT[kind])
+    elif "Fraction" in takes:
+        assert repr(build(SWEPT[kind])) == repr(build(EXACT[kind]))
+    else:
+        build(SWEPT[kind])
 
 
 def test_with_field_rederives_the_branch_rows():

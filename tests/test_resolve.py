@@ -242,16 +242,29 @@ def test_float_coefficients_are_refused():
 
 
 def test_polynomial_validation_and_foreign_operands():
-    for mono in (("w", 1), ("x", 0), ("y", -2), ("x", 1.5), ("y", 3.0), ("x", True), ("1", 0.0)):
+    for mono in (("w", 1), ("x", 0), ("y", -2), ("w", 0), ("x", 1, 1), None):
         with pytest.raises(ValueError, match="bad monomial"):
             BPolynomial({mono: 1})
+    for mono in (("x", 1.5), ("y", 3.0), ("x", True), ("1", 0.0)):
+        with pytest.raises(ValueError, match="exponent must be an int"):
+            BPolynomial({mono: 1})
     for exp in (3.0, 0.0, False):
-        with pytest.raises(ValueError, match="bad monomial"):
+        with pytest.raises(ValueError, match="exponent must be an int"):
             BPolynomial.monomial("y", exp)
-    assert BPolynomial.monomial("y", 0, 5) == BPolynomial.constant(5)
-    for n in (-1, 1.5, "2"):
-        with pytest.raises(ValueError, match="exponent must be a nonnegative int"):
+    # v^0 is 1 for a variable v and the unit's name "1" only: "w"^0 is refused
+    assert BPolynomial.monomial("y", 0, 5) == BPolynomial.monomial("1", 0, 5) == BPolynomial.constant(5)
+    with pytest.raises(ValueError, match="exponent must be a nonnegative int"):
+        X ** -1
+    for n in (1.5, "2", True, False):
+        with pytest.raises(ValueError, match="exponent must be an int"):
             X ** n
+    for text in (5, b"x"):
+        with pytest.raises(PolyParseError, match="polynomial must be a str"):
+            parse_poly(text)
+    # a bool is no coefficient either
+    for op in (lambda p: p * True, lambda p: False * p):
+        with pytest.raises(ValueError, match="coefficient must be an int, a Fraction or a str, got bool"):
+            op(X)
     assert repr(X - 2 * Y) == "BPolynomial(x - 2*y)"
     # an operand that is not a BPolynomial is left to Python, which refuses it
     for op in (lambda p: p + "x", lambda p: p - "x", lambda p: p * "x", lambda p: p * [1]):
@@ -328,7 +341,7 @@ def test_bound_validation():
     assert top.betti.entry(MAX_HOM_BOUND, MAX_HOM_BOUND) == 3 * 2 ** (MAX_HOM_BOUND - 1)
     # the bounds are ints: 8.0 is not echoed back as deg_bound, nor 3.0 read as 3
     for deg_bound, hom_bound in ((8, 3.0), (8.0, 3), ("8", 3), (8, True), (Fraction(8), 3)):
-        with pytest.raises(ValueError, match="must be ints"):
+        with pytest.raises(ValueError, match="_bound must be an int"):
             min_free_resolution(M, deg_bound, hom_bound)
     for module in (M, GradedModuleB((), ())):
         for deg_bound in (5.5, 5.0, "5", True):

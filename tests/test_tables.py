@@ -78,13 +78,16 @@ def test_negative_row_rejected():
 
 
 def test_non_int_index_rejected():
-    with pytest.raises(ValueError, match="pair of ints"):
+    with pytest.raises(ValueError, match="degree must be an int"):
         BettiTable({(0, Fraction(1, 2)): 1})
+    for key in (None, (0, 0, 0), (0,), "ij0"):
+        with pytest.raises(ValueError, match="table index must be a pair"):
+            BettiTable({key: 1})
     # entry reads with the rule construction uses: 3.0 would pass through
     # 2 ** (i - 2) and return the float 6.0
     t = BettiTable({(2, 0): 3})
     for i, j in ((3.0, 1), (3, 1.0), (Fraction(3), 1), (2, "0")):
-        with pytest.raises(ValueError, match="pair of ints"):
+        with pytest.raises(ValueError, match="must be an int"):
             t.entry(i, j)
 
 
@@ -97,9 +100,9 @@ def test_float_entry_rejected():
 def test_bool_index_rejected():
     # (True, 0) would be kept as a key and printed as "entry True 0 1"
     for key in ((True, 0), (0, False)):
-        with pytest.raises(ValueError, match="pair of ints"):
+        with pytest.raises(ValueError, match="must be an int, got bool"):
             BettiTable({key: 1})
-        with pytest.raises(ValueError, match="pair of ints"):
+        with pytest.raises(ValueError, match="must be an int, got bool"):
             BettiTable({(0, 0): 1}).entry(*key)
 
 
@@ -194,7 +197,7 @@ def test_expand_tail_stops_at_max_hom_bound():
         with pytest.raises(ValueError, match=f"max_row must be at least 2 and at most {MAX_HOM_BOUND}"):
             expand_tail(t, max_row=max_row)
     for max_row, max_degree in ((3.5, None), (3.0, None), (True, None), (4, 4.0), (4, "4")):
-        with pytest.raises(ValueError, match="must be ints"):
+        with pytest.raises(ValueError, match="must be an int"):
             expand_tail(t, max_row, max_degree)
 
 
