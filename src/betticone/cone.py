@@ -42,6 +42,7 @@ and (1,3,6) are rows 0..2 of the free, two-step and tail pure diagrams.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import compress, repeat
 from math import lcm
@@ -60,6 +61,7 @@ from .tables import (
     DegreeSequence,
     Functional,
     RationalLike,
+    _Checked,
     _broken_doubling,
     _cone_functionals,
     _rational,
@@ -297,16 +299,18 @@ def degseq_leq(d: DegreeSequence, e: DegreeSequence) -> bool:
 # Local cone over Betti sequences (b0, b1, b2).
 
 
-class BettiSequence(NamedTuple):
-    """A total Betti sequence; signs are checked by check_local, not here."""
+class BettiSequence(_Checked, namedtuple("BettiSequence", "b0 b1 b2")):
+    """A total Betti sequence of rational values, each read by the value rule
+    of tables._rational; signs are checked by check_local, not here."""
 
-    b0: RationalLike
-    b1: RationalLike
-    b2: RationalLike
+    __slots__ = ()
+
+    def __new__(cls, b0: RationalLike, b1: RationalLike, b2: RationalLike):
+        return super().__new__(cls, _rational(b0, "b0"), _rational(b1, "b1"), _rational(b2, "b2"))
 
     @classmethod
     def of(cls, b0: RationalLike, b1: RationalLike, b2: RationalLike) -> "BettiSequence":
-        return cls(_rational(b0, "b0"), _rational(b1, "b1"), _rational(b2, "b2"))
+        return cls(b0, b1, b2)
 
 
 class LocalDecomposition(NamedTuple):

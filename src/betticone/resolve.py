@@ -394,10 +394,16 @@ class GradedModuleB(_Checked, namedtuple("GradedModuleB", "gen_degrees relations
     than the same module would without its far degrees."""
 
     def __new__(cls, gen_degrees, relations=(), field=FP_DEFAULT):
-        gen_degrees = tuple(_int(a, "generator degree") for a in gen_degrees)
+        try:
+            gen_degrees = tuple(_int(a, "generator degree") for a in gen_degrees)
+        except TypeError:
+            raise ValueError(f"gen_degrees must be a sequence of ints, got {gen_degrees!r}") from None
+        try:
+            relations = tuple(map(tuple, relations))
+        except TypeError:
+            raise ValueError(f"relations must be a sequence of rows, got {relations!r}") from None
         if not isinstance(field, Field):
             raise ValueError(f"field must be a Field, such as QQ or PrimeField(p), got {field!r}")
-        relations = tuple(tuple(row) for row in relations)
         r = len(gen_degrees)
         branch_rows = []
         for row in relations:

@@ -23,14 +23,13 @@ DegreeSequence._pure_entries() is the one rule for its 1-3 stored entries.
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from decimal import Decimal
-from fractions import Fraction
+from fractions import _RATIONAL_FORMAT, Fraction
 from functools import total_ordering
 from itertools import accumulate, repeat
 from numbers import Rational
-from typing import Mapping, NamedTuple, Union
+from typing import Mapping, Union
 
 CANONICAL = "canonical"
 EXPLICIT = "explicit"
@@ -78,7 +77,10 @@ MAX_COEFFICIENT_BITS = 4096
 MAX_HOM_BOUND = 1000
 
 
-_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+# int() reads a text of up to this many digits whatever the interpreter's
+# limit on int(str) (4,300 digits by default, 640 at least, none before
+# Python 3.10.7); a longer digit run is read by Decimal, which has no limit.
+_INT_DIGITS = 640
 
 
 def _int(value, what: str) -> int:
@@ -93,16 +95,15 @@ def _rational(value, what: str) -> RationalLike:
     """The rule of every rational value: value as an int when integral, else a
     Fraction.  Any numbers.Rational but a bool is taken, and no float, as its
     binary expansion would pass for the number meant.  A str, or a Decimal as
-    its text, is read as Fraction reads it, an ASCII digit string by int(), and
-    refused past MAX_COEFFICIENT_BITS bits of numerator or denominator, an
-    exponent past that bound before Fraction expands it: a ValueError naming what."""
+    its text, is read as Fraction reads it (see _read_text), a short ASCII
+    digit string by int(), and refused past MAX_COEFFICIENT_BITS bits of
+    numerator or denominator: a ValueError naming what."""
     if type(value) is str:
         try:
-            if value.isascii() and value.isdigit():
+            if len(value) <= _INT_DIGITS and value.isascii() and value.isdigit():
                 q = int(value)
             else:
-                exp = _EXPONENT.search(value)
-                q = None if exp and abs(int(exp[1])) > MAX_COEFFICIENT_BITS else Fraction(value)
+                q = _read_text(value)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"{what} {value!r} is not a rational") from None
         if q is None or max(abs(q.numerator), q.denominator).bit_length() - 1 > MAX_COEFFICIENT_BITS:
@@ -115,6 +116,56 @@ def _rational(value, what: str) -> RationalLike:
             raise ValueError(f"{what} must be an int, a Fraction or a str, got {type(value).__name__} {value!r}")
         value = Fraction(value)
     return value if value.denominator != 1 else value.numerator
+
+
+def _read_text(text: str) -> RationalLike | None:
+    """The value of a text in Fraction's grammar, as Fraction reads it, or
+    None when it is past MAX_COEFFICIENT_BITS (B below) bits, found before
+    the value is built; a ValueError or ZeroDivisionError where Fraction
+    raises one.  The grammar is the fractions module's own pattern, so a text
+    reads as Fraction reads it on each Python version; its digit runs are
+    read by _spelled, so no run meets int()'s limit on digits.
+
+    A decimal text is read as m * 10^e, m free of trailing zeros: an e with
+    |e| > B puts 10^|e| > 2^B into the value, or 2^|e| at least into its
+    denominator, as m does not end in 0; and so does an m >= 10^(B + 1),
+    which leaves m / 10^-e a numerator above 10 * 2^B when |e| <= B.  A
+    text n/d is refused when n or d is written at 10^(B + 1) or past."""
+    m = _RATIONAL_FORMAT.match(text)
+    if m is None:
+        raise ValueError(text)
+    sign = -1 if m["sign"] == "-" else 1
+    if m["denom"]:
+        num, den = _spelled(m["num"]), _spelled(m["denom"])
+        if den == 0:
+            raise ZeroDivisionError(text)
+        if num == 0:
+            return 0
+        return None if num is None or den is None else sign * Fraction(num, den)
+    decimal = (m["decimal"] or "").replace("_", "")
+    mantissa = m["num"].replace("_", "") + decimal
+    digits = mantissa.rstrip("".join(c for c in set(mantissa) if int(c) == 0))  # the zeros of every script
+    num = _spelled(digits or "0")
+    if num == 0:
+        return 0
+    exp = _spelled(m["exp"] or "0")
+    if num is None or exp is None:
+        return None
+    exp += len(mantissa) - len(digits) - len(decimal)
+    if abs(exp) > MAX_COEFFICIENT_BITS:
+        return None
+    return sign * (num * 10 ** exp if exp >= 0 else Fraction(num, 10 ** -exp))
+
+
+def _spelled(run: str) -> int | None:
+    """The int that a run of digits, with a sign and _ separators, spells, or
+    None at 10^(MAX_COEFFICIENT_BITS + 1) or past.  A run longer than
+    _INT_DIGITS is read by Decimal, which checks its size before the int is
+    built, in time linear in its length."""
+    if len(run) <= _INT_DIGITS:
+        return int(run)
+    d = Decimal(run)
+    return int(d) if d.adjusted() <= MAX_COEFFICIENT_BITS else None
 
 
 class _Checked:
@@ -327,6 +378,8 @@ def make_pure_diagram(d: DegreeSequence) -> BettiTable:
               doubled rows beyond are implied by canonical mode, so the stored
               value at (i, d1 + i - 1) reads 3 * 2^(i-1) for every i >= 1.
     """
+    if not isinstance(d, DegreeSequence):
+        raise ValueError(f"d must be a DegreeSequence, got {type(d).__name__} {d!r}")
     return BettiTable(d._pure_entries(), tail_mode=CANONICAL)
 
 
@@ -337,7 +390,7 @@ GAMMA_INF = "gamma_inf"
 DOUBLING_EQ = "doubling_eq"
 
 
-class Functional(NamedTuple):
+class Functional(_Checked, namedtuple("Functional", "kind i j k", defaults=(None, None, None))):
     """Identifier of one linear functional on tables.
 
     epsilon(i, j)      entry at (i, j)
@@ -345,26 +398,42 @@ class Functional(NamedTuple):
     gamma(k)           sum over j <= k of 3*v[0, j] - 3*v[1, j + 1] + v[2, j + 2]
     gamma_inf          the same sum over all j
     doubling_eq(i, j)  2*v[i, j] - v[i + 1, j + 1], only for i >= 2 (an equality)
+
+    The constructor checks what the factories need: a known kind, int
+    indices where the kind reads them, and None where it does not.
     """
 
-    kind: str
-    i: int | None = None
-    j: int | None = None
-    k: int | None = None
+    __slots__ = ()
+
+    def __new__(cls, kind: str, i: int | None = None, j: int | None = None, k: int | None = None):
+        if kind == ALPHA or kind == GAMMA:
+            if i is not None or j is not None:
+                raise ValueError(f"{kind} takes k only, got i={i!r} and j={j!r}")
+            _int(k, "k")
+        elif kind == EPSILON or kind == DOUBLING_EQ:
+            if k is not None:
+                raise ValueError(f"{kind} takes i and j only, got k={k!r}")
+            if _int(i, "i") < (0 if kind == EPSILON else 2):
+                raise ValueError("epsilon needs i >= 0" if kind == EPSILON else "doubling equalities live in rows i >= 2")
+            _int(j, "j")
+        elif kind == GAMMA_INF:
+            if not i is j is k is None:
+                raise ValueError(f"gamma_inf takes no index, got i={i!r}, j={j!r} and k={k!r}")
+        else:
+            raise ValueError(f"unknown functional kind: {kind!r}")
+        return super().__new__(cls, kind, i, j, k)
 
     @classmethod
     def epsilon(cls, i: int, j: int) -> "Functional":
-        if _int(i, "i") < 0:
-            raise ValueError("epsilon needs i >= 0")
-        return cls(EPSILON, i=i, j=_int(j, "j"))
+        return cls(EPSILON, i, j)
 
     @classmethod
     def alpha(cls, k: int) -> "Functional":
-        return cls(ALPHA, k=_int(k, "k"))
+        return cls(ALPHA, k=k)
 
     @classmethod
     def gamma(cls, k: int) -> "Functional":
-        return cls(GAMMA, k=_int(k, "k"))
+        return cls(GAMMA, k=k)
 
     @classmethod
     def gamma_inf(cls) -> "Functional":
@@ -372,22 +441,14 @@ class Functional(NamedTuple):
 
     @classmethod
     def doubling_eq(cls, i: int, j: int) -> "Functional":
-        if _int(i, "i") < 2:
-            raise ValueError("doubling equalities live in rows i >= 2")
-        return cls(DOUBLING_EQ, i=i, j=_int(j, "j"))
+        return cls(DOUBLING_EQ, i, j)
 
     def label(self) -> str:
-        if self.kind == EPSILON:
-            return f"epsilon({self.i},{self.j})"
-        if self.kind == ALPHA:
-            return f"alpha({self.k})"
-        if self.kind == GAMMA:
-            return f"gamma({self.k})"
         if self.kind == GAMMA_INF:
             return "gamma_inf"
-        if self.kind == DOUBLING_EQ:
-            return f"doubling_eq({self.i},{self.j})"
-        raise ValueError(f"unknown functional kind: {self.kind!r}")
+        if self.kind == ALPHA or self.kind == GAMMA:
+            return f"{self.kind}({self.k})"
+        return f"{self.kind}({self.i},{self.j})"
 
 
 def _broken_doubling(
@@ -471,13 +532,23 @@ _HK_RAYS = {
 }
 
 
-class HKRay(NamedTuple):
+class HKRay(_Checked, namedtuple("HKRay", "c mcm_name vector")):
     """First lattice point on one of the four rational rays cut out by the
-    Herzog-Kuhl equation 3*(b0 - b1) + c*b1 = 0, extended by doubling."""
+    Herzog-Kuhl equation 3*(b0 - b1) + c*b1 = 0, extended by doubling: a row
+    of _HK_RAYS, c a rational value in {0, 1, 3/2, 2}."""
 
-    c: Fraction
-    mcm_name: str
-    vector: tuple[int, int, int]
+    __slots__ = ()
+
+    def __new__(cls, c: RationalLike, mcm_name: str, vector: tuple[int, int, int]):
+        c = Fraction(_rational(c, "c"))
+        if c not in _HK_RAYS:
+            raise ValueError(f"no ray with c = {c}; admitted values are 0, 1, 3/2, 2")
+        name, vec = _HK_RAYS[c]
+        if mcm_name != name:
+            raise ValueError(f"the ray with c = {c} has mcm_name {name!r}, got {mcm_name!r}")
+        if type(vector) is not tuple or vector != vec:
+            raise ValueError(f"the ray with c = {c} has vector {vec}, got {vector!r}")
+        return super().__new__(cls, c, name, vec)
 
     def entries(self, n: int) -> tuple[int, ...]:
         """First n entries of the ray vector; entries i >= 3 double the previous."""
@@ -490,10 +561,7 @@ class HKRay(NamedTuple):
 def hk_ray(c: RationalLike) -> HKRay:
     """Ray data for slope invariant c in {0, 1, 3/2, 2}, a rational value."""
     c = Fraction(_rational(c, "c"))
-    if c not in _HK_RAYS:
-        raise ValueError(f"no ray with c = {c}; admitted values are 0, 1, 3/2, 2")
-    name, vec = _HK_RAYS[c]
-    return HKRay(c, name, vec)
+    return HKRay(c, *_HK_RAYS.get(c, (None, None)))
 
 
 # First syzygy of each indecomposable maximal Cohen-Macaulay module, as a

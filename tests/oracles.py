@@ -1,7 +1,9 @@
 """Reference arithmetic for the tests, kept apart from the package code the
-tests judge.  The table helpers are written from the definitions in the
-Functional docstring, not from the package's own evaluators
-(tables._cone_functionals and tables._broken_doubling); each takes a
+tests judge.  The cone functionals alpha, gamma and gamma_inf are not
+written out here: functional_value takes them from the benchmark's oracle
+(bench/oracle.py, imported as bench_oracle), which is written from the
+paper and imports nothing from betticone.  broken_doubling is written from
+the doubling equalities, not from tables._broken_doubling; it takes a
 BettiTable or a plain dict of entries: anything whose items() gives
 ((i, j), value) pairs.  kernel_basis is a Gauss-Jordan elimination of its
 own, not linalg.SpanTracker.  tor_betti computes Betti numbers as Tor
@@ -13,8 +15,9 @@ realise pure diagrams, under a random change of generators."""
 from fractions import Fraction
 from math import gcd, lcm
 
+import oracle as bench_oracle
 from betticone.resolve import BPolynomial, GradedModuleB
-from betticone.tables import ALPHA, DOUBLING_EQ, EPSILON, FREE, GAMMA, GAMMA_INF, TWO_STEP
+from betticone.tables import DOUBLING_EQ, EPSILON, FREE, GAMMA_INF, TWO_STEP
 
 
 def row_sum(v, i: int) -> Fraction:
@@ -31,28 +34,15 @@ def combine(a, u, b, v) -> dict:
 
 
 def functional_value(f, v) -> Fraction:
-    """Value of the Functional f on the BettiTable v, reading the entries
-    through v.entry, so a canonical table's derived rows count too.
-
-    epsilon(i, j)      v[i, j]
-    alpha(k)           2*v[1, k] - v[2, k + 1]
-    gamma(k)           sum over j <= k of 3*v[0, j] - 3*v[1, j + 1] + v[2, j + 2]
-    gamma_inf          the same sum over all j: 3*row 0 - 3*row 1 + row 2
-    doubling_eq(i, j)  2*v[i, j] - v[i + 1, j + 1]
-    """
+    """Value of the Functional f on the BettiTable v.  epsilon and
+    doubling_eq read v.entry, so a canonical table's derived rows count too;
+    alpha, gamma and gamma_inf are the bench oracle's, on rows 0..2 of v."""
     if f.kind == EPSILON:
         return v.entry(f.i, f.j)
-    if f.kind == ALPHA:
-        return 2 * v.entry(1, f.k) - v.entry(2, f.k + 1)
-    if f.kind == GAMMA:
-        # the slice at j reads v[i, j + i], so a stored (i, j) counts once j - i <= k
-        weight = {0: 3, 1: -3, 2: 1}
-        return sum((weight[i] * x for (i, j), x in v.items() if i in weight and j - i <= f.k), Fraction(0))
-    if f.kind == GAMMA_INF:
-        return 3 * row_sum(v, 0) - 3 * row_sum(v, 1) + row_sum(v, 2)
     if f.kind == DOUBLING_EQ:
         return 2 * v.entry(f.i, f.j) - v.entry(f.i + 1, f.j + 1)
-    raise ValueError(f"unknown functional kind: {f.kind!r}")
+    rows = {ij: x for ij, x in v.items() if ij[0] <= 2}
+    return bench_oracle.gamma_inf(rows) if f.kind == GAMMA_INF else bench_oracle.functional_by_label(rows, f.label())
 
 
 def broken_doubling(v):

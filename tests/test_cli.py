@@ -194,7 +194,8 @@ def test_decompose_output(capsys, tmp_path):
     assert lines[2] == "term: (0, inf) coeff: 1"
 
 
-@pytest.mark.parametrize("value", ["1e10000000", "1e1000000000", "7.5e-10000000", "9" * 1300, str(2 ** 4097)])
+@pytest.mark.parametrize("value", ["1e10000000", "1e1000000000", "7.5e-10000000", "9" * 1300, str(2 ** 4097),
+                                   "7" * 4301, "1." + "0" * 4400 + "1", "1e" + "9" * 5000])
 def test_values_past_the_coefficient_bound_are_refused_promptly(capsys, tmp_path, value):
     path = write(tmp_path, "t.betti", f"betti v1\nmode canonical\nentry 0 0 {value}\n")
     for argv in (["check", path], ["local", "check", value, "1", "1"], ["local", "decompose", "1", "1", value]):
@@ -227,13 +228,18 @@ def test_a_verdict_past_the_int_to_text_limit_prints_nothing(capsys, tmp_path):
         assert err == "error: the lcm of the entry denominators passes 4096 bits\n"
 
 
-def test_values_up_to_the_coefficient_bound_parse():
+def test_values_up_to_the_coefficient_bound_parse(capsys):
     # the bound is the one parse_poly keeps: floor(log2) of the numerator or
     # the denominator at most 4096
     for value in (2 ** 4097 - 1, Fraction(1, 2 ** 4097 - 1), Fraction(10 ** 1233)):
         t = BettiTable({(0, 0): value})
         assert parse_table_text(format_table_text(t)) == t
     assert parse_table_text("betti v1\nmode canonical\nentry 0 0 1e1233\n") == BettiTable({(0, 0): 10 ** 1233})
+    # leading zeros past int()'s 4,300 digits spell a small value, read exactly
+    for text, value in (("0" * 4301 + "7", 7), ("0" * 4301 + "1/2", Fraction(1, 2))):
+        assert _rational(text, "entry") == value
+        assert parse_table_text(f"betti v1\nmode canonical\nentry 0 0 {text}\n") == BettiTable({(0, 0): value})
+        assert invoke(capsys, "local", "check", text, "0", "0") == (0, "member: yes\n", "")
 
 
 def test_check_missing_file(capsys, tmp_path):
@@ -829,11 +835,17 @@ def digit_texts(draw):
 
 
 def fraction_or_refusal(text):
-    """Fraction(text) under the bit bound _rational keeps, or None."""
+    """Fraction(text) under the bit bound _rational keeps, or None.  The text
+    is read with int()'s limit on digits lifted, as leading zeros past it
+    still spell a small value."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         q = Fraction(text)
     except ValueError:
         return None
+    finally:
+        sys.set_int_max_str_digits(limit)
     return None if max(abs(q.numerator), q.denominator).bit_length() - 1 > MAX_COEFFICIENT_BITS else q
 
 

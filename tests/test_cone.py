@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle as bench_oracle
 from betticone import (
     EXPLICIT,
     FP_DEFAULT,
@@ -38,13 +39,6 @@ from oracles import broken_doubling, combine, functional_value, scrambled_sum
 OMEGA_TABLE = BettiTable({(0, 0): 2, (1, 1): 3, (2, 2): 6})
 
 
-def combo(*terms) -> BettiTable:
-    total = {}
-    for d, c in terms:
-        total = combine(1, total, c, make_pure_diagram(d))
-    return BettiTable(total)
-
-
 bounded_sequences = st.one_of(
     st.tuples(st.integers(-5, 6), st.integers(1, 4)).map(
         lambda t: DegreeSequence.two_step(t[0], t[0] + t[1])
@@ -60,7 +54,7 @@ degree_sequences = st.one_of(st.integers(-5, 8).map(DegreeSequence.free), bounde
 def combinations_of(sequences):
     coefficients = st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4)
     return st.lists(st.tuples(sequences, coefficients), min_size=0, max_size=4).map(
-        lambda terms: combo(*terms)
+        lambda terms: BettiTable(bench_oracle.combine(terms))
     )
 
 
@@ -244,13 +238,13 @@ many_term_members = st.lists(
     st.tuples(spread_sequences(-30, 30, 8), st.fractions(min_value=Fraction(1, 6), max_value=9, max_denominator=6)),
     min_size=1,
     max_size=60,
-).map(lambda terms: combo(*terms))
+).map(lambda terms: BettiTable(bench_oracle.combine(terms)))
 far_members = st.lists(
     st.tuples(spread_sequences(-(10**6), 10**6, 10**6), st.integers(1, 5)), min_size=1, max_size=8
-).map(lambda terms: combo(*terms))
+).map(lambda terms: BettiTable(bench_oracle.combine(terms)))
 int_members = st.lists(
     st.tuples(spread_sequences(-30, 30, 8), st.integers(1, 9)), min_size=1, max_size=60
-).map(lambda terms: combo(*terms))
+).map(lambda terms: BettiTable(bench_oracle.combine(terms)))
 
 
 def over_a_prime(v: BettiTable) -> BettiTable:
@@ -331,7 +325,7 @@ def test_each_greedy_step_is_the_entry_bound(monkeypatch):
             d = rng.choice((DegreeSequence.free(d0), DegreeSequence.two_step(d0, d0 + gap),
                             DegreeSequence.tail(d0, d0 + gap)))
             terms.append((d, Fraction(rng.randint(1, 12), rng.randint(1, 6))))
-        assert check_graded(combo(*terms)).member
+        assert check_graded(BettiTable(bench_oracle.combine(terms))).member
     assert len(steps) > 2000
     assert [c for c, _ in steps] == [bound for _, bound in steps]
 
@@ -347,48 +341,35 @@ def test_a_greedy_without_progress_raises_with_the_residual(monkeypatch):
 # -- the breakpoint scan against a walk over every degree of the span ----------
 
 
-def full_span_functionals(v):
-    """alpha_k and gamma_k at every k of the span of v, in scan order."""
-    lo, hi = v.min_degree, v.max_degree
-    alphas = [Functional.alpha(k) for k in range(lo - 1, hi + 2)]
-    return alphas + [Functional.gamma(k) for k in range(lo - 2, hi + 1)]
-
-
 def full_span_violation(v, finite_length):
-    """(label, value) of the first violated functional, or None."""
+    """(label, value) of the first violated functional, or None: a broken
+    doubling equality of an explicit window, then the bench oracle's scan of
+    rows 0..2, which walks every degree of the span, then gamma_inf."""
     broken = broken_doubling(v) if v.tail_mode == EXPLICIT else None
     if broken is not None:
         i, j, val = broken
         return Functional.doubling_eq(i, j).label(), val
-    for (i, j), val in v.items():
-        if val < 0:
-            return f"epsilon({i},{j})", val
-    if not v.is_zero:
-        for f in full_span_functionals(v):
-            val = functional_value(f, v)
-            if val < 0:
-                return f.label(), val
-    if finite_length:
-        total = functional_value(Functional.gamma_inf(), v)
-        if total != 0:
-            return "gamma_inf", total
-    return None
+    rows = {ij: val for ij, val in v.items() if ij[0] <= 2}
+    violation = bench_oracle.first_violation(rows)
+    if violation is None and finite_length and (total := bench_oracle.gamma_inf(rows)) != 0:
+        return "gamma_inf", total
+    return violation
 
 
 def full_span_decomposition(v):
-    """Greedy terms, with the ratio test taken over every degree of the span."""
+    """Greedy terms, with the ratio test taken over every functional of the
+    bench oracle's scan, so over every degree of the span."""
     v = collapse_tail(v)
     terms = []
     for _ in range(3 * len(v.support()) + 3):
         if v.is_zero:
             break
         d = reference_pivot(v)
-        pi = make_pure_diagram(d)
-        entries = [Functional.epsilon(i, j) for (i, j) in pi.support()]
+        rows, pi = dict(v.items()), bench_oracle.pure(*d)
         c = min(
-            Fraction(functional_value(f, v), functional_value(f, pi))
-            for f in entries + full_span_functionals(v)
-            if functional_value(f, pi) > 0
+            Fraction(value, at_pi)
+            for label, value in bench_oracle.scan(rows)
+            if (at_pi := bench_oracle.functional_by_label(pi, label)) > 0
         )
         terms.append((d, c))
         v = BettiTable(combine(1, v, -c, pi))
@@ -441,7 +422,7 @@ fine_values = st.fractions(min_value=-2, max_value=6, max_denominator=50)
 fine_members = st.lists(
     st.tuples(degree_sequences, st.fractions(min_value=Fraction(1, 50), max_value=6, max_denominator=50)),
     max_size=4,
-).map(lambda terms: combo(*terms))
+).map(lambda terms: BettiTable(bench_oracle.combine(terms)))
 fine_scan_inputs = st.one_of(
     st.dictionaries(st.tuples(st.integers(0, 2), st.integers(-4, 6)), fine_values, max_size=8).map(BettiTable),
     st.dictionaries(st.tuples(st.integers(0, 4), st.integers(-4, 6)), fine_values, max_size=8).map(
@@ -479,7 +460,7 @@ def bench_member(rng, n_terms, base):
         d0, d1 = base + k % width, base + k % width + 1 + k // 3 % 3
         d = (DegreeSequence.free(d0), DegreeSequence.two_step(d0, d1), DegreeSequence.tail(d0, d1))[k % 3]
         terms.append((d, Fraction(rng.randint(1, 8), rng.randint(1, 4))))
-    return combo(*terms)
+    return BettiTable(bench_oracle.combine(terms))
 
 
 def perturbed(rng, v, how, where):
@@ -609,7 +590,7 @@ def test_omega_table_decomposition_is_tail_plus_free():
 
 def test_pure_diagram_decomposes_to_itself():
     for d in (DegreeSequence.free(3), DegreeSequence.two_step(0, 2), DegreeSequence.tail(-2, 1)):
-        deco = decompose(BettiTable(combine(0, {}, Fraction(5, 2), make_pure_diagram(d))))
+        deco = decompose(BettiTable(bench_oracle.combine([(d, Fraction(5, 2))])))
         assert deco.terms == ((d, Fraction(5, 2)),)
 
 
@@ -678,19 +659,6 @@ def local_first_violation(b0, b1, b2, finite_length=False):
     return None
 
 
-def local_member_oracle(b0, b1, b2, finite_length=False) -> bool:
-    # the halfspace description, written out from scratch
-    if b0 < 0 or b1 < 0 or b2 < 0:
-        return False
-    if 3 * b0 + b2 - 3 * b1 < 0:
-        return False
-    if 2 * b1 - b2 < 0:
-        return False
-    if finite_length and 3 * b0 + b2 - 3 * b1 != 0:
-        return False
-    return True
-
-
 def test_local_rays_are_fixed():
     assert LocalDecomposition.RAYS == ((1, 0, 0), (1, 1, 0), (1, 3, 6))
 
@@ -739,7 +707,7 @@ def test_local_recombination_identity(a, b, c):
 def test_local_check_matches_oracle(b0, b1, b2, finite_length):
     s = BettiSequence.of(b0, b1, b2)
     verdict = check_local(s, finite_length=finite_length)
-    assert verdict.member == local_member_oracle(b0, b1, b2, finite_length)
+    assert verdict.member == (local_first_violation(b0, b1, b2, finite_length) is None)
     if verdict.member:
         deco = verdict.decomposition
         assert deco.a + deco.b + deco.c == b0

@@ -12,7 +12,7 @@ from types import ModuleType
 import pytest
 
 import betticone
-from betticone import FP_DEFAULT, QQ, BettiTable, DegreeSequence, Functional, PrimeField, hk_ray
+from betticone import FP_DEFAULT, QQ, BettiTable, DegreeSequence, Functional, PrimeField, hk_ray, make_pure_diagram
 from betticone import cone, linalg, resolve, tables, window
 from betticone.cone import (
     BettiSequence,
@@ -144,12 +144,13 @@ def test_constructors_still_refuse(build, message):
         build()
 
 
-# The sweep of every int, rational and name argument of the public calls: each
-# row is a call of one argument, a pattern its refusal must match, as it names
-# the argument, and the swept values it takes.  An int argument takes none of
-# them, not even 1.0, True, "1" or Fraction(1), which equal an int, but None
-# where None is its default; a rational one takes a Fraction and an int or
-# rational text, and gives what the exact value gives.
+# The sweep of every int, rational, name, record and sequence argument of the
+# public calls and record constructors: each row is a call of one argument, a
+# pattern its refusal must match, as it names the argument, and the swept
+# values it takes.  An int argument takes none of them, not even 1.0, True,
+# "1" or Fraction(1), which equal an int, but None where None is its default;
+# a rational one takes a Fraction and an int or rational text, and gives what
+# the exact value gives.
 SWEPT = {"float": 1.0, "bool": True, "str": "1", "ratio": "3/2", "Fraction": Fraction(1), "None": None,
          "big-float": 2 ** 70 * 1.0, "name": "w"}
 EXACT = {"str": 1, "ratio": Fraction(3, 2), "Fraction": 1}
@@ -191,6 +192,7 @@ ARGUMENTS = [
     pytest.param(lambda a: BPolynomial.monomial("x", a), "exponent", (), id="monomial-exp"),
     pytest.param(lambda a: BPolynomial({("x", a): 1}), "exponent", (), id="poly-exp"),
     pytest.param(lambda a: BPolynomial.variable("x") ** a, "exponent", (), id="power"),
+    pytest.param(lambda a: Functional.alpha(1)._replace(k=a), "k", (), id="functional-replace"),
     # rationals
     pytest.param(lambda a: BettiTable({(0, 0): a}), "table entry", RATIONAL, id="table-entry"),
     pytest.param(lambda a: BettiSequence.of(a, 0, 0), "b0", RATIONAL, id="b0"),
@@ -200,6 +202,8 @@ ARGUMENTS = [
     pytest.param(lambda a: BPolynomial.constant(a), "coefficient", RATIONAL, id="constant"),
     pytest.param(lambda a: BPolynomial.monomial("x", 1, a), "coefficient", RATIONAL, id="monomial-coeff"),
     pytest.param(lambda a: BPolynomial({("y", 2): a}), "coefficient", RATIONAL, id="poly-coeff"),
+    pytest.param(lambda a: BettiSequence(0, a, 0), "b1", RATIONAL, id="sequence"),
+    pytest.param(lambda a: HKRay(a, "M_i", (2, 3, 3)), "c|mcm_name", ("str", "Fraction"), id="ray"),
     # names
     pytest.param(lambda a: BPolynomial.variable(a), "monomial", (), id="variable"),
     pytest.param(lambda a: BPolynomial.monomial(a, 0, 5), "monomial", ("str",), id="monomial-var"),  # "1"^0
@@ -207,6 +211,10 @@ ARGUMENTS = [
     pytest.param(lambda a: parse_poly(a), "polynomial|bad character", ("str", "ratio"), id="parse_poly"),
     pytest.param(lambda a: builtin(a), "builtin", (), id="builtin"),
     pytest.param(lambda a: syzygy_of_indecomposable(a), "indecomposable", (), id="syzygy"),
+    # records and sequences
+    pytest.param(lambda a: make_pure_diagram(a), "d", (), id="pure-diagram"),
+    pytest.param(lambda a: GradedModuleB(a), "gen_degrees|generator degree", (), id="module-gens"),
+    pytest.param(lambda a: Functional(a), "kind", (), id="functional-kind"),
 ]
 
 

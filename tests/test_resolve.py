@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle as bench_oracle
 from betticone import (
     FP_DEFAULT,
     QQ,
@@ -28,7 +29,6 @@ from betticone import (
     collapse_tail,
     expand_tail,
     hilbert_data,
-    make_pure_diagram,
     min_free_resolution,
     parse_poly,
     quotient_module,
@@ -754,15 +754,6 @@ def random_sum_terms(rng, max_gens=40):
     return terms
 
 
-def combination(terms) -> dict:
-    """Rows 0..2 of the sum of m * pi_d over the terms."""
-    total = {}
-    for d, m in terms:
-        for ij, val in make_pure_diagram(d).items():
-            total[ij] = total.get(ij, 0) + m * val
-    return total
-
-
 @pytest.mark.parametrize("field", [QQ, FP_DEFAULT], ids=["QQ", "F32003"])
 def test_scrambled_sums_resolve_to_their_tables(field):
     # d1 <= 8, so the tails' row 2 lies inside deg_bound 11
@@ -774,7 +765,7 @@ def test_scrambled_sums_resolve_to_their_tables(field):
         assert len(M.gen_degrees) <= 40
         dense += sum(sum(not p.is_zero for p in row) > 1 for row in M.relations)
         res = min_free_resolution(M, deg_bound=11, hom_bound=3)
-        assert {ij: val for ij, val in res.betti.items() if ij[0] <= 2} == combination(terms), terms
+        assert {ij: val for ij, val in res.betti.items() if ij[0] <= 2} == bench_oracle.combine(terms), terms
     assert dense > 50  # the automorphism did mix the summands
     # and Tor agrees on one small sum, every row of the window
     terms = random_sum_terms(rng, max_gens=8)
@@ -814,7 +805,7 @@ def test_the_engine_and_expand_tail_write_the_same_window(field):
     for _ in range(30):
         terms = random_sum_terms(rng, max_gens=12)
         flags.update(cut[:1] for cut in assert_engine_writes_the_expanded_window(
-            scrambled_sum(terms, field, rng), combination(terms)))
+            scrambled_sum(terms, field, rng), bench_oracle.combine(terms)))
     assert min(flags[(0,)], flags[(1,)], flags[(2,)], flags[()]) > 20, flags
 
 
@@ -827,7 +818,7 @@ def test_every_window_below_flat_is_truncated():
     for field in (QQ, FP_DEFAULT):
         for _ in range(30):
             terms = random_sum_terms(rng, max_gens=12)
-            cases.append((scrambled_sum(terms, field, rng), combination(terms)))
+            cases.append((scrambled_sum(terms, field, rng), bench_oracle.combine(terms)))
     seen = Counter()
     for M, rows in cases:
         degrees = [j for _, j in rows]

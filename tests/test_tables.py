@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle as bench_oracle
 from betticone import (
     CANONICAL,
     EXPLICIT,
@@ -30,16 +31,6 @@ from betticone import resolve
 from betticone.cli import TableFormatError, parse_table_text
 from betticone.tables import ALPHA, GAMMA, GAMMA_INF, MAX_HOM_BOUND, _broken_doubling, _cone_functionals
 from oracles import broken_doubling, combine, functional_value
-
-
-def gamma_by_definition(v: BettiTable, k: int) -> Fraction:
-    # independent of the enumerator: the literal truncated sum over j <= k
-    if v.is_zero:
-        return Fraction(0)
-    total = Fraction(0)
-    for j in range(v.min_degree - 3, k + 1):
-        total += 3 * v.entry(0, j) - 3 * v.entry(1, j + 1) + v.entry(2, j + 2)
-    return total
 
 
 small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=6)
@@ -447,7 +438,8 @@ def test_gamma_by_hand():
 @given(canonical_tables, st.integers(-6, 9))
 @settings(max_examples=80, deadline=None)
 def test_gamma_matches_definition(v, k):
-    assert gamma_at(v, k) == gamma_by_definition(v, k)
+    # independent of the enumerator: the bench oracle's literal truncated sum over j <= k
+    assert gamma_at(v, k) == bench_oracle.gamma(dict(v.items()), k)
 
 
 @given(canonical_tables)
