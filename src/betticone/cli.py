@@ -61,6 +61,7 @@ from .tables import (
     BettiTable,
     DegreeSequence,
     _cone_functionals,
+    _echo,
     _rational,
     make_pure_diagram,
 )
@@ -94,14 +95,14 @@ def parse_table_text(text: str) -> BettiTable:
             # only report lines, whose first word ends in ':', may follow the entries
             bad = [rest for rest in lines[n:] if not rest.split()[0].endswith(":")]
             if bad:
-                raise TableFormatError(f"not an entry or a report line: {bad[0]!r}")
+                raise TableFormatError(f"not an entry or a report line: {_echo(bad[0])}")
             break
         if len(parts) != 4:
-            raise TableFormatError(f"bad entry line: {line!r}")
+            raise TableFormatError(f"bad entry line: {_echo(line)}")
         try:
             i, j, val = int(parts[1]), int(parts[2]), _rational(parts[3], "entry")
         except ValueError as exc:
-            raise TableFormatError(f"bad entry line: {line!r}") from exc
+            raise TableFormatError(f"bad entry line: {_echo(line)}") from exc
         if (i, j) in entries:
             raise TableFormatError(f"duplicate table entry at {(i, j)}")
         entries[i, j] = val
@@ -127,7 +128,7 @@ def parse_module_text(text: str, field=None) -> GradedModuleB:
         key, _, rest = line.partition(" ")
         rest = rest.strip()
         if {"field": file_field, "gens": gens, "builtin": builtin_name}.get(key) is not None:
-            raise ModuleFormatError(f"repeated {key} line: {line!r}")
+            raise ModuleFormatError(f"repeated {key} line: {_echo(line)}")
         if key == "field":
             parts = rest.split()
             if parts == ["QQ"]:
@@ -138,12 +139,12 @@ def parse_module_text(text: str, field=None) -> GradedModuleB:
                 except ValueError as exc:
                     raise ModuleFormatError(f"bad field line: {exc}") from exc
             else:
-                raise ModuleFormatError(f"bad field line: {line!r} (use: field QQ | field Fp P)")
+                raise ModuleFormatError(f"bad field line: {_echo(line)} (use: field QQ | field Fp P)")
         elif key == "gens":
             try:
                 gens = tuple(int(t) for t in rest.split())
             except ValueError as exc:
-                raise ModuleFormatError(f"bad gens line: {line!r}") from exc
+                raise ModuleFormatError(f"bad gens line: {_echo(line)}") from exc
         elif key == "rel":
             try:
                 rels.append(tuple(parse_poly(t) for t in rest.split(",")))
@@ -152,7 +153,7 @@ def parse_module_text(text: str, field=None) -> GradedModuleB:
         elif key == "builtin":
             builtin_name = rest
         else:
-            raise ModuleFormatError(f"unknown keyword {key!r}")
+            raise ModuleFormatError(f"unknown keyword {_echo(key)}")
     if field is None:
         field = file_field if file_field is not None else FP_DEFAULT
     try:
@@ -183,7 +184,7 @@ def _prime_field(text: str):
     except ValueError:
         if text.isascii() and text.isdigit():
             raise ValueError(f"prime of {len(text)} digits is too large, F_p needs p < 2^31") from None
-        raise ValueError(f"prime {text!r} is not an int") from None
+        raise ValueError(f"prime {_echo(text)} is not an int") from None
     return PrimeField(p)
 
 
@@ -198,7 +199,7 @@ def _parse_field(spec: str):
             return _prime_field(spec[3:])
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
-    raise argparse.ArgumentTypeError(f"bad field {spec!r} (use qq, fp, or fp:P)")
+    raise argparse.ArgumentTypeError(f"bad field {_echo(spec)} (use qq, fp, or fp:P)")
 
 
 def _int_or_inf(text: str):
@@ -208,7 +209,7 @@ def _int_or_inf(text: str):
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r} (use an int or inf)") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)} (use an int or inf)") from None
 
 
 def _print_verdict(verdict, head=()) -> int:
@@ -308,10 +309,12 @@ def cmd_local(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser run() shares: built on the first call, not at import.
-    parse_args returns a new Namespace and looks sys.stdout and sys.stderr
-    up when it writes, so one parser serves every call."""
+def _build_parser():
+    """(parser, commands): the parser run() shares and its map from each
+    command to that command's own parser, the choices of its subparsers
+    action.  Built on the first call, not at import.  parse_args returns a
+    new Namespace and looks sys.stdout and sys.stderr up when it writes, so
+    one parser serves every call."""
     parser = argparse.ArgumentParser(
         prog="betticone",
         description="Betti cone toolkit for the ring k[x,y,z]/(xy,yz,xz)",
@@ -367,13 +370,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p._negative_number_matcher = re.compile(r"-\.?\d")
     p.set_defaults(func=cmd_local)
 
-    return parser
+    return parser, sub.choices
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command line (sys.argv[1:] by default) and return its exit
+    code.  One parser reads each call: the parser of the command argv[0]
+    names, which the full parser would hand the rest of argv to.  The full
+    parser reads argv only when no command leads it or arguments are left
+    over, so every usage, help and error text is the full parser's."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        command = commands.get(argv[0]) if argv else None
+        args, extra = command.parse_known_args(argv[1:]) if command else (None, True)
+        if extra:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

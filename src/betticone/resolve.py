@@ -64,7 +64,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .linalg import FP_DEFAULT, Field, SpanTracker
-from .tables import MAX_COEFFICIENT_BITS, MAX_HOM_BOUND, BettiTable, _Checked, _int, _rational, _window_and_cut
+from .tables import MAX_COEFFICIENT_BITS, MAX_HOM_BOUND, BettiTable, _Checked, _echo, _int, _rational, _window_and_cut
 
 _VARS = ("x", "y", "z")
 _UNIT = ("1", 0)
@@ -261,13 +261,13 @@ def parse_poly(text: str) -> BPolynomial:
 
     def ended():
         empty = not text.strip()
-        return PolyParseError("empty entry, no polynomial given" if empty else f"input ends early in {text!r}")
+        return PolyParseError("empty entry, no polynomial given" if empty else f"input ends early in {_echo(text)}")
 
     def take(kind=None):
         nonlocal pos
         tok = tokens[pos]
         if kind is not None and tok[0] != kind:
-            raise ended() if tok[0] == "end" else PolyParseError(f"expected {kind}, got {tok[1]!r} in {text!r}")
+            raise ended() if tok[0] == "end" else PolyParseError(f"expected {kind}, got {tok[1]!r} in {_echo(text)}")
         pos += 1
         return tok
 
@@ -280,7 +280,7 @@ def parse_poly(text: str) -> BPolynomial:
                 take()
                 _, den = take("int")
                 if den == 0:
-                    raise PolyParseError(f"zero denominator in {text!r}")
+                    raise PolyParseError(f"zero denominator in {_echo(text)}")
                 return BPolynomial.constant(Fraction(val, den))
             return BPolynomial.constant(val)
         if kind == "var":
@@ -290,16 +290,16 @@ def parse_poly(text: str) -> BPolynomial:
             take()
             depth += 1
             if depth > MAX_NESTING:
-                raise PolyParseError(f"parentheses nested deeper than {MAX_NESTING} in {text!r}")
+                raise PolyParseError(f"parentheses nested deeper than {MAX_NESTING} in {_echo(text)}")
             inner = expr()
             if peek() != ("op", ")"):
-                raise PolyParseError(f"missing ')' in {text!r}")
+                raise PolyParseError(f"missing ')' in {_echo(text)}")
             take()
             depth -= 1
             return inner
         if kind == "end":
             raise ended()
-        raise PolyParseError(f"unexpected {val!r} in {text!r}")
+        raise PolyParseError(f"unexpected {val!r} in {_echo(text)}")
 
     def factor():
         base = atom()
@@ -309,10 +309,10 @@ def parse_poly(text: str) -> BPolynomial:
             if not base.is_homogeneous and n * _top_degree(base) > MAX_INHOMOGENEOUS_POWER_DEGREE:
                 raise PolyParseError(
                     f"power of an inhomogeneous base above degree {MAX_INHOMOGENEOUS_POWER_DEGREE}"
-                    f" in {text!r}"
+                    f" in {_echo(text)}"
                 )
             if n * _coefficient_bits(base) > MAX_COEFFICIENT_BITS:
-                raise PolyParseError(f"power with coefficients above {MAX_COEFFICIENT_BITS} bits in {text!r}")
+                raise PolyParseError(f"power with coefficients above {MAX_COEFFICIENT_BITS} bits in {_echo(text)}")
             return base ** n
         return base
 
@@ -323,10 +323,10 @@ def parse_poly(text: str) -> BPolynomial:
             out = out * factor()
             if not out.is_homogeneous and _top_degree(out) > MAX_INHOMOGENEOUS_POWER_DEGREE:
                 raise PolyParseError(
-                    f"product inhomogeneous above degree {MAX_INHOMOGENEOUS_POWER_DEGREE} in {text!r}"
+                    f"product inhomogeneous above degree {MAX_INHOMOGENEOUS_POWER_DEGREE} in {_echo(text)}"
                 )
             if _coefficient_bits(out) > MAX_COEFFICIENT_BITS:
-                raise PolyParseError(f"product with coefficients above {MAX_COEFFICIENT_BITS} bits in {text!r}")
+                raise PolyParseError(f"product with coefficients above {MAX_COEFFICIENT_BITS} bits in {_echo(text)}")
         return out
 
     def expr():
@@ -344,7 +344,7 @@ def parse_poly(text: str) -> BPolynomial:
 
     result = expr()
     if peek() != ("end", ""):
-        raise PolyParseError(f"trailing input {peek()[1]!r} in {text!r}")
+        raise PolyParseError(f"trailing input {peek()[1]!r} in {_echo(text)}")
     return result
 
 
@@ -357,12 +357,12 @@ def _tokenize(text: str):
     tokens = []
     for digits, var, op, bad in _TOKEN.findall(text):
         if bad:
-            raise PolyParseError(f"bad character {bad!r} in {text!r}")
+            raise PolyParseError(f"bad character {bad!r} in {_echo(text)}")
         if digits:
             try:
                 tokens.append(("int", int(digits)))
             except ValueError:  # a run past Python's limit on int-to-text digits
-                raise PolyParseError(f"integer of {len(digits)} digits is too long in {text!r}") from None
+                raise PolyParseError(f"integer of {len(digits)} digits is too long in {_echo(text)}") from None
         else:
             tokens.append(("var", var) if var else ("op", op))
     tokens.append(("end", ""))
@@ -470,7 +470,7 @@ def builtin(name: str, field=FP_DEFAULT) -> GradedModuleB:
                  "k_residue": (x, y, z)}
     if name in quotients:
         return quotient_module(quotients[name], field)
-    raise ValueError(f"unknown builtin {name!r}; admitted: {', '.join(BUILTIN_NAMES)}")
+    raise ValueError(f"unknown builtin {_echo(name)}; admitted: {', '.join(BUILTIN_NAMES)}")
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,20 @@ MAX_HOM_BOUND = 1000
 _INT_DIGITS = 640
 
 
+# Longest outside text an error message quotes whole.  A longer one is quoted
+# by its first _ECHO_CHARS characters and its length, so a refusal of a huge
+# text stays a short line.
+_ECHO_CHARS = 64
+
+
+def _echo(text) -> str:
+    """repr(text) for an error message; for a str past _ECHO_CHARS characters,
+    the repr of its first _ECHO_CHARS characters and its length."""
+    if isinstance(text, str) and len(text) > _ECHO_CHARS:
+        return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+    return repr(text)
+
+
 def _int(value, what: str) -> int:
     """The rule of every int argument: value when its type is int, else a
     ValueError that names what, for a bool and an integral float, str or Fraction too."""
@@ -105,15 +119,15 @@ def _rational(value, what: str) -> RationalLike:
             else:
                 q = _read_text(value)
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"{what} {value!r} is not a rational") from None
+            raise ValueError(f"{what} {_echo(value)} is not a rational") from None
         if q is None or max(abs(q.numerator), q.denominator).bit_length() - 1 > MAX_COEFFICIENT_BITS:
-            raise ValueError(f"{what} {value!r} needs a numerator or denominator above {MAX_COEFFICIENT_BITS} bits")
+            raise ValueError(f"{what} {_echo(value)} needs a numerator or denominator above {MAX_COEFFICIENT_BITS} bits")
         value = q
     elif type(value) is not Fraction:
         if isinstance(value, (str, Decimal)):  # a str subclass, or a Decimal, is read as its text
             return _rational(str(value), what)
         if isinstance(value, bool) or not isinstance(value, Rational):
-            raise ValueError(f"{what} must be an int, a Fraction or a str, got {type(value).__name__} {value!r}")
+            raise ValueError(f"{what} must be an int, a Fraction or a str, got {type(value).__name__} {_echo(value)}")
         value = Fraction(value)
     return value if value.denominator != 1 else value.numerator
 

@@ -381,6 +381,24 @@ def test_a_digit_int_cannot_read_is_a_format_error(capsys, tmp_path, rel, messag
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+SEVENS = "7" * 100_000
+
+
+@pytest.mark.parametrize("argv, stdin, quoted", [
+    pytest.param(["local", "check", SEVENS, "0", "0"], "", f"b0 {SEVENS[:64]!r}... (100000 characters) needs",
+                 id="local-value"),
+    pytest.param(["check", "-"], f"betti v1\nmode canonical\nentry 0 0 {SEVENS}\n",
+                 f"bad entry line: {('entry 0 0 ' + SEVENS)[:64]!r}... (100010 characters)", id="table-entry"),
+    pytest.param(["resolve", "-", "--deg-bound", "6", "--hom-bound", "2"], f"gens 0\nrel {SEVENS[:50_000]}\n",
+                 f"integer of 50000 digits is too long in {SEVENS[:64]!r}... (50000 characters)", id="relation"),
+])
+def test_a_refusal_quotes_a_long_text_by_its_prefix_and_length(argv, stdin, quoted):
+    code, out, err = run_quietly(argv, stdin)
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 1000 and err.count("\n") == 1
+    assert err.startswith(f"error: {quoted}"), err
+
+
 def test_huge_prime_is_refused_promptly(capsys, tmp_path):
     huge = "1000000000000000003"
     start = time.perf_counter()
@@ -940,6 +958,51 @@ def test_no_arguments_is_a_usage_error(capsys):
 
 def test_unknown_command(capsys):
     assert invoke(capsys, "frobnicate")[0] == 2
+
+
+MODULE = "builtin omega\n"
+PARITY_CORPUS = [
+    # every subcommand with valid arguments
+    (["rays", "--d0", "0", "--d1", "2", "--tail"], ""),
+    (["check", "-"], OMEGA_TABLE), (["check", "-", "--finite-length"], TAIL_TABLE),
+    (["decompose", "-"], TAIL_TABLE), (["decompose", "--fin"], TAIL_TABLE),
+    (["resolve", "-", "--deg-bound", "6", "--hom-bound", "2"], MODULE),
+    (["resolve", "--deg-bound=6", "--hom-bound", "2", "--field", "qq"], MODULE),
+    (["hilbert", "-", "--deg-bound", "6", "--field", "fp:7"], MODULE),
+    (["verify-window", "--jmin", "0", "--jmax", "3", "--drop-gamma"], ""),
+    (["local", "check", "-1/2", "1", "1"], ""), (["local", "decompose", "1", "1", "0", "--finite-length"], ""),
+    # every subcommand's help
+    *(([command, "-h"], "") for command in ("rays", "check", "decompose", "resolve", "hilbert",
+                                            "verify-window", "local")),
+    (["check", "--help"], ""), (["local", "check", "1", "1", "1", "--he"], ""),
+    # missing required flags and arguments
+    (["rays"], ""), (["resolve", "-", "--deg-bound", "6"], MODULE), (["hilbert", "-"], MODULE),
+    (["verify-window", "--jmin", "0"], ""), (["local", "check", "1", "1"], ""), (["local"], ""),
+    # bad values
+    (["resolve", "-", "--deg-bound", "6", "--hom-bound", "2", "--field", "zz"], MODULE),
+    (["rays", "--d0", "0", "--d1", "x"], ""), (["rays", "--d0", "x"], ""), (["local", "twice", "1", "1", "1"], ""),
+    # unrecognized options and extra positionals, which the full parser reports
+    (["check", "-", "--bogus"], OMEGA_TABLE), (["check", "--bogus=1", "-"], OMEGA_TABLE),
+    (["check", "-", "-"], OMEGA_TABLE), (["rays", "--d0", "0", "extra"], ""),
+    (["local", "check", "1", "1", "1", "1"], ""), (["verify-window", "--jmin", "0", "--jmax", "1", "-h", "x"], ""),
+    # -- before the file or the values
+    (["check", "--", "-"], OMEGA_TABLE), (["resolve", "--deg-bound", "6", "--hom-bound", "2", "--", "-"], MODULE),
+    (["local", "check", "--", "-1/2", "1", "1"], ""), (["check", "--", "-", "-"], OMEGA_TABLE),
+    # no command
+    ([], ""), (["frobnicate"], ""), (["-h"], ""), (["--help"], ""), (["--", "check", "-"], OMEGA_TABLE),
+    (["--bogus", "check"], ""), (["Check", "-"], OMEGA_TABLE), (["chec", "-"], OMEGA_TABLE),
+]
+
+
+@pytest.mark.parametrize("argv, stdin", PARITY_CORPUS, ids=[shlex.join(argv) or "no-arguments"
+                                                              for argv, _ in PARITY_CORPUS])
+def test_run_answers_as_the_full_parser(monkeypatch, argv, stdin):
+    # run reads a call with its command's own parser; given no commands it
+    # sends every call to the full parser, the reference
+    answer = run_quietly(argv, stdin)
+    parser, _ = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+    assert answer == run_quietly(argv, stdin)
 
 
 def test_every_subcommand_shares_one_parser(capsys, tmp_path):

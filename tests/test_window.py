@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from betticone import window as window_module
 from betticone import (
     BettiTable,
-    DegreeSequence,
     Window,
     WindowCapError,
     cross_check,
