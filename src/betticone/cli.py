@@ -62,6 +62,7 @@ from .tables import (
     DegreeSequence,
     _cone_functionals,
     _echo,
+    _int_text,
     _rational,
     make_pure_diagram,
 )
@@ -97,14 +98,13 @@ def parse_table_text(text: str) -> BettiTable:
             if bad:
                 raise TableFormatError(f"not an entry or a report line: {_echo(bad[0])}")
             break
-        if len(parts) != 4:
-            raise TableFormatError(f"bad entry line: {_echo(line)}")
         try:
-            i, j, val = int(parts[1]), int(parts[2]), _rational(parts[3], "entry")
+            _, i, j, val = parts  # a ValueError unless the line has four words
+            i, j, val = _int_text(i, "i"), _int_text(j, "j"), _rational(val, "entry")
         except ValueError as exc:
             raise TableFormatError(f"bad entry line: {_echo(line)}") from exc
         if (i, j) in entries:
-            raise TableFormatError(f"duplicate table entry at {(i, j)}")
+            raise TableFormatError(f"duplicate table entry at {_echo((i, j))}")
         entries[i, j] = val
     try:
         return BettiTable(entries, tail_mode=mode)
@@ -135,16 +135,16 @@ def parse_module_text(text: str, field=None) -> GradedModuleB:
                 file_field = QQ
             elif len(parts) == 2 and parts[0] == "Fp":
                 try:
-                    file_field = _prime_field(parts[1])
+                    file_field = PrimeField(_int_text(parts[1], "prime"))
                 except ValueError as exc:
                     raise ModuleFormatError(f"bad field line: {exc}") from exc
             else:
                 raise ModuleFormatError(f"bad field line: {_echo(line)} (use: field QQ | field Fp P)")
         elif key == "gens":
             try:
-                gens = tuple(int(t) for t in rest.split())
+                gens = tuple(_int_text(t, "degree") for t in rest.split())
             except ValueError as exc:
-                raise ModuleFormatError(f"bad gens line: {_echo(line)}") from exc
+                raise ModuleFormatError(f"bad gens line: {exc}") from exc
         elif key == "rel":
             try:
                 rels.append(tuple(parse_poly(t) for t in rest.split(",")))
@@ -156,17 +156,13 @@ def parse_module_text(text: str, field=None) -> GradedModuleB:
             raise ModuleFormatError(f"unknown keyword {_echo(key)}")
     if field is None:
         field = file_field if file_field is not None else FP_DEFAULT
+    if builtin_name is not None and (gens is not None or rels):
+        raise ModuleFormatError("builtin cannot be combined with gens/rel lines")
+    if builtin_name is None and gens is None:
+        raise ModuleFormatError("missing gens line (or builtin NAME)")
     try:
-        if builtin_name is not None:
-            if gens is not None or rels:
-                raise ModuleFormatError("builtin cannot be combined with gens/rel lines")
-            return builtin(builtin_name, field)
-        if gens is None:
-            raise ModuleFormatError("missing gens line (or builtin NAME)")
-        return GradedModuleB(gens, tuple(rels), field)
+        return builtin(builtin_name, field) if builtin_name is not None else GradedModuleB(gens, tuple(rels), field)
     except ValueError as exc:
-        if isinstance(exc, ModuleFormatError):
-            raise
         raise ModuleFormatError(str(exc)) from exc
 
 
@@ -176,18 +172,23 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
-def _prime_field(text: str):
-    """PrimeField of the int that text spells; the ValueError says what is
-    wrong, and gives a digit run too long for int() by its length."""
-    try:
-        p = int(text)
-    except ValueError:
-        if text.isascii() and text.isdigit():
-            raise ValueError(f"prime of {len(text)} digits is too large, F_p needs p < 2^31") from None
-        raise ValueError(f"prime {_echo(text)} is not an int") from None
-    return PrimeField(p)
+def _argument(read):
+    """read as an argparse type: its ValueError becomes the ArgumentTypeError
+    whose text argparse prints after the option's name, so argparse never
+    quotes a refused text whole in its own invalid value message."""
+    def typed(text: str):
+        try:
+            return read(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return typed
 
 
+_int_arg = _argument(lambda text: _int_text(text, "value"))
+_int_or_inf = _argument(lambda text: text if text == "inf" else _int_text(text, "value"))  # --d1
+
+
+@_argument
 def _parse_field(spec: str):
     """--field: qq, fp, or fp:P."""
     if spec == "qq":
@@ -195,21 +196,8 @@ def _parse_field(spec: str):
     if spec == "fp":
         return FP_DEFAULT
     if spec.startswith("fp:"):
-        try:
-            return _prime_field(spec[3:])
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-    raise argparse.ArgumentTypeError(f"bad field {_echo(spec)} (use qq, fp, or fp:P)")
-
-
-def _int_or_inf(text: str):
-    """--d1: an int, or inf."""
-    if text == "inf":
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)} (use an int or inf)") from None
+        return PrimeField(_int_text(spec[3:], "prime"))
+    raise ValueError(f"bad field {_echo(spec)} (use qq, fp, or fp:P)")
 
 
 def _print_verdict(verdict, head=()) -> int:
@@ -322,7 +310,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rays", help="print the pure diagram of a degree sequence")
-    p.add_argument("--d0", type=int, required=True)
+    p.add_argument("--d0", type=_int_arg, required=True)
     p.add_argument("--d1", type=_int_or_inf, default="inf", help="int or inf (default inf)")
     p.add_argument("--tail", action="store_true", help="tail shape (d0, d1, d1+1, ...)")
     p.set_defaults(func=cmd_rays)
@@ -339,20 +327,20 @@ def _build_parser():
 
     p = sub.add_parser("resolve", help="Betti table of a module by minimal free resolution")
     p.add_argument("file", nargs="?", default="-", help="module file or - for stdin")
-    p.add_argument("--deg-bound", type=int, required=True)
-    p.add_argument("--hom-bound", type=int, required=True)
+    p.add_argument("--deg-bound", type=_int_arg, required=True)
+    p.add_argument("--hom-bound", type=_int_arg, required=True)
     p.add_argument("--field", type=_parse_field, default=None, help="qq, fp, or fp:P")
     p.set_defaults(func=cmd_resolve)
 
     p = sub.add_parser("hilbert", help="Hilbert series numerator and multiplicity")
     p.add_argument("file", nargs="?", default="-")
-    p.add_argument("--deg-bound", type=int, required=True)
+    p.add_argument("--deg-bound", type=_int_arg, required=True)
     p.add_argument("--field", type=_parse_field, default=None)
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("verify-window", help="compare generators and facets on a window")
-    p.add_argument("--jmin", type=int, required=True)
-    p.add_argument("--jmax", type=int, required=True)
+    p.add_argument("--jmin", type=_int_arg, required=True)
+    p.add_argument("--jmax", type=_int_arg, required=True)
     p.add_argument("--finite-length", action="store_true")
     p.add_argument("--drop-alpha", action="store_true", help="ablation: omit alpha facets")
     p.add_argument("--drop-gamma", action="store_true", help="ablation: omit gamma facets")

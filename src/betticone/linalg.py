@@ -16,9 +16,9 @@ from __future__ import annotations
 from bisect import bisect
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
-from .tables import _Checked, _int
+from .tables import _Checked, _echo, _int
 
 # F_p is meant as a small modular fast path; this bound keeps the primality
 # check by trial division bounded too
@@ -26,14 +26,7 @@ MAX_PRIME = 2 ** 31
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 class Field(_Checked, namedtuple("Field", "p")):
@@ -43,7 +36,7 @@ class Field(_Checked, namedtuple("Field", "p")):
 
     def __new__(cls, p: int = 0):
         if _int(p, "field characteristic") >= MAX_PRIME:
-            raise ValueError(f"prime {p} is too large, F_p needs p < 2^31")
+            raise ValueError(f"prime {_echo(p)} is too large, F_p needs p < 2^31")
         if p != 0 and not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         return super().__new__(cls, p)

@@ -64,7 +64,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .linalg import FP_DEFAULT, Field, SpanTracker
-from .tables import MAX_COEFFICIENT_BITS, MAX_HOM_BOUND, BettiTable, _Checked, _echo, _int, _rational, _window_and_cut
+from .tables import (MAX_COEFFICIENT_BITS, MAX_HOM_BOUND, BettiTable, _Checked, _echo, _int, _int_text,
+                     _rational, _window_and_cut)
 
 _VARS = ("x", "y", "z")
 _UNIT = ("1", 0)
@@ -344,12 +345,12 @@ def parse_poly(text: str) -> BPolynomial:
 
     result = expr()
     if peek() != ("end", ""):
-        raise PolyParseError(f"trailing input {peek()[1]!r} in {_echo(text)}")
+        raise PolyParseError(f"trailing input {_echo(peek()[1])} in {_echo(text)}")
     return result
 
 
-# A token: an int (\d is a decimal digit, which int() reads), a variable, an
-# operator, or any other non-space character, which is refused.
+# A token: an int (\d is a decimal digit, which tables._int_text reads), a
+# variable, an operator, or any other non-space character, which is refused.
 _TOKEN = re.compile(r"(\d+)|([xyz])|([-+*/^()])|(\S)")
 
 
@@ -360,9 +361,9 @@ def _tokenize(text: str):
             raise PolyParseError(f"bad character {bad!r} in {_echo(text)}")
         if digits:
             try:
-                tokens.append(("int", int(digits)))
-            except ValueError:  # a run past Python's limit on int-to-text digits
-                raise PolyParseError(f"integer of {len(digits)} digits is too long in {_echo(text)}") from None
+                tokens.append(("int", _int_text(digits, "integer")))
+            except ValueError as exc:  # a run past MAX_COEFFICIENT_BITS bits
+                raise PolyParseError(f"{exc} in {_echo(text)}") from None
         else:
             tokens.append(("var", var) if var else ("op", op))
     tokens.append(("end", ""))
@@ -427,7 +428,7 @@ class GradedModuleB(_Checked, namedtuple("GradedModuleB", "gen_degrees relations
             if not degs:
                 raise ValueError("zero relation row")
             if len(degs) > 1:
-                raise ValueError(f"relation row is not homogeneous, degrees {sorted(degs)}")
+                raise ValueError(f"relation row is not homogeneous, degrees {_echo(sorted(degs))}")
             branch_rows.append((degs.pop(), field.int_row(coords)))
         self = super().__new__(cls, gen_degrees, relations, field)
         self._branch_rows = tuple(branch_rows)
@@ -561,7 +562,8 @@ def hilbert_data(M: GradedModuleB, deg_bound: int) -> HilbertData:
     flat = max(j for (i, j) in M._rows._entries if i < 2) + 1
     if deg_bound < flat:
         raise StabilizationError(
-            f"deg_bound {deg_bound} is below {flat}, one past the top degree of the minimal generators and relations"
+            f"deg_bound {_echo(deg_bound)} is below {_echo(flat)},"
+            " one past the top degree of the minimal generators and relations"
         )
     offset = min(M.gen_degrees)
     numerator = [0] * (flat - offset + 1)  # every entry of rows 0..2 lies at or below flat

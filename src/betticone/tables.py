@@ -83,25 +83,43 @@ MAX_HOM_BOUND = 1000
 _INT_DIGITS = 640
 
 
-# Longest outside text an error message quotes whole.  A longer one is quoted
-# by its first _ECHO_CHARS characters and its length, so a refusal of a huge
-# text stays a short line.
+# Longest outside text or value repr an error message quotes whole.  A longer
+# one is quoted by its first _ECHO_CHARS characters and its length, so a
+# refusal of a huge text or int stays a short line.
 _ECHO_CHARS = 64
 
 
-def _echo(text) -> str:
-    """repr(text) for an error message; for a str past _ECHO_CHARS characters,
-    the repr of its first _ECHO_CHARS characters and its length."""
-    if isinstance(text, str) and len(text) > _ECHO_CHARS:
-        return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
-    return repr(text)
+def _echo(value) -> str:
+    """repr(value) for an error message.  Past _ECHO_CHARS characters, a str
+    is quoted by the repr of its head and its length, any other value by the
+    head of its repr and that repr's length."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return repr(value)
+    head = repr(text[:_ECHO_CHARS]) if isinstance(value, str) else text[:_ECHO_CHARS]
+    return f"{head}... ({len(text)} characters)"
 
 
 def _int(value, what: str) -> int:
     """The rule of every int argument: value when its type is int, else a
     ValueError that names what, for a bool and an integral float, str or Fraction too."""
     if type(value) is not int:
-        raise ValueError(f"{what} must be an int, got {type(value).__name__} {value!r}")
+        raise ValueError(f"{what} must be an int, got {type(value).__name__} {_echo(value)}")
+    return value
+
+
+def _int_text(text: str, what: str) -> int:
+    """The rule of every int text: int(text) for a text of at most
+    _INT_DIGITS characters that int() reads, else _rational's value, which
+    must be an int; a refusal is a ValueError that names what."""
+    if len(text) <= _INT_DIGITS:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    value = _rational(text, what) if _RATIONAL_FORMAT.match(text) else None
+    if type(value) is not int:
+        raise ValueError(f"{what} {_echo(text)} is not an int")
     return value
 
 
@@ -114,10 +132,7 @@ def _rational(value, what: str) -> RationalLike:
     numerator or denominator: a ValueError naming what."""
     if type(value) is str:
         try:
-            if len(value) <= _INT_DIGITS and value.isascii() and value.isdigit():
-                q = int(value)
-            else:
-                q = _read_text(value)
+            q = int(value) if len(value) <= _INT_DIGITS and value.isascii() and value.isdigit() else _read_text(value)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"{what} {_echo(value)} is not a rational") from None
         if q is None or max(abs(q.numerator), q.denominator).bit_length() - 1 > MAX_COEFFICIENT_BITS:
@@ -211,14 +226,14 @@ class BettiTable:
             if type(i) is not int or type(j) is not int:  # _int's test inline, as this loop is hot
                 _int(i, "homological index"), _int(j, "degree")  # raises
             if i < 0:
-                raise ValueError(f"homological index must be >= 0, got {i}")
+                raise ValueError(f"homological index must be >= 0, got {_echo(i)}")
             q = value if type(value) is int else _rational(value, "table entry")
             if q:
                 items[(i, j)] = q
         if tail_mode == CANONICAL:
             bad = [ij for ij in items if ij[0] >= 3]
             if bad:
-                raise ValueError(f"canonical mode stores rows 0..2 only, got entries at {sorted(bad)}")
+                raise ValueError(f"canonical mode stores rows 0..2 only, got entries at {_echo(sorted(bad))}")
         self._entries = items
         self.tail_mode = tail_mode
 
@@ -227,10 +242,10 @@ class BettiTable:
         canonical mode, up to row MAX_HOM_BOUND."""
         _int(j, "degree")
         if _int(i, "homological index") < 0:
-            raise ValueError(f"homological index must be >= 0, got {i}")
+            raise ValueError(f"homological index must be >= 0, got {_echo(i)}")
         if self.tail_mode == CANONICAL and i >= 3:
             if i > MAX_HOM_BOUND:
-                raise ValueError(f"a canonical table's row must be at most {MAX_HOM_BOUND}, got {i}")
+                raise ValueError(f"a canonical table's row must be at most {MAX_HOM_BOUND}, got {_echo(i)}")
             base = self._entries.get((2, j - (i - 2)), 0)
             return 2 ** (i - 2) * base if base else 0
         return self._entries.get((i, j), 0)
@@ -312,7 +327,7 @@ def collapse_tail(table: BettiTable) -> BettiTable:
         return table
     broken = _broken_doubling(table._entries)
     if broken is not None:
-        raise ValueError(f"doubling fails at ({broken[0]}, {broken[1]}); table is not a tail window")
+        raise ValueError(f"doubling fails at {_echo(broken[:2])}; table is not a tail window")
     return BettiTable({ij: v for ij, v in table._entries.items() if ij[0] <= 2}, tail_mode=CANONICAL)
 
 
@@ -337,7 +352,7 @@ class DegreeSequence(_Checked, namedtuple("DegreeSequence", "shape d0 d1")):
             if d1 is None:
                 raise ValueError(f"{shape} shape needs d1")
             if not d0 < _int(d1, "d1"):
-                raise ValueError(f"need d0 < d1, got ({d0}, {d1})")
+                raise ValueError(f"need d0 < d1, got {_echo((d0, d1))}")
         return super().__new__(cls, shape, d0, d1)
 
     @classmethod

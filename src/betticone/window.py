@@ -29,6 +29,7 @@ from .tables import (
     Functional,
     _Checked,
     _cone_functionals,
+    _echo,
     _int,
     make_pure_diagram,
 )
@@ -50,7 +51,7 @@ class Window(_Checked, namedtuple("Window", "jmin jmax")):
 
     def __new__(cls, jmin: int, jmax: int):
         if _int(jmin, "jmin") > _int(jmax, "jmax"):
-            raise ValueError(f"empty window [{jmin}, {jmax}]")
+            raise ValueError(f"empty window [{_echo(jmin)}, {_echo(jmax)}]")
         return super().__new__(cls, jmin, jmax)
 
     @property
@@ -179,7 +180,7 @@ def cross_check(w: Window, finite_length: bool = False, include_alpha: bool = Tr
     constraint, one int bitmask test per (plus, minus, other) triple of rays.
     """
     if w.dim > MAX_WINDOW_DIM:
-        raise WindowCapError(f"window dimension {w.dim} exceeds cap {MAX_WINDOW_DIM}")
+        raise WindowCapError(f"window dimension {_echo(w.dim)} exceeds cap {MAX_WINDOW_DIM}")
     gens = window_generators(w, finite_length)
     ineqs, eqs = window_facets(w, finite_length, include_alpha, include_gamma)
     gen_norm = []

@@ -144,6 +144,24 @@ def test_constructors_still_refuse(build, message):
         build()
 
 
+BIG = int("7" * 1000)
+
+
+# _int's refusal, which no CLI call reaches, and a StabilizationError; the
+# refusals of the CLI, which exit 2, are rows of
+# test_cli.py::test_a_refusal_quotes_a_long_text_by_its_prefix_and_length
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: hilbert_data(builtin("B"), -BIG), id="deg-bound"),
+    pytest.param(lambda: Functional.alpha("7" * 100_000), id="int-rule-str"),
+    pytest.param(lambda: Functional.alpha(Fraction(BIG, 3)), id="int-rule-fraction"),
+])
+def test_a_refusal_quotes_a_huge_argument_by_its_prefix_and_length(build):
+    with pytest.raises((ValueError, RuntimeError)) as info:  # StabilizationError is a RuntimeError
+        build()
+    message = str(info.value)
+    assert len(message) < 200 and "... (1" in message and "characters)" in message, message
+
+
 # The sweep of every int, rational, name, record and sequence argument of the
 # public calls and record constructors: each row is a call of one argument, a
 # pattern its refusal must match, as it names the argument, and the swept

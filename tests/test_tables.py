@@ -29,7 +29,7 @@ from betticone import (
 )
 from betticone import resolve
 from betticone.cli import TableFormatError, parse_table_text
-from betticone.tables import ALPHA, GAMMA, GAMMA_INF, MAX_HOM_BOUND, _broken_doubling, _cone_functionals
+from betticone.tables import ALPHA, GAMMA, GAMMA_INF, MAX_HOM_BOUND, _HK_RAYS, _broken_doubling, _cone_functionals
 from oracles import broken_doubling, combine, functional_value
 
 
@@ -569,6 +569,25 @@ def test_hk_slope_equation():
     for c in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(2)):
         b0, b1, _ = hk_ray(c).vector
         assert 3 * (b0 - b1) + c * b1 == 0
+
+
+# The builtin module whose total Betti numbers each ray's entries from b1 on
+# are a multiple of, and that multiple m, by the ray's slope invariant c.
+HK_MODULES = {Fraction(0): ("B", 1), Fraction(1): ("M1", 3), Fraction(3, 2): ("omega", 1), Fraction(2): ("M12", 3)}
+
+
+@pytest.mark.parametrize("c", sorted(HK_MODULES))
+def test_hk_ray_entries_are_a_multiple_of_the_engine_totals(c):
+    # M_i's ray (2, 3, 3, 6, 12, ...) reads 3 * (1, 1, 2, 4, ...) from b1 on, M1's totals
+    assert set(HK_MODULES) == set(_HK_RAYS)
+    name, m = HK_MODULES[c]
+    rows = 9
+    res = resolve.min_free_resolution(resolve.builtin(name), rows + 1, rows - 1)
+    assert res.truncated_rows == ()
+    totals = [sum(v for (i, _), v in res.betti.items() if i == row) for row in range(rows)]
+    b0, *rest = hk_ray(c).entries(rows + 1)
+    assert rest == [m * total for total in totals]
+    assert 3 * b0 == rest[0] * (3 - c)
 
 
 def test_hk_relations_hold_on_eight_entries():
