@@ -172,23 +172,13 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
-def _argument(read):
-    """read as an argparse type: its ValueError becomes the ArgumentTypeError
-    whose text argparse prints after the option's name, so argparse never
-    quotes a refused text whole in its own invalid value message."""
-    def typed(text: str):
-        try:
-            return read(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    return typed
+_int_arg = functools.partial(_int_text, what="value")
 
 
-_int_arg = _argument(lambda text: _int_text(text, "value"))
-_int_or_inf = _argument(lambda text: text if text == "inf" else _int_text(text, "value"))  # --d1
+def _int_or_inf(text: str):  # --d1
+    return text if text == "inf" else _int_arg(text)
 
 
-@_argument
 def _parse_field(spec: str):
     """--field: qq, fp, or fp:P."""
     if spec == "qq":
@@ -286,14 +276,34 @@ def cmd_local(args) -> int:
     verdict = check_local(s, finite_length=args.finite_length)
     if not verdict.member:
         return _print_verdict(verdict, ["not in local cone" if args.mode == "decompose" else "member: no"])
-    if args.mode == "check":
-        print("member: yes")
-        return 0
     deco = verdict.decomposition
-    print(f"a: {deco.a}")
-    print(f"b: {deco.b}")
-    print(f"c: {deco.c}")
+    print("member: yes" if args.mode == "check" else f"a: {deco.a}\nb: {deco.b}\nc: {deco.c}")
     return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """The CLI's one parser class.  A - before a digit or a point starts a
+    value, such as -1/2 or -1e3, where argparse would read an unknown option;
+    and argparse's own refusals quote the texts of the call by tables._echo."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def _get_value(self, action, text):  # a type's ValueError is the reason argparse prints after the option
+        try:
+            return (action.type or str)(text)
+        except ValueError as exc:
+            raise argparse.ArgumentError(action, str(exc)) from None
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._args = sys.argv[1:] if args is None else args  # the texts error may quote
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):  # argparse puts an argument, or the value after its "=", bare or by its repr
+        for text in (t for arg in self._args for t in (arg, arg.partition("=")[2]) if _echo(t) != repr(t)):
+            message = message.replace(repr(text), _echo(text)).replace(text, _echo(text))
+        super().error(message)
 
 
 @functools.cache
@@ -303,7 +313,7 @@ def _build_parser():
     action.  Built on the first call, not at import.  parse_args returns a
     new Namespace and looks sys.stdout and sys.stderr up when it writes, so
     one parser serves every call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(  # and each subparser, as add_subparsers makes them of the parser's class
         prog="betticone",
         description="Betti cone toolkit for the ring k[x,y,z]/(xy,yz,xz)",
     )
@@ -352,10 +362,6 @@ def _build_parser():
     p.add_argument("b1")
     p.add_argument("b2")
     p.add_argument("--finite-length", action="store_true")
-    # argparse reads only plain negative ints and decimals as values, and
-    # -1/2 or -1e3 as unknown options; here a - before a digit or a point
-    # starts a value
-    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.set_defaults(func=cmd_local)
 
     return parser, sub.choices

@@ -64,6 +64,7 @@ from .tables import (
     _Checked,
     _broken_doubling,
     _cone_functionals,
+    _echo,
     _rational,
 )
 
@@ -73,7 +74,7 @@ class NotInConeError(ValueError):
 
     def __init__(self, violation):
         self.violation = violation
-        super().__init__(f"table is not in the cone: {violation.label} = {violation.value}")
+        super().__init__(f"table is not in the cone: {violation.label} = {_echo(violation.value, str)}")
 
 
 class DecompositionLoopError(RuntimeError):
@@ -83,7 +84,7 @@ class DecompositionLoopError(RuntimeError):
         self.residual = residual
         self.terms = terms
         super().__init__(
-            f"no progress after {len(terms)} subtractions; residual support {residual.support()}"
+            f"no progress after {len(terms)} subtractions; residual support {_echo(residual.support())}"
         )
 
 
@@ -254,7 +255,7 @@ def _greedy(v: BettiTable) -> Decomposition:
         d0, d1 = low.get(0), low.get(1)
         # in a member gamma at d1 - 1 puts row 0 mass below d1, so d0 exists
         if d0 is None:
-            raise AssertionError(f"cone member without row 0 mass: {BettiTable(res)!r}")
+            raise AssertionError(f"cone member without row 0 mass: {_echo(BettiTable(res))}")
         if d1 is None:
             d = DegreeSequence.free(d0)
         elif (2, d1 + 1) in res:

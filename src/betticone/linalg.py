@@ -38,7 +38,7 @@ class Field(_Checked, namedtuple("Field", "p")):
         if _int(p, "field characteristic") >= MAX_PRIME:
             raise ValueError(f"prime {_echo(p)} is too large, F_p needs p < 2^31")
         if p != 0 and not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise ValueError(f"{_echo(p)} is not prime")
         return super().__new__(cls, p)
 
     @property

@@ -95,7 +95,7 @@ class BPolynomial:
         for mono, q in (coeffs or {}).items():
             var, exp = mono if isinstance(mono, tuple) and len(mono) == 2 else (None, 1)  # refused below
             if (var not in _VARS) if _int(exp, "exponent") > 0 else (mono != _UNIT):
-                raise ValueError(f"bad monomial {mono!r}")
+                raise ValueError(f"bad monomial {_echo(mono)}")
             q = q if type(q) is int else _rational(q, "coefficient")
             if q:
                 items[mono] = q
@@ -136,7 +136,7 @@ class BPolynomial:
         if not exps:
             raise ValueError("the zero element has no degree")
         if len(exps) > 1:
-            raise ValueError(f"inhomogeneous element: {self}")
+            raise ValueError(f"inhomogeneous element: {_echo(self, str)}")
         return exps.pop()
 
     def __add__(self, other):
@@ -252,7 +252,7 @@ def parse_poly(text: str) -> BPolynomial:
     parentheses nested deeper than MAX_NESTING.
     """
     if not isinstance(text, str):
-        raise PolyParseError(f"polynomial must be a str, got {type(text).__name__} {text!r}")
+        raise PolyParseError(f"polynomial must be a str, got {type(text).__name__} {_echo(text)}")
     tokens = _tokenize(text)
     pos = 0
     depth = 0
@@ -268,7 +268,7 @@ def parse_poly(text: str) -> BPolynomial:
         nonlocal pos
         tok = tokens[pos]
         if kind is not None and tok[0] != kind:
-            raise ended() if tok[0] == "end" else PolyParseError(f"expected {kind}, got {tok[1]!r} in {_echo(text)}")
+            raise ended() if tok[0] == "end" else PolyParseError(f"expected {kind}, got {_echo(tok[1])} in {_echo(text)}")
         pos += 1
         return tok
 
@@ -300,7 +300,7 @@ def parse_poly(text: str) -> BPolynomial:
             return inner
         if kind == "end":
             raise ended()
-        raise PolyParseError(f"unexpected {val!r} in {_echo(text)}")
+        raise PolyParseError(f"unexpected {_echo(val)} in {_echo(text)}")
 
     def factor():
         base = atom()
@@ -358,7 +358,7 @@ def _tokenize(text: str):
     tokens = []
     for digits, var, op, bad in _TOKEN.findall(text):
         if bad:
-            raise PolyParseError(f"bad character {bad!r} in {_echo(text)}")
+            raise PolyParseError(f"bad character {_echo(bad)} in {_echo(text)}")
         if digits:
             try:
                 tokens.append(("int", _int_text(digits, "integer")))
@@ -398,13 +398,13 @@ class GradedModuleB(_Checked, namedtuple("GradedModuleB", "gen_degrees relations
         try:
             gen_degrees = tuple(_int(a, "generator degree") for a in gen_degrees)
         except TypeError:
-            raise ValueError(f"gen_degrees must be a sequence of ints, got {gen_degrees!r}") from None
+            raise ValueError(f"gen_degrees must be a sequence of ints, got {_echo(gen_degrees)}") from None
         try:
             relations = tuple(map(tuple, relations))
         except TypeError:
-            raise ValueError(f"relations must be a sequence of rows, got {relations!r}") from None
+            raise ValueError(f"relations must be a sequence of rows, got {_echo(relations)}") from None
         if not isinstance(field, Field):
-            raise ValueError(f"field must be a Field, such as QQ or PrimeField(p), got {field!r}")
+            raise ValueError(f"field must be a Field, such as QQ or PrimeField(p), got {_echo(field)}")
         r = len(gen_degrees)
         branch_rows = []
         for row in relations:
@@ -414,14 +414,14 @@ class GradedModuleB(_Checked, namedtuple("GradedModuleB", "gen_degrees relations
             coords = [0] * (3 * r)
             for k, (a, p) in enumerate(zip(gen_degrees, row)):
                 if not isinstance(p, BPolynomial):
-                    raise ValueError(f"relation entry must be a BPolynomial, got {p!r}")
+                    raise ValueError(f"relation entry must be a BPolynomial, got {_echo(p)}")
                 if p.is_zero:
                     continue
                 if not p.is_homogeneous:
-                    raise ValueError(f"inhomogeneous relation entry: {p}")
+                    raise ValueError(f"inhomogeneous relation entry: {_echo(p, str)}")
                 e = p.degree()
                 if e < 1:
-                    raise ValueError(f"relation entry {p} is a unit, which makes the presentation non-minimal")
+                    raise ValueError(f"relation entry {_echo(p, str)} is a unit, which makes the presentation non-minimal")
                 degs.add(e + a)
                 for (var, _), q in p._coeffs.items():
                     coords[_VARS.index(var) * r + k] = q

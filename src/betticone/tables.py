@@ -89,15 +89,23 @@ _INT_DIGITS = 640
 _ECHO_CHARS = 64
 
 
-def _echo(value) -> str:
-    """repr(value) for an error message.  Past _ECHO_CHARS characters, a str
-    is quoted by the repr of its head and its length, any other value by the
-    head of its repr and that repr's length."""
-    text = value if isinstance(value, str) else repr(value)
-    if len(text) <= _ECHO_CHARS:
-        return repr(value)
-    head = repr(text[:_ECHO_CHARS]) if isinstance(value, str) else text[:_ECHO_CHARS]
-    return f"{head}... ({len(text)} characters)"
+def _echo(value, form=repr) -> str:
+    """form(value), repr by default, for an error message: the one way an
+    argument or an input text enters a refusal.  Past _ECHO_CHARS characters a
+    str is quoted by the repr of its head and its length, any other value by
+    the head of its form and that length.  An int past the int-to-str digit
+    limit is named by its sign and bit length, in a Fraction, tuple or list too."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= _ECHO_CHARS else f"{repr(value[:_ECHO_CHARS])}... ({len(value)} characters)"
+    try:
+        text = form(value)
+    except ValueError:  # form met the digit limit, in an int or in a value holding one
+        text = (f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>" if type(value) is int
+                else f"{_echo(value.numerator)}/{_echo(value.denominator)}" if type(value) is Fraction
+                else f"({', '.join(map(_echo, value))}{',' * (len(value) == 1)})" if type(value) is tuple
+                else f"[{', '.join(map(_echo, value))}]" if type(value) is list
+                else f"<{type(value).__name__}>")
+    return text if len(text) <= _ECHO_CHARS else f"{text[:_ECHO_CHARS]}... ({len(text)} characters)"
 
 
 def _int(value, what: str) -> int:
@@ -216,13 +224,13 @@ class BettiTable:
 
     def __init__(self, entries=None, tail_mode: str = CANONICAL):
         if tail_mode not in (CANONICAL, EXPLICIT):
-            raise ValueError(f"unknown tail mode: {tail_mode!r}")
+            raise ValueError(f"unknown tail mode: {_echo(tail_mode)}")
         items: dict[tuple[int, int], RationalLike] = {}
         for key, value in (entries or {}).items():
             try:
                 i, j = key
             except (TypeError, ValueError):
-                raise ValueError(f"table index must be a pair (i, j), got {key!r}") from None
+                raise ValueError(f"table index must be a pair (i, j), got {_echo(key)}") from None
             if type(i) is not int or type(j) is not int:  # _int's test inline, as this loop is hot
                 _int(i, "homological index"), _int(j, "degree")  # raises
             if i < 0:
@@ -343,7 +351,7 @@ class DegreeSequence(_Checked, namedtuple("DegreeSequence", "shape d0 d1")):
 
     def __new__(cls, shape: str, d0: int, d1: int | None = None):
         if shape not in (FREE, TWO_STEP, TAIL):
-            raise ValueError(f"unknown shape: {shape!r}")
+            raise ValueError(f"unknown shape: {_echo(shape)}")
         _int(d0, "d0")
         if shape == FREE:
             if d1 is not None:
@@ -408,7 +416,7 @@ def make_pure_diagram(d: DegreeSequence) -> BettiTable:
               value at (i, d1 + i - 1) reads 3 * 2^(i-1) for every i >= 1.
     """
     if not isinstance(d, DegreeSequence):
-        raise ValueError(f"d must be a DegreeSequence, got {type(d).__name__} {d!r}")
+        raise ValueError(f"d must be a DegreeSequence, got {type(d).__name__} {_echo(d)}")
     return BettiTable(d._pure_entries(), tail_mode=CANONICAL)
 
 
@@ -437,19 +445,19 @@ class Functional(_Checked, namedtuple("Functional", "kind i j k", defaults=(None
     def __new__(cls, kind: str, i: int | None = None, j: int | None = None, k: int | None = None):
         if kind == ALPHA or kind == GAMMA:
             if i is not None or j is not None:
-                raise ValueError(f"{kind} takes k only, got i={i!r} and j={j!r}")
+                raise ValueError(f"{kind} takes k only, got i={_echo(i)} and j={_echo(j)}")
             _int(k, "k")
         elif kind == EPSILON or kind == DOUBLING_EQ:
             if k is not None:
-                raise ValueError(f"{kind} takes i and j only, got k={k!r}")
+                raise ValueError(f"{kind} takes i and j only, got k={_echo(k)}")
             if _int(i, "i") < (0 if kind == EPSILON else 2):
                 raise ValueError("epsilon needs i >= 0" if kind == EPSILON else "doubling equalities live in rows i >= 2")
             _int(j, "j")
         elif kind == GAMMA_INF:
             if not i is j is k is None:
-                raise ValueError(f"gamma_inf takes no index, got i={i!r}, j={j!r} and k={k!r}")
+                raise ValueError(f"gamma_inf takes no index, got i={_echo(i)}, j={_echo(j)} and k={_echo(k)}")
         else:
-            raise ValueError(f"unknown functional kind: {kind!r}")
+            raise ValueError(f"unknown functional kind: {_echo(kind)}")
         return super().__new__(cls, kind, i, j, k)
 
     @classmethod
@@ -571,12 +579,12 @@ class HKRay(_Checked, namedtuple("HKRay", "c mcm_name vector")):
     def __new__(cls, c: RationalLike, mcm_name: str, vector: tuple[int, int, int]):
         c = Fraction(_rational(c, "c"))
         if c not in _HK_RAYS:
-            raise ValueError(f"no ray with c = {c}; admitted values are 0, 1, 3/2, 2")
+            raise ValueError(f"no ray with c = {_echo(c, str)}; admitted values are 0, 1, 3/2, 2")
         name, vec = _HK_RAYS[c]
         if mcm_name != name:
-            raise ValueError(f"the ray with c = {c} has mcm_name {name!r}, got {mcm_name!r}")
+            raise ValueError(f"the ray with c = {_echo(c, str)} has mcm_name {_echo(name)}, got {_echo(mcm_name)}")
         if type(vector) is not tuple or vector != vec:
-            raise ValueError(f"the ray with c = {c} has vector {vec}, got {vector!r}")
+            raise ValueError(f"the ray with c = {_echo(c, str)} has vector {vec}, got {_echo(vector)}")
         return super().__new__(cls, c, name, vec)
 
     def entries(self, n: int) -> tuple[int, ...]:
@@ -612,5 +620,5 @@ INDECOMPOSABLE_NAMES = tuple(sorted(_SYZYGIES))
 def syzygy_of_indecomposable(name: str) -> tuple[tuple[str, int], ...]:
     """First syzygy of an indecomposable MCM module, sorted for determinism."""
     if name not in _SYZYGIES:
-        raise ValueError(f"unknown indecomposable: {name!r}; admitted: {', '.join(INDECOMPOSABLE_NAMES)}")
+        raise ValueError(f"unknown indecomposable: {_echo(name)}; admitted: {', '.join(INDECOMPOSABLE_NAMES)}")
     return tuple(sorted(_SYZYGIES[name]))

@@ -67,7 +67,7 @@ class Window(_Checked, namedtuple("Window", "jmin jmax")):
 
     def index(self, i: int, j: int) -> int:
         if _int(i, "i") not in _ROWS or not self.jmin <= _int(j, "j") <= self.jmax:
-            raise ValueError(f"({i}, {j}) outside window [{self.jmin}, {self.jmax}]")
+            raise ValueError(f"({_echo(i)}, {_echo(j)}) outside window [{_echo(self.jmin)}, {_echo(self.jmax)}]")
         return i * self.width + (j - self.jmin)
 
 

@@ -427,9 +427,29 @@ def long_text_probes():
     yield "trailing-int", resolve, f"gens 0\nrel x {run}\n", f"trailing input {quoted} in"
 
 
+WORD = "w" * 100_000
+WORD_QUOTED = f"{'w' * 64!r}... (100000 characters)"
+# the refusals argparse makes in the full parser, named "betticone"; a command's parser is "betticone COMMAND"
+FULL_PARSER = ("unrecognized arguments: ", "argument command: ")
+
+
 @pytest.mark.parametrize("argv, stdin, quoted", [
     pytest.param(["local", "check", SEVENS, "0", "0"], "", f"b0 {SEVENS[:64]!r}... (100000 characters) needs",
                  id="local-value"),
+    pytest.param(["local", WORD, "1", "2", "3"], "", f"argument mode: invalid choice: {WORD_QUOTED} (choose from ",
+                 id="invalid-choice"),
+    pytest.param([WORD], "", f"argument command: invalid choice: {WORD_QUOTED} (choose from ", id="invalid-command"),
+    pytest.param(["check", "-", WORD], OMEGA_TABLE, f"unrecognized arguments: {WORD_QUOTED}\n",
+                 id="unrecognized-argument"),
+    pytest.param(["verify-window", "--jmin", "0", "--jmax", "3", f"--{WORD}"], "",
+                 f"unrecognized arguments: {'--' + WORD[:62]!r}... (100002 characters)\n", id="unrecognized-option"),
+    pytest.param(["verify-window", "--jmin", "0", "--jmax", "3", f"--d={WORD}"], "",
+                 f"ambiguous option: {'--d=' + WORD[:60]!r}... (100004 characters) could match --drop-alpha,",
+                 id="ambiguous-option"),
+    pytest.param(["rays", "--d0", "0", f"--tail={WORD}"], "",
+                 f"argument --tail: ignored explicit argument {WORD_QUOTED}", id="ignored-explicit-argument"),
+    pytest.param(["resolve", "-", "--deg-bound", "6", "--hom-bound", "2"], f"gens 0\nrel {'7' * 1200}\n",
+                 f"relation entry {'7' * 64}... (1200 characters) is a unit", id="unit-relation"),
     pytest.param(["check", "-"], f"betti v1\nmode canonical\nentry 0 0 {SEVENS}\n",
                  f"bad entry line: {('entry 0 0 ' + SEVENS)[:64]!r}... (100010 characters)", id="table-entry"),
     pytest.param(["resolve", "-", "--deg-bound", "6", "--hom-bound", "2"], f"gens 0\nrel {SEVENS[:50_000]}\n",
@@ -443,7 +463,8 @@ def test_a_refusal_quotes_a_long_text_by_its_prefix_and_length(argv, stdin, quot
     # the library's refusal is one line; argparse writes its usage lines first
     *usage, last = err.splitlines()
     assert not usage or usage[0].startswith("usage: "), err
-    assert last.startswith(f"betticone {argv[0]}: error: {quoted}" if usage else f"error: {quoted}"), err
+    prog = "betticone" if quoted.startswith(FULL_PARSER) else f"betticone {argv[0]}"
+    assert (last + "\n").startswith(f"{prog}: error: {quoted}" if usage else f"error: {quoted}"), err
 
 
 def test_an_int_text_is_read_by_its_value(capsys, tmp_path):
@@ -455,6 +476,18 @@ def test_an_int_text_is_read_by_its_value(capsys, tmp_path):
     assert (code, err) == (0, "") and "degree_sequence: (-2, 1, inf)\n" in out
     code, _, err = invoke(capsys, "rays", "--d0", "3/2")
     assert code == 2 and err.endswith(" error: argument --d0: value '3/2' is not an int\n")
+
+
+@pytest.mark.parametrize("argv, same", [
+    pytest.param(["rays", "--d0", "-6/3"], ["rays", "--d0=-2"], id="d0"),
+    pytest.param(["verify-window", "--jmin", "-1e0", "--jmax", "2"], ["verify-window", "--jmin", "-1", "--jmax", "2"],
+                 id="jmin"),
+])
+def test_every_option_reads_a_negative_value(capsys, argv, same):
+    # argparse takes -6/3 or -1e0 for an unknown option; the CLI's parser
+    # takes a - before a digit or a point for the start of a value
+    answer = invoke(capsys, *argv)
+    assert answer[0] == 0 and answer == invoke(capsys, *same)
 
 
 def test_huge_prime_is_refused_promptly(capsys, tmp_path):

@@ -32,7 +32,8 @@ from betticone.resolve import (
     min_free_resolution,
     parse_poly,
 )
-from betticone.tables import HKRay, expand_tail, syzygy_of_indecomposable
+from betticone.tables import (ALPHA, EPSILON, EXPLICIT, GAMMA_INF, HKRay, collapse_tail, expand_tail,
+                              syzygy_of_indecomposable)
 from betticone.window import Window, WindowReport, cross_check, extreme_rays
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -160,6 +161,78 @@ def test_a_refusal_quotes_a_huge_argument_by_its_prefix_and_length(build):
         build()
     message = str(info.value)
     assert len(message) < 200 and "... (1" in message and "characters)" in message, message
+
+
+HUGE, WORD, COEFF = 10 ** 5000, "w" * 100_000, int("7" * 1200)
+NAMED = "<int of 16610 bits>"  # HUGE, past the interpreter's int-to-str digit limit
+WORD_QUOTED = f"{'w' * 64!r}... (100000 characters)"
+COEFF_QUOTED = f"{'7' * 64}... (1200 characters)"
+SUM_QUOTED = f"{'7' * 64}... (1208 characters)"  # of the text of COEFF*x + y^2
+
+
+def raise_(exc):
+    raise exc
+
+
+# One row per refusal that quotes an argument, fed a 100,000-character str or
+# 10^5000, whichever its argument takes, or a polynomial with a 1,200-digit
+# coefficient: the call, the error it raises, and the argument as quoted.
+@pytest.mark.parametrize("build, error, quoted", [
+    pytest.param(lambda: BettiTable({}, tail_mode=WORD), ValueError, WORD_QUOTED, id="tail-mode"),
+    pytest.param(lambda: BettiTable({WORD: 1}), ValueError, WORD_QUOTED, id="table-index"),
+    pytest.param(lambda: BettiTable({(3, HUGE): 1}), ValueError, f"[(3, {NAMED})]", id="canonical-rows"),
+    pytest.param(lambda: BettiTable({(-HUGE, 0): 1}), ValueError, f"-{NAMED}", id="negative-index"),
+    pytest.param(lambda: DegreeSequence(WORD, 0), ValueError, WORD_QUOTED, id="shape"),
+    pytest.param(lambda: DegreeSequence.two_step(HUGE, 3), ValueError, f"({NAMED}, 3)", id="d0-not-below-d1"),
+    pytest.param(lambda: make_pure_diagram(WORD), ValueError, WORD_QUOTED, id="pure-diagram"),
+    pytest.param(lambda: Functional(ALPHA, i=HUGE, k=1), ValueError, f"i={NAMED}", id="takes-k-only"),
+    pytest.param(lambda: Functional(EPSILON, 0, 0, k=HUGE), ValueError, f"k={NAMED}", id="takes-i-and-j-only"),
+    pytest.param(lambda: Functional(GAMMA_INF, j=HUGE), ValueError, f"j={NAMED}", id="takes-no-index"),
+    pytest.param(lambda: Functional(WORD), ValueError, WORD_QUOTED, id="functional-kind"),
+    pytest.param(lambda: Functional.alpha(Fraction(HUGE, 3)), ValueError, f"{NAMED}/3", id="int-rule"),
+    pytest.param(lambda: collapse_tail(BettiTable({(2, HUGE): 1, (3, HUGE + 1): 3}, tail_mode=EXPLICIT)),
+                 ValueError, f"(2, {NAMED})", id="doubling"),
+    pytest.param(lambda: hk_ray(HUGE), ValueError, f"c = {NAMED}/1", id="ray-c"),
+    pytest.param(lambda: HKRay(0, WORD, (1, 1, 0)), ValueError, WORD_QUOTED, id="ray-mcm-name"),
+    pytest.param(lambda: HKRay(0, "B", (HUGE,)), ValueError, f"({NAMED},)", id="ray-vector"),
+    pytest.param(lambda: syzygy_of_indecomposable(WORD), ValueError, WORD_QUOTED, id="indecomposable"),
+    pytest.param(lambda: BPolynomial({WORD: 1}), ValueError, WORD_QUOTED, id="monomial"),
+    pytest.param(lambda: (COEFF * X + Y * Y).degree(), ValueError, SUM_QUOTED, id="degree"),
+    pytest.param(lambda: parse_poly(HUGE), resolve.PolyParseError, NAMED, id="poly-type"),
+    pytest.param(lambda: parse_poly("x^y" + "+x" * 49_998), resolve.PolyParseError, "'y' in", id="poly-expected"),
+    pytest.param(lambda: parse_poly(")" + "+x" * 49_999), resolve.PolyParseError, "')' in", id="poly-unexpected"),
+    pytest.param(lambda: parse_poly(WORD), resolve.PolyParseError, f"'w' in {WORD_QUOTED}", id="poly-character"),
+    pytest.param(lambda: GradedModuleB(HUGE), ValueError, NAMED, id="gen-degrees"),
+    pytest.param(lambda: GradedModuleB((0,), HUGE), ValueError, NAMED, id="relations"),
+    pytest.param(lambda: GradedModuleB((0,), (), WORD), ValueError, WORD_QUOTED, id="module-field"),
+    pytest.param(lambda: GradedModuleB((0,), ((WORD,),)), ValueError, WORD_QUOTED, id="entry-type"),
+    pytest.param(lambda: GradedModuleB((0,), ((COEFF * X + Y * Y,),)), ValueError, SUM_QUOTED,
+                 id="entry-inhomogeneous"),
+    pytest.param(lambda: GradedModuleB((0,), ((BPolynomial.constant(COEFF),),)), ValueError, COEFF_QUOTED,
+                 id="entry-unit"),
+    pytest.param(lambda: GradedModuleB((HUGE, 0), ((X, X * X),)), ValueError, f"[2, {NAMED}]",
+                 id="row-degrees"),
+    pytest.param(lambda: hilbert_data(builtin("B"), -HUGE), resolve.StabilizationError, f"-{NAMED}",
+                 id="hilbert-deg-bound"),
+    pytest.param(lambda: raise_(cone.DecompositionLoopError(BettiTable({(0, HUGE): 1}), ())),
+                 cone.DecompositionLoopError, f"((0, {NAMED}),)", id="greedy-residual"),
+    pytest.param(lambda: cone._greedy(BettiTable({(1, HUGE): 1})), AssertionError, "<BettiTable>",
+                 id="greedy-row-0"),
+    pytest.param(lambda: cone.decompose(BettiTable({(0, 0): -HUGE})), cone.NotInConeError, f"-{NAMED}/1",
+                 id="not-in-cone"),
+    pytest.param(lambda: Window(HUGE, 0), ValueError, f"[{NAMED}, 0]", id="empty-window"),
+    pytest.param(lambda: Window(0, 3).index(0, HUGE), ValueError, f"(0, {NAMED})", id="window-index"),
+    pytest.param(lambda: cross_check(Window(0, HUGE)), window.WindowCapError, "<int of 16612 bits>",
+                 id="window-cap"),
+    pytest.param(lambda: PrimeField(HUGE), ValueError, NAMED, id="prime-too-large"),
+    pytest.param(lambda: PrimeField(-HUGE), ValueError, f"-{NAMED} is not prime", id="not-prime"),
+])
+def test_every_refusal_quotes_its_argument_by_the_one_rule(build, error, quoted):
+    with pytest.raises(error) as info:
+        build()
+    message = str(info.value)
+    assert type(info.value) is error and len(message) < 1000 and "Exceeds the limit" not in message, message
+    assert quoted in message, message
 
 
 # The sweep of every int, rational, name, record and sequence argument of the
