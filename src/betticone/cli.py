@@ -120,9 +120,14 @@ def format_table_text(table: BettiTable) -> str:
 
 
 def parse_module_text(text: str, field=None) -> GradedModuleB:
+    """The module a text describes (module doc), over field if one is given,
+    else over the text's field line, else over FP_DEFAULT.  Each distinct
+    entry text of the rel lines is parsed once per call, so a block sum, whose
+    entries are nearly all 0, costs one parse_poly per distinct entry."""
     file_field = None
     gens = None
     rels = []
+    polys = {}  # entry text -> its polynomial, for this call only
     builtin_name = None
     for line in _content_lines(text):
         key, _, rest = line.partition(" ")
@@ -146,10 +151,14 @@ def parse_module_text(text: str, field=None) -> GradedModuleB:
             except ValueError as exc:
                 raise ModuleFormatError(f"bad gens line: {exc}") from exc
         elif key == "rel":
+            row = rest.split(",")
             try:
-                rels.append(tuple(parse_poly(t) for t in rest.split(",")))
+                for t in row:
+                    if t not in polys:
+                        polys[t] = parse_poly(t)
             except PolyParseError as exc:
                 raise ModuleFormatError(str(exc)) from exc
+            rels.append(tuple(map(polys.__getitem__, row)))
         elif key == "builtin":
             builtin_name = rest
         else:

@@ -59,7 +59,7 @@ the window.  A redundant relation, one the others generate, changes no output.
 from __future__ import annotations
 
 import re
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -71,22 +71,60 @@ _VARS = ("x", "y", "z")
 _UNIT = ("1", 0)
 
 
-def _mono_mul(m1, m2):
-    v1, e1 = m1
-    v2, e2 = m2
-    if e1 == 0:
-        return m2
-    if e2 == 0:
-        return m1
-    if v1 != v2:
-        return None  # mixed products vanish in B
-    return (v1, e1 + e2)
+def _bits(q) -> int:
+    """floor(log2) of the larger of q's numerator and denominator, 0 for +-1."""
+    return (q.bit_length() if type(q) is int else max(abs(q.numerator), q.denominator).bit_length()) - 1
+
+
+# B's arithmetic on {monomial: value} dicts that hold no zero value, shared by
+# BPolynomial's operators and parse_poly's reader.
+
+
+def _add(p: dict, q: dict, sign: int = 1) -> dict:
+    """p + sign * q."""
+    out = dict(p)
+    for m, c in q.items():
+        c = out.get(m, 0) + c if sign > 0 else out.get(m, 0) - c
+        if c:
+            out[m] = c
+        else:
+            del out[m]
+    return out
+
+
+def _mul(p: dict, q: dict) -> dict:
+    out = {}
+    for (v1, e1), c1 in p.items():
+        for (v2, e2), c2 in q.items():
+            if v1 != v2 and e1 and e2:
+                continue  # mixed products vanish in B
+            m = (v1, e1 + e2) if e1 else (v2, e2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _pow(p: dict, n: int) -> dict:
+    """p^n for an int n >= 0: the n-th powers of the terms when p is
+    homogeneous, as mixed products vanish in B, else square-and-multiply."""
+    if n == 0:
+        return {_UNIT: 1}
+    if len({e for _, e in p}) <= 1:
+        return {(v, e * n): c ** n for (v, e), c in p.items()}
+    out, square = {_UNIT: 1}, p
+    while n:
+        if n & 1:
+            out = _mul(out, square)
+        n >>= 1
+        if n:
+            square = _mul(square, square)
+    return out
 
 
 class BPolynomial:
     """Element of B on the monomial basis {1} + {x^e, y^e, z^e : e >= 1}, from a
     mapping of monomials, ("1", 0) or (var, e) with e an int, to coefficients,
-    rational values (tables._rational), each an int when integral and a Fraction otherwise."""
+    rational values (tables._rational), each an int when integral and a Fraction otherwise,
+    of at most MAX_COEFFICIENT_BITS bits of numerator and denominator."""
 
     __slots__ = ("_coeffs",)
 
@@ -98,6 +136,9 @@ class BPolynomial:
                 raise ValueError(f"bad monomial {_echo(mono)}")
             q = q if type(q) is int else _rational(q, "coefficient")
             if q:
+                if _bits(q) > MAX_COEFFICIENT_BITS:
+                    raise ValueError(f"coefficient {_echo(q, str)} needs a numerator or denominator above"
+                                     f" {MAX_COEFFICIENT_BITS} bits")
                 items[mono] = q
         self._coeffs = items
 
@@ -142,10 +183,7 @@ class BPolynomial:
     def __add__(self, other):
         if not isinstance(other, BPolynomial):
             return NotImplemented
-        out = dict(self._coeffs)
-        for mono, q in other._coeffs.items():
-            out[mono] = out.get(mono, 0) + q
-        return BPolynomial(out)
+        return BPolynomial(_add(self._coeffs, other._coeffs))
 
     def __neg__(self):
         return BPolynomial({m: -q for m, q in self._coeffs.items()})
@@ -153,40 +191,21 @@ class BPolynomial:
     def __sub__(self, other):
         if not isinstance(other, BPolynomial):
             return NotImplemented
-        return self + (-other)
+        return BPolynomial(_add(self._coeffs, other._coeffs, -1))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = BPolynomial.constant(other)
         if not isinstance(other, BPolynomial):
             return NotImplemented
-        out: dict[tuple[str, int], int | Fraction] = {}
-        for m1, q1 in self._coeffs.items():
-            for m2, q2 in other._coeffs.items():
-                m = _mono_mul(m1, m2)
-                if m is None:
-                    continue
-                out[m] = out.get(m, 0) + q1 * q2
-        return BPolynomial(out)
+        return BPolynomial(_mul(self._coeffs, other._coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if _int(n, "exponent") < 0:
             raise ValueError("exponent must be a nonnegative int")
-        if n == 0:
-            return BPolynomial.constant(1)
-        if self.is_homogeneous:
-            # mixed products vanish in B, so only the n-th powers of the terms remain
-            return BPolynomial({(v, e * n): q ** n for (v, e), q in self._coeffs.items()})
-        out, square = BPolynomial.constant(1), self
-        while n:
-            if n & 1:
-                out = out * square
-            n >>= 1
-            if n:
-                square = square * square
-        return out
+        return BPolynomial(_pow(self._coeffs, n))
 
     def __eq__(self, other):
         if not isinstance(other, BPolynomial):
@@ -231,15 +250,6 @@ MAX_INHOMOGENEOUS_POWER_DEGREE = 64
 MAX_NESTING = 50
 
 
-def _top_degree(p: BPolynomial) -> int:
-    return max((exp for _, exp in p._coeffs), default=0)
-
-
-def _coefficient_bits(p: BPolynomial) -> int:
-    """floor(log2) of the largest numerator or denominator of p, 0 for +-1."""
-    return max((max(abs(q.numerator), q.denominator).bit_length() - 1 for q in p._coeffs.values()), default=0)
-
-
 def parse_poly(text: str) -> BPolynomial:
     """Parse a polynomial in x, y, z with rational coefficients.
 
@@ -248,126 +258,126 @@ def parse_poly(text: str) -> BPolynomial:
     of an inhomogeneous base is refused once its degree would pass
     MAX_INHOMOGENEOUS_POWER_DEGREE, and so is a product whose result is
     inhomogeneous above that degree.  Powers and products whose coefficients
-    would pass MAX_COEFFICIENT_BITS bits are refused too, and so are
-    parentheses nested deeper than MAX_NESTING.
+    would pass MAX_COEFFICIENT_BITS bits are refused too, before they are
+    built, and so are any value with such a coefficient (BPolynomial's rule)
+    and parentheses nested deeper than MAX_NESTING.  Cost: one regex pass over
+    the text, one dict operation per operator on plain {monomial: value}
+    dicts, and one BPolynomial, built at the end.
     """
     if not isinstance(text, str):
         raise PolyParseError(f"polynomial must be a str, got {type(text).__name__} {_echo(text)}")
-    tokens = _tokenize(text)
-    pos = 0
-    depth = 0
+    reader = _Reader(text)
+    coeffs = reader.expr()
+    if reader.tokens[reader.pos] is not None:
+        raise reader.error(f"trailing input {_echo(reader.tokens[reader.pos])}")
+    try:
+        return BPolynomial(coeffs)
+    except ValueError as exc:  # a sum, or a power the estimate n * bits let through
+        raise PolyParseError(f"{exc} in {_echo(text)}") from None
 
-    def peek():
-        return tokens[pos]
 
-    def ended():
-        empty = not text.strip()
-        return PolyParseError("empty entry, no polynomial given" if empty else f"input ends early in {_echo(text)}")
+# A token: a run of decimal digits (\d, which tables._int_text reads), or any
+# other non-space character: a variable, an operator, or one refused.
+_TOKEN = re.compile(r"\d+|\S")
+_SYMBOLS = frozenset("xyz()*/^+-")
 
-    def take(kind=None):
-        nonlocal pos
-        tok = tokens[pos]
-        if kind is not None and tok[0] != kind:
-            raise ended() if tok[0] == "end" else PolyParseError(f"expected {kind}, got {_echo(tok[1])} in {_echo(text)}")
-        pos += 1
+
+class _Reader:
+    """parse_poly's recursive descent over one text: its tokens, each an int,
+    a variable, an operator character, or None at the end, read into
+    {monomial: value} dicts by B's dict arithmetic."""
+
+    __slots__ = ("text", "tokens", "pos", "depth")
+
+    def __init__(self, text: str):
+        self.text, self.pos, self.depth = text, 0, 0
+        self.tokens = [t if t in _SYMBOLS else self.integer_text(t) for t in _TOKEN.findall(text)]
+        self.tokens.append(None)
+
+    def integer_text(self, token: str) -> int:
+        """The int of a digit run, or a refusal of any other token."""
+        if not token[0].isdecimal():
+            raise self.error(f"bad character {_echo(token)}")
+        try:
+            return _int_text(token, "integer")
+        except ValueError as exc:  # a run past MAX_COEFFICIENT_BITS bits
+            raise self.error(str(exc)) from None
+
+    def error(self, what: str) -> PolyParseError:
+        return PolyParseError(f"{what} in {_echo(self.text)}")
+
+    def ended(self) -> PolyParseError:
+        if not self.text.strip():
+            return PolyParseError("empty entry, no polynomial given")
+        return self.error("input ends early")
+
+    def integer(self) -> int:
+        tok = self.tokens[self.pos]
+        if type(tok) is not int:
+            raise self.ended() if tok is None else self.error(f"expected int, got {_echo(tok)}")
+        self.pos += 1
         return tok
 
-    def atom():
-        nonlocal depth
-        kind, val = peek()
-        if kind == "int":
-            take()
-            if peek() == ("op", "/"):
-                take()
-                _, den = take("int")
+    def factor(self) -> dict:
+        """An int, a rational n/d, a variable or a parenthesized sum, then an
+        optional power."""
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if type(tok) is int:
+            if self.tokens[self.pos] == "/":
+                self.pos += 1
+                den = self.integer()
                 if den == 0:
-                    raise PolyParseError(f"zero denominator in {_echo(text)}")
-                return BPolynomial.constant(Fraction(val, den))
-            return BPolynomial.constant(val)
-        if kind == "var":
-            take()
-            return BPolynomial.variable(val)
-        if (kind, val) == ("op", "("):
-            take()
-            depth += 1
-            if depth > MAX_NESTING:
-                raise PolyParseError(f"parentheses nested deeper than {MAX_NESTING} in {_echo(text)}")
-            inner = expr()
-            if peek() != ("op", ")"):
-                raise PolyParseError(f"missing ')' in {_echo(text)}")
-            take()
-            depth -= 1
-            return inner
-        if kind == "end":
-            raise ended()
-        raise PolyParseError(f"unexpected {_echo(val)} in {_echo(text)}")
-
-    def factor():
-        base = atom()
-        if peek() == ("op", "^"):
-            take()
-            _, n = take("int")
-            if not base.is_homogeneous and n * _top_degree(base) > MAX_INHOMOGENEOUS_POWER_DEGREE:
-                raise PolyParseError(
-                    f"power of an inhomogeneous base above degree {MAX_INHOMOGENEOUS_POWER_DEGREE}"
-                    f" in {_echo(text)}"
-                )
-            if n * _coefficient_bits(base) > MAX_COEFFICIENT_BITS:
-                raise PolyParseError(f"power with coefficients above {MAX_COEFFICIENT_BITS} bits in {_echo(text)}")
-            return base ** n
-        return base
-
-    def term():
-        out = factor()
-        while peek() == ("op", "*"):
-            take()
-            out = out * factor()
-            if not out.is_homogeneous and _top_degree(out) > MAX_INHOMOGENEOUS_POWER_DEGREE:
-                raise PolyParseError(
-                    f"product inhomogeneous above degree {MAX_INHOMOGENEOUS_POWER_DEGREE} in {_echo(text)}"
-                )
-            if _coefficient_bits(out) > MAX_COEFFICIENT_BITS:
-                raise PolyParseError(f"product with coefficients above {MAX_COEFFICIENT_BITS} bits in {_echo(text)}")
-        return out
-
-    def expr():
-        negate = False
-        if peek() in (("op", "+"), ("op", "-")):
-            negate = take()[1] == "-"
-        out = term()
-        if negate:
-            out = -out
-        while peek() in (("op", "+"), ("op", "-")):
-            minus = take()[1] == "-"
-            nxt = term()
-            out = out - nxt if minus else out + nxt
-        return out
-
-    result = expr()
-    if peek() != ("end", ""):
-        raise PolyParseError(f"trailing input {_echo(peek()[1])} in {_echo(text)}")
-    return result
-
-
-# A token: an int (\d is a decimal digit, which tables._int_text reads), a
-# variable, an operator, or any other non-space character, which is refused.
-_TOKEN = re.compile(r"(\d+)|([xyz])|([-+*/^()])|(\S)")
-
-
-def _tokenize(text: str):
-    tokens = []
-    for digits, var, op, bad in _TOKEN.findall(text):
-        if bad:
-            raise PolyParseError(f"bad character {_echo(bad)} in {_echo(text)}")
-        if digits:
-            try:
-                tokens.append(("int", _int_text(digits, "integer")))
-            except ValueError as exc:  # a run past MAX_COEFFICIENT_BITS bits
-                raise PolyParseError(f"{exc} in {_echo(text)}") from None
+                    raise self.error("zero denominator")
+                tok = Fraction(tok, den)
+            base = {_UNIT: tok} if tok else {}
+        elif tok in _VARS:
+            base = {(tok, 1): 1}
+        elif tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise self.error(f"parentheses nested deeper than {MAX_NESTING}")
+            base = self.expr()
+            if self.tokens[self.pos] != ")":
+                raise self.error("missing ')'")
+            self.pos += 1
+            self.depth -= 1
         else:
-            tokens.append(("var", var) if var else ("op", op))
-    tokens.append(("end", ""))
-    return tokens
+            raise self.ended() if tok is None else self.error(f"unexpected {_echo(tok)}")
+        if self.tokens[self.pos] != "^":
+            return base
+        self.pos += 1
+        n = self.integer()
+        exps = {e for _, e in base}
+        if len(exps) > 1 and n * max(exps) > MAX_INHOMOGENEOUS_POWER_DEGREE:
+            raise self.error(f"power of an inhomogeneous base above degree {MAX_INHOMOGENEOUS_POWER_DEGREE}")
+        if n * max(map(_bits, base.values()), default=0) > MAX_COEFFICIENT_BITS:
+            raise self.error(f"power with coefficients above {MAX_COEFFICIENT_BITS} bits")
+        return _pow(base, n)
+
+    def term(self) -> dict:
+        out = self.factor()
+        while self.tokens[self.pos] == "*":
+            self.pos += 1
+            out = _mul(out, self.factor())
+            exps = {e for _, e in out}
+            if len(exps) > 1 and max(exps) > MAX_INHOMOGENEOUS_POWER_DEGREE:
+                raise self.error(f"product inhomogeneous above degree {MAX_INHOMOGENEOUS_POWER_DEGREE}")
+            if max(map(_bits, out.values()), default=0) > MAX_COEFFICIENT_BITS:
+                raise self.error(f"product with coefficients above {MAX_COEFFICIENT_BITS} bits")
+        return out
+
+    def expr(self) -> dict:
+        sign = self.tokens[self.pos]
+        if sign == "+" or sign == "-":
+            self.pos += 1
+        out = self.term()
+        if sign == "-":
+            out = {m: -c for m, c in out.items()}
+        while (sign := self.tokens[self.pos]) == "+" or sign == "-":
+            self.pos += 1
+            out = _add(out, self.term(), -1 if sign == "-" else 1)
+        return out
 
 
 # Widest span of the minimal generator and relation degrees, rows 0..1 of a
@@ -415,11 +425,12 @@ class GradedModuleB(_Checked, namedtuple("GradedModuleB", "gen_degrees relations
             for k, (a, p) in enumerate(zip(gen_degrees, row)):
                 if not isinstance(p, BPolynomial):
                     raise ValueError(f"relation entry must be a BPolynomial, got {_echo(p)}")
-                if p.is_zero:
+                if not p._coeffs:
                     continue
-                if not p.is_homogeneous:
+                exps = {e for _, e in p._coeffs}
+                if len(exps) > 1:
                     raise ValueError(f"inhomogeneous relation entry: {_echo(p, str)}")
-                e = p.degree()
+                (e,) = exps
                 if e < 1:
                     raise ValueError(f"relation entry {_echo(p, str)} is a unit, which makes the presentation non-minimal")
                 degs.add(e + a)
@@ -432,7 +443,9 @@ class GradedModuleB(_Checked, namedtuple("GradedModuleB", "gen_degrees relations
             branch_rows.append((degs.pop(), field.int_row(coords)))
         self = super().__new__(cls, gen_degrees, relations, field)
         self._branch_rows = tuple(branch_rows)
-        rows = Counter((0, a) for a in gen_degrees)
+        rows = {}
+        for a in gen_degrees:
+            rows[0, a] = rows.get((0, a), 0) + 1
         for d, born, row2 in _relation_walk(self):
             rows[1, d], rows[2, d + 1] = len(born), row2
         self._rows = BettiTable(rows)  # drops the zero counts

@@ -10,7 +10,9 @@ own, not linalg.SpanTracker.  tor_betti computes Betti numbers as Tor
 against the Koszul resolution of k, with an echelon form of its own and no
 import from betticone.linalg.  scrambled_sum builds a module whose Betti
 table is known without resolving it: a direct sum of the modules that
-realise pure diagrams, under a random change of generators."""
+realise pure diagrams, under a random change of generators.
+expression_value evaluates a polynomial expression tree in B by branches,
+with no BPolynomial arithmetic."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -288,3 +290,110 @@ def scrambled_sum(terms, field, rng) -> GradedModuleB:
                 row[j] = row[j] + rel * f
         relations.append(row)
     return GradedModuleB(degrees, relations, field)
+
+
+# -- polynomial expressions, evaluated by branches --------------------------------
+#
+# B is the fiber product of k[x], k[y] and k[z] over k: an element is a
+# constant c plus one polynomial f_v with no constant term in each variable v,
+# and (c + sum_v f_v)(d + sum_v g_v) = cd + sum_v (c g_v + d f_v + f_v g_v).
+
+
+class CapPassed(Exception):
+    """An expression that parse_poly refuses by one of its documented caps."""
+
+
+def _branch_add(a, b, sign):
+    (c, f), (d, g) = a, b
+    out = {}
+    for v in "xyz":
+        h = dict(f[v])
+        for e, q in g[v].items():
+            h[e] = h.get(e, 0) + sign * q
+        out[v] = {e: q for e, q in h.items() if q}
+    return c + sign * d, out
+
+
+def _branch_mul(a, b):
+    (c, f), (d, g) = a, b
+    out = {}
+    for v in "xyz":
+        h = {e: d * q for e, q in f[v].items()}
+        for e, q in g[v].items():
+            h[e] = h.get(e, 0) + c * q
+        for e1, q1 in f[v].items():
+            for e2, q2 in g[v].items():
+                h[e1 + e2] = h.get(e1 + e2, 0) + q1 * q2
+        out[v] = {e: q for e, q in h.items() if q}
+    return c * d, out
+
+
+def _degrees(a) -> set:
+    c, f = a
+    return ({0} if c else set()) | {e for v in "xyz" for e in f[v]}
+
+
+def _bits(a) -> int:
+    """floor(log2) of the largest numerator or denominator of a, 0 for +-1 and 0."""
+    c, f = a
+    return max(max(abs(q.numerator), q.denominator).bit_length() - 1
+               for q in [c] + [q for v in "xyz" for q in f[v].values()])
+
+
+def expression_value(tree, max_degree: int, max_bits: int) -> dict:
+    """The value in B of an expression tree, as {("1", 0) or (v, e): value}
+    with no zero value, or CapPassed where parse_poly's caps refuse it: a power
+    n of an inhomogeneous base whose top degree times n passes max_degree, or
+    of any base whose largest coefficient bits times n pass max_bits; a
+    partial product, left to right, inhomogeneous above max_degree or with
+    coefficients above max_bits; or a result with coefficients above max_bits.
+
+    A tree is a sum ("sum", [(sign, term), ...]), sign "+" or "-", or "" for
+    the first term; a term is a list of factors (atom, n), n an int power or
+    None; an atom is ("int", n), ("ratio", n, d) for the text n/d, ("var", v),
+    or a sum in parentheses.  A leading "-" negates the first term alone, and
+    n/d is one atom, so 3/2^2 is (3/2)^2, as parse_poly reads them."""
+    zero = {v: {} for v in "xyz"}
+
+    def atom(node):
+        if node[0] == "int":
+            return Fraction(node[1]), zero
+        if node[0] == "ratio":
+            return Fraction(node[1], node[2]), zero
+        if node[0] == "var":
+            return Fraction(0), dict(zero, **{node[1]: {1: Fraction(1)}})
+        return total(node)
+
+    def power(base, n):
+        degrees = _degrees(base)
+        if len(degrees) > 1 and n * max(degrees) > max_degree or n * _bits(base) > max_bits:
+            raise CapPassed
+        out = (Fraction(1), zero)
+        for _ in range(n):
+            out = _branch_mul(out, base)
+        return out
+
+    def product(term):
+        out = None
+        for node, n in term:
+            value = atom(node) if n is None else power(atom(node), n)
+            if out is None:
+                out = value
+                continue
+            out = _branch_mul(out, value)
+            degrees = _degrees(out)
+            if len(degrees) > 1 and max(degrees) > max_degree or _bits(out) > max_bits:
+                raise CapPassed
+        return out
+
+    def total(node):
+        out = (Fraction(0), zero)
+        for sign, term in node[1]:
+            out = _branch_add(out, product(term), -1 if sign == "-" else 1)
+        return out
+
+    value = total(tree)
+    if _bits(value) > max_bits:
+        raise CapPassed
+    c, f = value
+    return {**({("1", 0): c} if c else {}), **{(v, e): q for v in "xyz" for e, q in f[v].items()}}

@@ -660,6 +660,26 @@ def test_resolve_walks_the_relations_once(capsys, tmp_path, monkeypatch, text, d
     assert any(line.startswith("e: ") for line in out.splitlines()) == (code == 0)
 
 
+def test_a_module_text_parses_each_distinct_entry_once(monkeypatch):
+    # the direct sum of 60 copies of omega: 21,600 entries, nearly all " 0"
+    x, y, z = map(BPolynomial.variable, "xyz")
+    zero = BPolynomial.zero()
+    blocks = ((-z, zero), (y, -y), (zero, x))
+    rows = [[zero] * 120 for _ in range(180)]
+    for c in range(60):
+        for k, block in enumerate(blocks):
+            rows[3 * c + k][2 * c:2 * c + 2] = block
+    text = "gens" + " 0" * 120 + "\n" + "".join(f"rel {', '.join(map(str, row))}\n" for row in rows)
+    distinct = {t for line in text.splitlines()[1:] for t in line[len("rel "):].split(",")}
+    calls = []
+    parse_poly = cli.parse_poly
+    monkeypatch.setattr(cli, "parse_poly", lambda t: calls.append(t) or parse_poly(t))
+    M = parse_module_text(text)
+    assert len(calls) <= len(distinct), (len(calls), distinct)
+    assert M == GradedModuleB((0,) * 120, tuple(map(tuple, rows)), FP_DEFAULT)
+    assert M._rows == BettiTable({(0, 0): 120, (1, 1): 180, (2, 2): 360})
+
+
 def pipeline_modules(seed, count):
     """Module texts of the five kinds the README pipeline meets: monomial
     quotients, powers of linear forms, partial monomial quotients, direct sums

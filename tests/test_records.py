@@ -168,6 +168,7 @@ NAMED = "<int of 16610 bits>"  # HUGE, past the interpreter's int-to-str digit l
 WORD_QUOTED = f"{'w' * 64!r}... (100000 characters)"
 COEFF_QUOTED = f"{'7' * 64}... (1200 characters)"
 SUM_QUOTED = f"{'7' * 64}... (1208 characters)"  # of the text of COEFF*x + y^2
+PRODUCT_QUOTED = f"{str(2 ** 8000)[:64]}... (2409 characters)"
 
 
 def raise_(exc):
@@ -198,6 +199,10 @@ def raise_(exc):
     pytest.param(lambda: syzygy_of_indecomposable(WORD), ValueError, WORD_QUOTED, id="indecomposable"),
     pytest.param(lambda: BPolynomial({WORD: 1}), ValueError, WORD_QUOTED, id="monomial"),
     pytest.param(lambda: (COEFF * X + Y * Y).degree(), ValueError, SUM_QUOTED, id="degree"),
+    pytest.param(lambda: BPolynomial.constant(HUGE), ValueError, NAMED, id="coefficient-bits"),
+    pytest.param(lambda: BPolynomial({("x", 1): -HUGE}), ValueError, f"-{NAMED}", id="negative-coefficient-bits"),
+    pytest.param(lambda: BPolynomial.constant(2 ** 4000) * BPolynomial.constant(2 ** 4000), ValueError,
+                 PRODUCT_QUOTED, id="product-coefficient-bits"),
     pytest.param(lambda: parse_poly(HUGE), resolve.PolyParseError, NAMED, id="poly-type"),
     pytest.param(lambda: parse_poly("x^y" + "+x" * 49_998), resolve.PolyParseError, "'y' in", id="poly-expected"),
     pytest.param(lambda: parse_poly(")" + "+x" * 49_999), resolve.PolyParseError, "')' in", id="poly-unexpected"),

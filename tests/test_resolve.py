@@ -47,7 +47,7 @@ from betticone.resolve import (
     PolyParseError,
 )
 from betticone.tables import INDECOMPOSABLE_NAMES
-from oracles import functional_value, kernel_basis, row_sum, scrambled_sum, tor_betti
+from oracles import CapPassed, expression_value, functional_value, kernel_basis, row_sum, scrambled_sum, tor_betti
 
 X = BPolynomial.variable("x")
 Y = BPolynomial.variable("y")
@@ -192,6 +192,66 @@ def test_parse_poly_raises_only_poly_parse_error(text):
         parse_poly(text)
     except PolyParseError:
         pass
+
+
+@st.composite
+def expression_trees(draw, depth=0):
+    """A tree of tests/oracles.py's expression_value: a sum of one to three
+    signed terms of one or two factors, each an int, n/d, a variable or a sum
+    in parentheses, nested at most 6 deep, with an optional power up to the
+    inhomogeneous cap."""
+    atoms = [st.tuples(st.just("int"), st.integers(0, 99)),
+             st.tuples(st.just("ratio"), st.integers(0, 99), st.integers(1, 99)),
+             st.tuples(st.just("var"), st.sampled_from("xyz"))]
+    if depth < 6:
+        atoms.append(expression_trees(depth + 1))
+    powers = st.one_of(st.none(), st.integers(0, 3), st.integers(0, MAX_INHOMOGENEOUS_POWER_DEGREE))
+    terms = []
+    for k in range(draw(st.integers(1, 3))):
+        sign = draw(st.sampled_from(("", "+", "-") if k == 0 else ("+", "-")))
+        terms.append((sign, draw(st.lists(st.tuples(st.one_of(atoms), powers), min_size=1, max_size=2))))
+    return ("sum", terms)
+
+
+def render_expression(tree, gap) -> str:
+    """The text of an expression tree, with gap() between every two tokens
+    and at both ends."""
+    tokens = []
+
+    def emit(node):
+        for sign, term in node[1]:
+            if sign:
+                tokens.append(sign)
+            for k, (atom, n) in enumerate(term):
+                if k:
+                    tokens.append("*")
+                if atom[0] == "sum":
+                    tokens.append("(")
+                    emit(atom)
+                    tokens.append(")")
+                elif atom[0] == "ratio":
+                    tokens.extend((str(atom[1]), "/", str(atom[2])))
+                else:
+                    tokens.append(str(atom[1]))
+                if n is not None:
+                    tokens.extend(("^", str(n)))
+
+    emit(tree)
+    return gap() + "".join(t + gap() for t in tokens)
+
+
+@given(expression_trees(), st.randoms(use_true_random=False))
+@example(("sum", [("", [(("var", "x"), None)]), ("-", [(("var", "y"), None)])]), random.Random(0))  # x - y
+@settings(max_examples=150, deadline=None)
+def test_parse_poly_agrees_with_the_expression_oracle(tree, rnd):
+    text = render_expression(tree, lambda: rnd.choice(("", "", " ", "  ", "\t")))
+    try:
+        expected = expression_value(tree, MAX_INHOMOGENEOUS_POWER_DEGREE, MAX_COEFFICIENT_BITS)
+    except CapPassed:
+        with pytest.raises(PolyParseError):
+            parse_poly(text)
+        return
+    assert dict(parse_poly(text).items()) == expected, text
 
 
 mono_keys = st.one_of(
